@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectionError, SequenceError
-from .linalg import frac_log, mat_mul
+from .linalg import frac_log, identity, mat_mul
 
 INF = float("inf")
 
@@ -205,8 +205,7 @@ def _build_cone(seq, depth, kind, tol):
             d, _ = set_diameter(cols)
             profile.append((step_count, d))
     if prod is None:
-        n = ambient
-        prod = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        prod = identity(ambient)
         profile.append((0, set_diameter(_columns(prod))[0]))
     cols = _columns(prod) if kind == "current" \
         else [tuple(row) for row in prod]

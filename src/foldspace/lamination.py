@@ -10,10 +10,20 @@ Word harvesting defaults to paths through taken turns — the windows that
 genuinely occur in deep images.  Harvesting over all legal paths is kept as
 an explicit mode (``source="legal"``); it is the right control for
 degenerate sequences where nothing folds.
+
+Languages are computed by junction recursion over the morphism chain, which
+is a straight-line program for every composite image: each edge image keeps
+its distinct length-L windows and its first and last L-1 edges, and a level
+adds only the windows crossing the junctions of its step images.  The cost
+is O(depth * edges * L^2) plus the unions of the window sets (at most |B_L|
+words an edge), not the image length.  The 10M-edge
+expansion budget still bounds the harvest depth (a ``BudgetExceededError``,
+exit code 3), and cylinder weights still expand composite images.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil, log
 
 from .errors import (BudgetExceededError, DirectionError, InvalidTrackError,
@@ -104,16 +114,76 @@ def _harvest_paths(graph, allowed_turns, max_len, budget):
     return paths
 
 
-def _windows(seq, level, paths, L, *, canonical=True):
-    words = set()
+_GAP = 0       # never an oriented edge; no window spans it
+
+
+def _gap_free_windows(pieces, L, out):
+    """Add to ``out`` the length-L windows of the concatenated pieces that
+    contain no gap marker; return the concatenation."""
+    joined = tuple(chain.from_iterable(pieces))
+    run = 0
+    for k, x in enumerate(joined):
+        run = run + 1 if x != _GAP else 0
+        if run >= L:
+            out.add(joined[k - L + 1:k + 1])
+    return joined
+
+
+def _piece(joined, L):
+    """The whole image when it has at most 2(L-1) edges, else its first and
+    last L-1 edges around a gap.  Either way every window that crosses into
+    the image from a neighbour lies inside the piece.  A gapped piece has
+    2L-1 entries, so a concatenation holding one is never taken whole."""
+    if len(joined) <= 2 * (L - 1):
+        return joined
+    return joined[:L - 1] + (_GAP,) + joined[len(joined) - (L - 1):]
+
+
+def _check_expansion_budget(lengths, paths, budget=10_000_000):
+    """Refuse, as ``FoldingSequence.expansion`` would, the first path edge
+    whose composite image exceeds ``budget`` edges."""
+    if max(lengths) <= budget:
+        return
     for p in paths:
-        image = []
         for e in p:
-            image.extend(seq.expansion(level, e))
-        for k in range(len(image) - L + 1):
-            w = tuple(image[k:k + L])
-            words.add(_flip_canonical(w) if canonical else w)
-    return words
+            total = lengths[abs(e) - 1]
+            if total > budget:
+                raise BudgetExceededError(
+                    f"composite image of length {total} exceeds the "
+                    f"expansion budget {budget}")
+
+
+def _windows(seq, level, paths, L, *, canonical=True):
+    """Length-L windows of the composite images of the paths.
+
+    Junction recursion down the chain from the right end: the windows of an
+    edge image are those of the edge images one level up plus the windows
+    crossing their junctions, and crossing windows only see the pieces
+    (see ``_piece``) of the images they cross.  Images are never expanded.
+    """
+    edges = seq.graph_at(seq.levels[-1]).oriented_edges()
+    words = {e: {(e,)} if L == 1 else set() for e in edges}
+    pieces = {e: _piece((e,), L) for e in edges}
+    for i in range(seq.n_steps - 1, seq._internal(level) - 1, -1):
+        f = seq.morphisms[i]
+        up_words, up_pieces = words, pieces
+        words, pieces = {}, {}
+        for e in range(1, f.domain.n_edges + 1):
+            image = f.edge_image(e)
+            w = set().union(*(up_words[x] for x in image))
+            joined = _gap_free_windows([up_pieces[x] for x in image], L, w)
+            words[e], words[-e] = w, {reverse_path(u) for u in w}
+            pieces[e] = _piece(joined, L)
+            pieces[-e] = reverse_path(pieces[e])
+    found = set()
+    for e in {x for p in paths for x in p}:
+        found |= words[e]
+    for p in paths:
+        if len(p) > 1:
+            _gap_free_windows([pieces[x] for x in p], L, found)
+    if canonical:
+        return {_flip_canonical(w) for w in found}
+    return found
 
 
 def _harvest(seq, depth, L, source, require_depth, budget, canonical):
@@ -138,6 +208,7 @@ def _harvest(seq, depth, L, source, require_depth, budget, canonical):
         raise ValueError(f"unknown harvesting source {source!r}")
     cap = 2 + ceil(L / max(1, min(lengths)))
     paths = _harvest_paths(g, allowed, cap, budget)
+    _check_expansion_budget(lengths, paths)
     return _windows(seq, level, paths, L, canonical=canonical)
 
 

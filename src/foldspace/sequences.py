@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
-from .linalg import dot, frac_log, mat_mul, mat_vec, transpose_vec
+from .linalg import (dot, frac_log, identity, mat_mul, mat_vec,
+                     transpose_vec)
 from .morphisms import validate_change_of_marking
 from .paths import reverse_path
 
@@ -188,8 +189,7 @@ class FoldingSequence:
             M = self._matrix(i)
             prod = M if prod is None else mat_mul(M, prod)
         if prod is None:
-            n = self.graph_at(level_from).n_edges
-            prod = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+            prod = identity(self.graph_at(level_from).n_edges)
         return prod
 
     def first_edge_composite(self, level_from, level_to=None):

@@ -2,16 +2,21 @@
 components."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foldspace import (DirectionError, FoldingSequence, InvalidTrackError,
-                       ShallowDepthError, allowed_words, complexity_profile,
-                       cylinder_weight, flip_cylinder_weight,
+from foldspace import (BudgetExceededError, DirectionError, FoldingSequence,
+                       GraphMorphism, InvalidTrackError, ShallowDepthError,
+                       allowed_words, complexity_profile, cylinder_weight,
+                       default_generators, flip_cylinder_weight,
                        frequency_current, gates, gen_alternating_block,
                        identity_morphism, minimal_components,
-                       one_edge_extensions, oriented_mass, rose,
+                       one_edge_extensions, oriented_mass, reverse_path, rose,
                        sandwich_report, simplicial_length_measure)
+from foldspace import lamination
 from foldspace.sequences import _turn
 
 
@@ -94,6 +99,91 @@ def test_complexity_profile_fibonacci(fib_unfold20):
     assert profile.stable
     assert profile.subexponential
     assert profile.entropy < 0.25
+
+
+def test_complexity_profile_fibonacci_deep(fib_unfold40):
+    profile = complexity_profile(fib_unfold40, (15, 30), 12)
+    assert profile.counts == {L: L + 1 for L in range(1, 13)}
+    assert profile.stable
+
+
+def test_allowed_words_expansion_budget(fib_unfold40):
+    # the depth-40 images have F_41 edges: refused although never expanded
+    with pytest.raises(BudgetExceededError) as info:
+        allowed_words(fib_unfold40, 40, 8)
+    assert str(info.value) == ("composite image of length 165580141 "
+                               "exceeds the expansion budget 10000000")
+
+
+# -- junction recursion against the materialising harvest ----------------
+
+
+def _sliding_windows(seq, level, paths, L, *, canonical=True):
+    """Oracle: slide a window over the expanded image of every path."""
+    words = set()
+    for p in paths:
+        image = [x for e in p for x in seq.expansion(level, e)]
+        for k in range(len(image) - L + 1):
+            w = tuple(image[k:k + L])
+            words.add(min(w, reverse_path(w)) if canonical else w)
+    return words
+
+
+def _transvection_pool(rank):
+    """Rose self-maps a_i -> a_i a_j or a_j a_i, a rotation, and the map
+    reversing every edge, so that images also carry reversed edges.  Every
+    composite image is all-positive or all-negative, hence reduced."""
+    g = rose("abcd"[:rank])
+    vmap = {"*": "*"}
+    pool = []
+    for i in range(rank):
+        for j in range(rank):
+            if i == j:
+                continue
+            for image in ((i + 1, j + 1), (j + 1, i + 1)):
+                images = {g.edge_ids[k]: (k + 1,) for k in range(rank)}
+                images[g.edge_ids[i]] = image
+                pool.append(GraphMorphism(g, g, vmap, images))
+    pool.append(GraphMorphism(g, g, vmap, {g.edge_ids[k]: ((k + 1) % rank + 1,)
+                                           for k in range(rank)}))
+    pool.append(GraphMorphism(g, g, vmap, {g.edge_ids[k]: (-(k + 1),)
+                                           for k in range(rank)}))
+    return tuple(pool)
+
+
+_POOLS = (default_generators(),) + tuple(_transvection_pool(r)
+                                         for r in (2, 3, 4))
+
+
+@st.composite
+def _unfolding_chains(draw):
+    pool = draw(st.sampled_from(_POOLS))
+    steps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return FoldingSequence(steps, "unfolding")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=_unfolding_chains(), data=st.data())
+def test_windows_match_sliding_oracle(seq, data):
+    # shallow depths leave images shorter than L - 1
+    depth = data.draw(st.integers(1, seq.n_steps), label="depth")
+    L = data.draw(st.integers(1, 6), label="L")
+    # a smaller path budget keeps legal harvests on rank-4 roses short
+    calls = [(allowed_words, {"source": "taken", "budget": 20_000}),
+             (allowed_words, {"source": "legal", "budget": 20_000}),
+             (minimal_components, {})]
+    for fn, kwargs in calls:
+        got = _outcome(fn, seq, depth, L, require_depth=False, **kwargs)
+        with patch.object(lamination, "_windows", _sliding_windows):
+            want = _outcome(fn, seq, depth, L, require_depth=False, **kwargs)
+        assert got == want, (fn.__name__, kwargs)
 
 
 # -- cylinder weights ----------------------------------------------------
