@@ -158,29 +158,18 @@ def _cmd_decompose(args):
                               if seq.direction == "unfolding"
                               else list(seq.levels)[-1])
     if args.seeds:
-        seed_names = args.seeds.split(",")
+        seeds = [[1 if e == name else 0 for e in deep_graph.edge_ids]
+                 for name in args.seeds.split(",")]
     else:
-        seed_names = None
+        seeds = [[1] * deep_graph.n_edges]
     if seq.direction == "unfolding":
         lam = simplicial_length_measure(seq)
-        if seed_names is None:
-            tracks = [current_track_from_initial(
-                seq, [1] * deep_graph.n_edges)]
-        else:
-            tracks = [current_track_from_initial(
-                seq, [1 if e == name else 0 for e in deep_graph.edge_ids])
-                for name in seed_names]
+        tracks = [current_track_from_initial(seq, s) for s in seeds]
         decomp = transverse_decomposition_unfolding(
             seq, tracks, window, eps_rel=args.eps)
     else:
         lam = None
-        if seed_names is None:
-            tracks = [length_track_from_terminal(
-                seq, [1] * deep_graph.n_edges)]
-        else:
-            tracks = [length_track_from_terminal(
-                seq, [1 if e == name else 0 for e in deep_graph.edge_ids])
-                for name in seed_names]
+        tracks = [length_track_from_terminal(seq, s) for s in seeds]
         decomp = transverse_decomposition_folding(
             seq, tracks, window, eps_rel=args.eps)
     report = {"decomposition": decomp}
@@ -320,9 +309,14 @@ def _build_parser():
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         report, csv_data = args.func(args)
         if args.format == "csv":

@@ -156,6 +156,60 @@ def _check_separation(vectors, separation):
                     "separation threshold; decomposition is ill-posed")
 
 
+def _transverse_decomposition(side, seq, tracks, window, eps_rel,
+                              separation):
+    """Both sides: statistic fixed_n(e) * track^i_n(e) over the window.
+
+    On unfolding sequences the tracks are currents and the simplicial length
+    track is fixed; on folding sequences the tracks are length components,
+    the frequency current is fixed, and the decay ratios l^j/l^i are kept.
+    """
+    folding = side == "folding"
+    window = list(window)
+    if len(window) < 4:
+        raise SequenceError("decomposition window too short")
+    fixed = frequency_current(seq) if folding \
+        else simplicial_length_measure(seq)
+    g = _window_graph(seq, window)
+    kind = "length" if folding else "current"
+    for track in tracks:
+        if track.kind != kind or track.seq is not seq:
+            raise InvalidTrackError(
+                f"{'components' if folding else 'currents'} must be "
+                f"{kind}-kind tracks on this sequence")
+        if folding and any(all(x == 0 for x in track.at(n))
+                           for n in window):
+            raise InvalidTrackError(
+                "a length component vanishes identically on the window")
+    if len(tracks) > 1:
+        level = window[0] if folding else window[-1]
+        _check_separation([track.at(level) for track in tracks], separation)
+    tables = [[[Fraction(fixed.at(n)[j]) * Fraction(track.at(n)[j])
+                for n in window] for j in range(g.n_edges)]
+              for track in tracks]
+    parts, undecided, confident, thresholds = _decompose(
+        g, window, tables, eps_rel)
+    ratios = None
+    if folding:
+        ratios = {}
+        for i, den in enumerate(tracks):
+            for jj, num in enumerate(tracks):
+                if i == jj:
+                    continue
+                for j, name in enumerate(g.edge_ids):
+                    ratios[(jj + 1, i + 1, name)] = tuple(
+                        Fraction(num.at(n)[j]) / Fraction(den.at(n)[j])
+                        if den.at(n)[j] else None for n in window)
+    stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
+             for i in range(len(tables)) for j in range(g.n_edges)}
+    issues = _theory_issues(g, parts, undecided, confident)
+    return TransverseDecomposition(side=side, window=tuple(window),
+                                   parts=parts, undecided=undecided,
+                                   confident=confident, statistics=stats,
+                                   thresholds=thresholds, ratio_stats=ratios,
+                                   issues=issues)
+
+
 def transverse_decomposition_unfolding(seq, currents, window, *,
                                        eps_rel=Fraction(1, 1000),
                                        separation=1e-8):
@@ -166,34 +220,8 @@ def transverse_decomposition_unfolding(seq, currents, window, *,
     trailing-half minimum of its i-statistic clears the threshold and every
     cross statistic passes the tail budget.
     """
-    window = list(window)
-    if len(window) < 4:
-        raise SequenceError("decomposition window too short")
-    lam = simplicial_length_measure(seq)
-    g = _window_graph(seq, window)
-    for mu in currents:
-        if mu.kind != "current" or mu.seq is not seq:
-            raise InvalidTrackError(
-                "currents must be current-kind tracks on this sequence")
-    if len(currents) > 1:
-        _check_separation([mu.at(window[-1]) for mu in currents], separation)
-    tables = []
-    for mu in currents:
-        table = []
-        for j in range(g.n_edges):
-            table.append([Fraction(mu.at(n)[j]) * Fraction(lam.at(n)[j])
-                          for n in window])
-        tables.append(table)
-    parts, undecided, confident, thresholds = _decompose(
-        g, window, tables, eps_rel)
-    stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
-             for i in range(len(tables)) for j in range(g.n_edges)}
-    issues = _theory_issues(g, parts, undecided, confident)
-    return TransverseDecomposition(side="unfolding", window=tuple(window),
-                                   parts=parts, undecided=undecided,
-                                   confident=confident, statistics=stats,
-                                   thresholds=thresholds, ratio_stats=None,
-                                   issues=issues)
+    return _transverse_decomposition("unfolding", seq, currents, window,
+                                     eps_rel, separation)
 
 
 def transverse_decomposition_folding(seq, length_components, window, *,
@@ -201,50 +229,8 @@ def transverse_decomposition_folding(seq, length_components, window, *,
                                      separation=1e-8):
     """Folding-side decomposition: statistic mu_n(e) l^i_n(e), plus the
     decay-ratio report l^j/l^i per edge."""
-    window = list(window)
-    if len(window) < 4:
-        raise SequenceError("decomposition window too short")
-    mu = frequency_current(seq)
-    g = _window_graph(seq, window)
-    for lam in length_components:
-        if lam.kind != "length" or lam.seq is not seq:
-            raise InvalidTrackError(
-                "components must be length-kind tracks on this sequence")
-        if any(all(x == 0 for x in lam.at(n)) for n in window):
-            raise InvalidTrackError(
-                "a length component vanishes identically on the window")
-    if len(length_components) > 1:
-        _check_separation([lam.at(window[0]) for lam in length_components],
-                          separation)
-    tables = []
-    for lam in length_components:
-        table = []
-        for j in range(g.n_edges):
-            table.append([Fraction(mu.at(n)[j]) * Fraction(lam.at(n)[j])
-                          for n in window])
-        tables.append(table)
-    parts, undecided, confident, thresholds = _decompose(
-        g, window, tables, eps_rel)
-    ratios = {}
-    for i in range(len(length_components)):
-        for jj in range(len(length_components)):
-            if i == jj:
-                continue
-            for j, name in enumerate(g.edge_ids):
-                series = []
-                for n in window:
-                    denom = Fraction(length_components[i].at(n)[j])
-                    num = Fraction(length_components[jj].at(n)[j])
-                    series.append(num / denom if denom else None)
-                ratios[(jj + 1, i + 1, name)] = tuple(series)
-    stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
-             for i in range(len(tables)) for j in range(g.n_edges)}
-    issues = _theory_issues(g, parts, undecided, confident)
-    return TransverseDecomposition(side="folding", window=tuple(window),
-                                   parts=parts, undecided=undecided,
-                                   confident=confident, statistics=stats,
-                                   thresholds=thresholds, ratio_stats=ratios,
-                                   issues=issues)
+    return _transverse_decomposition("folding", seq, length_components,
+                                     window, eps_rel, separation)
 
 
 def _theory_issues(graph, parts, undecided, confident):

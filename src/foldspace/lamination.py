@@ -24,7 +24,7 @@ exit code 3), and cylinder weights still expand composite images.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil, log
+from math import log
 
 from .errors import (BudgetExceededError, DirectionError, InvalidTrackError,
                      ShallowDepthError)
@@ -95,22 +95,27 @@ def _flip_canonical(word):
     return min(word, reverse_path(word))
 
 
-def _harvest_paths(graph, allowed_turns, max_len, budget):
-    """Reduced paths of length <= max_len whose turns all lie in the set."""
+def _harvest_paths(graph, allowed_turns, lengths, L, budget):
+    """Reduced paths whose turns all lie in the set, extended while the
+    composite images of their edges after the first sum to at most L-2.
+
+    A length-L window of a path image that meets the images of its edges
+    k..m spans at most L-2 edges of the images strictly between, so it lies
+    in the image of the subpath k..m, which is enumerated."""
     paths = []
-    stack = [(e,) for e in graph.oriented_edges()]
+    stack = [((e,), 0) for e in graph.oriented_edges()]
     while stack:
-        p = stack.pop()
+        p, interior = stack.pop()
         paths.append(p)
         if len(paths) > budget:
             raise BudgetExceededError(
                 f"legal-path enumeration exceeded {budget} paths")
-        if len(p) == max_len:
+        if interior > L - 2:
             continue
         last = p[-1]
         for nxt in graph.out_edges(graph.term(last)):
             if nxt != -last and _turn(-last, nxt) in allowed_turns:
-                stack.append(p + (nxt,))
+                stack.append((p + (nxt,), interior + lengths[abs(nxt) - 1]))
     return paths
 
 
@@ -206,8 +211,7 @@ def _harvest(seq, depth, L, source, require_depth, budget, canonical):
         allowed = gates(seq, level).legal_turns
     else:
         raise ValueError(f"unknown harvesting source {source!r}")
-    cap = 2 + ceil(L / max(1, min(lengths)))
-    paths = _harvest_paths(g, allowed, cap, budget)
+    paths = _harvest_paths(g, allowed, lengths, L, budget)
     _check_expansion_budget(lengths, paths)
     return _windows(seq, level, paths, L, canonical=canonical)
 

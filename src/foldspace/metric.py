@@ -12,8 +12,9 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, OrientedGraph
 from .linalg import frac_log
+from .morphisms import GraphMorphism, fold_decompose
 from .paths import (canonical_cycle, cyclic_tighten, reverse_path, tighten)
 
 
@@ -439,14 +440,12 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
     the max of distance/(gap+1) over the samples, so every sampled pair
     satisfies d <= speed * (gap + 1).
     """
-    entries = []
-    for m in seq.morphisms:
-        M = m.incidence_matrix()
-        entries.append(max(max(row) for row in M))
+    levels = list(seq.levels)
+    entries = [max(max(row) for row in seq.matrix_at(n))
+               for n in levels[:-1]]
     half = len(entries) // 2
     entries_grow = (len(entries) >= 2 and half >= 1
                     and max(entries[half:]) > max(entries[:half]))
-    levels = list(seq.levels)
     samples = []
     speed = 0.0
     for gap in sample_gaps:
@@ -473,51 +472,6 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
 
 
 # -- free-factor supports ------------------------------------------------
-
-
-def _fold_labeled(edges):
-    """Stallings fold of a labeled directed multigraph given as
-    [(u, v, letter)]; returns folded edge set."""
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    current = list(edges)
-    changed = True
-    while changed:
-        changed = False
-        ports = {}
-        dedup = set()
-        folded = []
-        for (u, v, l) in current:
-            u, v = find(u), find(v)
-            if (u, v, l) in dedup:
-                changed = True
-                continue
-            dedup.add((u, v, l))
-            folded.append((u, v, l))
-        current = folded
-        for (u, v, l) in current:
-            for (x, lab, y) in ((u, l, v), (v, -l, u)):
-                prev = ports.get((find(x), lab))
-                if prev is not None and find(prev) != find(y):
-                    union(prev, y)
-                    changed = True
-                    break
-                ports[(find(x), lab)] = y
-            if changed:
-                break
-    return [(find(u), find(v), l) for (u, v, l) in current]
 
 
 def _core(edges):
@@ -565,21 +519,37 @@ def _canonical_immersion(edges):
 
 def _subgroup_core(words):
     """Folded core of the subgroup generated by the words, as a canonical
-    string (conjugacy-class invariant)."""
+    string (conjugacy-class invariant).
+
+    The words are spelled as loops at one base vertex, mapped letter by
+    letter onto the rose, and Stallings-folded with ``fold_decompose``."""
+    vertices = ["0"]
     edges = []
-    fresh = 1
+    images = {}
     for word in words:
-        prev = 0
+        prev = "0"
         for k, letter in enumerate(word):
-            nxt = 0 if k == len(word) - 1 else fresh
-            if nxt:
-                fresh += 1
-            if letter > 0:
-                edges.append((prev, nxt, letter))
+            if k == len(word) - 1:
+                nxt = "0"
             else:
-                edges.append((nxt, prev, -letter))
+                nxt = str(len(vertices))
+                vertices.append(nxt)
+            eid = str(len(edges))
+            edges.append((eid, prev, nxt) if letter > 0 else (eid, nxt, prev))
+            images[eid] = (abs(letter),)
             prev = nxt
-    return _canonical_immersion(_core(_fold_labeled(edges)))
+    if not edges:
+        return "trivial"
+    rank = max(abs(x) for word in words for x in word)
+    rose = OrientedGraph(["*"], [(str(x), "*", "*")
+                                 for x in range(1, rank + 1)], _relaxed=True)
+    word_graph = OrientedGraph(vertices, edges, _relaxed=True)
+    folded = fold_decompose(GraphMorphism(
+        word_graph, rose, {v: "*" for v in vertices}, images)).terminal
+    g = folded.domain
+    return _canonical_immersion(_core(
+        (g.init(e), g.term(e), folded.edge_image(e)[0])
+        for e in range(1, g.n_edges + 1)))
 
 
 @dataclass(frozen=True)

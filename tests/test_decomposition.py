@@ -181,6 +181,24 @@ class TestUnfoldingDecomposition:
             transverse_decomposition_unfolding(
                 alt4_unfold_full, [mu1, mu2], range(-8, 1))
 
+    def test_separation_checked_at_the_window_end(self, fib_unfold40):
+        # pushed forward, the two currents meet projectively toward level 0
+        mu_a = current_track_from_initial(fib_unfold40, (1, 0))
+        mu_b = current_track_from_initial(fib_unfold40, (0, 1))
+        transverse_decomposition_unfolding(
+            fib_unfold40, [mu_a, mu_b], range(-40, -35))
+        with pytest.raises(InvalidTrackError, match="homothetic"):
+            transverse_decomposition_unfolding(
+                fib_unfold40, [mu_a, mu_b], range(-40, 1))
+
+    def test_zero_current_charges_no_edge(self, fib_unfold20):
+        # only length components are checked for vanishing
+        zero = current_track_from_initial(fib_unfold20, (0, 0))
+        decomp = transverse_decomposition_unfolding(
+            fib_unfold20, [zero], range(-8, 1))
+        assert decomp.parts == (frozenset({"a", "b"}), frozenset())
+        assert not decomp.confident
+
 
 class TestFoldingDecomposition:
     def test_two_length_components_split_cleanly(self, alt4_fold_full):
@@ -197,6 +215,16 @@ class TestFoldingDecomposition:
         # edges of the other family, and undefined (None) the other way
         assert set(decomp.ratio_stats[(2, 1, "a")]) == {Fraction(0)}
         assert all(x is None for x in decomp.ratio_stats[(1, 2, "a")])
+
+    def test_separation_checked_at_the_window_start(self, fib_fold40):
+        # pulled back, the two components meet projectively toward level 0
+        lam_a = length_track_from_terminal(fib_fold40, (1, 0))
+        lam_b = length_track_from_terminal(fib_fold40, (0, 1))
+        transverse_decomposition_folding(
+            fib_fold40, [lam_a, lam_b], range(36, 41))
+        with pytest.raises(InvalidTrackError, match="homothetic"):
+            transverse_decomposition_folding(
+                fib_fold40, [lam_a, lam_b], range(0, 41))
 
     def test_vanishing_component_rejected(self, alt4_fold_full):
         zero = length_track_from_terminal(alt4_fold_full, (0, 0, 0, 0))

@@ -1,11 +1,13 @@
 """File formats and the command-line interface."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
+from foldspace import cli
 from foldspace.cli import main
 from foldspace.errors import FormatError
 from foldspace.graphs import MarkedGraph, Marking, rose, theta_graph
@@ -404,3 +406,58 @@ class TestCli:
         assert main(["cone", seq_file, "--depth", "4"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["cone"]["depth"] == 4
+
+
+# -- pinned report bytes ---------------------------------------------------
+
+
+DECOMPOSE_DIGESTS = {
+    ("unfolding", None):
+        "ed87b2a7679938363b67f66d92c02878e2a611c88f8fc7e53b7a543e0e5bd6b7",
+    ("unfolding", "a,c"):
+        "80dd270a1485d71c0adfe8a88a2fab72a4107b64ca510178abb473fd3a94ba07",
+    ("folding", None):
+        "68ff1e59dfd13719a99f566d59d13aff1d60e938956f5e3f1f800829e93d1a77",
+    ("folding", "a,c"):
+        "a955dc6c949862b6ab173e1547a491cd5e29f0223bf1b2336a81739e1a672a2e",
+}
+
+
+@pytest.mark.parametrize("direction,seeds", list(DECOMPOSE_DIGESTS))
+def test_decompose_report_bytes(tmp_path, direction, seeds):
+    """Both decomposition sides, with one all-ones measure and with one
+    measure per seed edge, keep their report bytes."""
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3", "--direction", direction)
+    window = "--window=-9:0" if direction == "unfolding" else "--window=0:9"
+    out = tmp_path / "dec.json"
+    argv = ["decompose", seq_file, window, "--out", str(out)]
+    if seeds:
+        argv += ["--seeds", seeds]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DECOMPOSE_DIGESTS[(direction, seeds)]
+
+
+WALK_SEED7_DIGEST = (
+    "44a93166581a5299dc08f8df2262147caade6b049d057ede3daeb44343499312")
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    for _ in range(2):
+        assert main(["walk", "--seed", "7", "--steps", "40"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            WALK_SEED7_DIGEST
+        with pytest.raises(SystemExit):
+            main(["walk", "--steps", "40"])
+    assert built == [1]

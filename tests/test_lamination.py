@@ -1,11 +1,13 @@
 """Legal structures, allowed-word languages, cylinder weights, and minimal
 components."""
 
+import json
 from fractions import Fraction
+from math import ceil
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldspace import (BudgetExceededError, DirectionError, FoldingSequence,
@@ -17,6 +19,8 @@ from foldspace import (BudgetExceededError, DirectionError, FoldingSequence,
                        one_edge_extensions, oriented_mass, reverse_path, rose,
                        sandwich_report, simplicial_length_measure)
 from foldspace import lamination
+from foldspace.cli import main
+from foldspace.io_formats import write_sequence
 from foldspace.sequences import _turn
 
 
@@ -184,6 +188,74 @@ def test_windows_match_sliding_oracle(seq, data):
         with patch.object(lamination, "_windows", _sliding_windows):
             want = _outcome(fn, seq, depth, L, require_depth=False, **kwargs)
         assert got == want, (fn.__name__, kwargs)
+
+
+def _capped_paths(graph, allowed_turns, max_len, budget):
+    """Oracle: the former harvest enumeration, every reduced path through
+    allowed turns with at most ``max_len`` edges; None past the budget."""
+    paths = []
+    stack = [(e,) for e in graph.oriented_edges()]
+    while stack:
+        p = stack.pop()
+        paths.append(p)
+        if len(paths) > budget:
+            return None
+        if len(p) == max_len:
+            continue
+        last = p[-1]
+        for nxt in graph.out_edges(graph.term(last)):
+            if nxt != -last and _turn(-last, nxt) in allowed_turns:
+                stack.append(p + (nxt,))
+    return paths
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=_unfolding_chains(), data=st.data())
+def test_length_aware_paths_match_capped_enumeration(seq, data):
+    depth = data.draw(st.integers(1, seq.n_steps), label="depth")
+    L = data.draw(st.integers(1, 6), label="L")
+    source = data.draw(st.sampled_from(("taken", "legal")), label="source")
+    level = -depth
+    g = seq.graph_at(level)
+    lengths = seq.image_lengths(level)
+    allowed = (seq.taken_turns_at(level) if source == "taken"
+               else gates(seq, level).legal_turns)
+    old = _capped_paths(g, allowed, 2 + ceil(L / min(lengths)), 20_000)
+    assume(old is not None)
+    new = lamination._harvest_paths(g, allowed, lengths, L, 20_000)
+    assert set(new) <= set(old)
+    lang = allowed_words(seq, depth, L, source=source, require_depth=False)
+    assert lang.words == lamination._windows(seq, level, old, L)
+
+
+def _fixed_edge_chain():
+    """Rank-4 rose chain in which every step fixes the edge d, so the
+    shortest composite image has one edge at every depth."""
+    g = rose("abcd")
+    steps = [GraphMorphism(g, g, {"*": "*"}, images) for images in (
+        {"a": "a b", "b": "b", "c": "c", "d": "d"},
+        {"a": "a", "b": "b c", "c": "c", "d": "d"},
+        {"a": "a", "b": "b", "c": "c a", "d": "d"})]
+    return FoldingSequence(steps * 2, "unfolding")
+
+
+def test_fixed_edge_legal_harvest_stays_short(tmp_path):
+    # a cap from the shortest image allowed 7-edge paths: over 200k of them
+    seq = _fixed_edge_chain()
+    g, lengths = seq.graph_at(-6), seq.image_lengths(-6)
+    assert lengths == [13, 9, 6, 1]
+    allowed = gates(seq, -6).legal_turns
+    assert len(lamination._harvest_paths(g, allowed, lengths, 5,
+                                         200_000)) == 352
+    seq_file = write_sequence(seq, tmp_path, "fixed")
+    out = tmp_path / "lam.json"
+    rc = main(["lamination", seq_file, "--depth", "6", "--length", "5",
+               "--source", "legal", "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert data["count"] == 152
+    assert data["complexity"]["counts"] == {"1": 4, "2": 17, "3": 46,
+                                            "4": 91, "5": 152}
 
 
 # -- cylinder weights ----------------------------------------------------

@@ -4,6 +4,8 @@ free-factor projections."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspace.errors import (
     BudgetExceededError,
@@ -11,6 +13,7 @@ from foldspace.errors import (
     GraphStructureError,
 )
 from foldspace.metric import (
+    _subgroup_core,
     candidates,
     edge_current_of_word,
     factor_projection,
@@ -24,7 +27,7 @@ from foldspace.metric import (
     thickness,
 )
 from foldspace.graphs import Marking, MarkedGraph, rose
-from foldspace.paths import cyclic_tighten
+from foldspace.paths import cyclic_tighten, reverse_path, tighten
 from foldspace.sequences import FoldingSequence
 
 from conftest import barbell_graph, marked, rose_morphism
@@ -314,3 +317,32 @@ class TestFactorProjection:
         big = rose(list("abcdefg"))
         with pytest.raises(BudgetExceededError):
             factor_projection(marked(big))
+
+
+_WORDS = st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)),
+                  max_size=6).map(tighten)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(_WORDS.filter(bool), min_size=1, max_size=3),
+       data=st.data())
+def test_subgroup_core_invariant_under_nielsen_moves_and_conjugation(
+        words, data):
+    core = _subgroup_core(words)
+    moved = list(words)
+    for _ in range(data.draw(st.integers(1, 4), label="moves")):
+        kind = data.draw(st.sampled_from(("product", "inverse", "reorder")),
+                         label="kind")
+        i = data.draw(st.integers(0, len(moved) - 1), label="i")
+        if kind == "product" and len(moved) > 1:
+            j = data.draw(st.sampled_from(
+                [k for k in range(len(moved)) if k != i]), label="j")
+            moved[i] = tighten(moved[i] + moved[j])
+        elif kind == "inverse":
+            moved[i] = reverse_path(moved[i])
+        else:
+            moved = data.draw(st.permutations(moved), label="order")
+    assert _subgroup_core(moved) == core
+    c = data.draw(_WORDS, label="conjugator")
+    assert _subgroup_core([tighten(c + w + reverse_path(c))
+                           for w in moved]) == core
