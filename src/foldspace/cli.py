@@ -158,8 +158,12 @@ def _cmd_decompose(args):
                               if seq.direction == "unfolding"
                               else list(seq.levels)[-1])
     if args.seeds:
+        names = args.seeds.split(",")
+        unknown = [name for name in names if name not in deep_graph.edge_ids]
+        if unknown:
+            raise FormatError(f"unknown seed edges {unknown}")
         seeds = [[1 if e == name else 0 for e in deep_graph.edge_ids]
-                 for name in args.seeds.split(",")]
+                 for name in names]
     else:
         seeds = [[1] * deep_graph.n_edges]
     if seq.direction == "unfolding":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectionError, SequenceError
-from .linalg import frac_log, identity, mat_mul
+from .linalg import frac_log, identity
 
 INF = float("inf")
 
@@ -170,8 +170,9 @@ def _sample_depths(depth, boundaries, limit=64):
     return sorted(depths)
 
 
-def _columns(mat):
-    return [tuple(row[j] for row in mat) for j in range(len(mat[0]))]
+def _generators(prod, kind):
+    """Columns of a current cone's product, rows of a length cone's."""
+    return list(zip(*prod)) if kind == "current" else list(map(tuple, prod))
 
 
 def _build_cone(seq, depth, kind, tol):
@@ -180,36 +181,27 @@ def _build_cone(seq, depth, kind, tol):
             f"depth {depth} outside the stored range 0..{seq.n_steps}")
     T = seq.n_steps
     if kind == "current":
-        # product M_{T-1} ... M_{T-depth}, image of the standard cone at
-        # depth m in the right-end coordinates
-        order = range(T - 1, T - depth - 1, -1)
+        # unit rows pulled back: the columns of M_{T-1} ... M_{T-depth}
+        carry, order = "length", range(T - 1, T - depth - 1, -1)
         bound_depths = {T - b for b in seq.block_boundaries}
-        combine = lambda prod, M: mat_mul(prod, M)
     else:
-        # transposed product: columns of (M_{depth-1} ... M_0)^T
-        order = range(0, depth)
+        # unit columns pushed forward: the rows of M_{depth-1} ... M_0
+        carry, order = "current", range(depth)
         bound_depths = set(seq.block_boundaries)
-        combine = lambda prod, M: mat_mul(M, prod)
-    samples = _sample_depths(depth, bound_depths) if depth else []
-    ambient = seq.graph_at(seq.levels[-1] if kind == "current"
-                           else seq.levels[0]).n_edges
-    prod = None
+    want = set(_sample_depths(depth, bound_depths))
+    # level 0 is the right end of an unfolding and the left end of a folding
+    ambient = seq.graph_at(0).n_edges
+    prod = identity(ambient)
     profile = []
-    want = set(samples)
-    for step_count, i in enumerate(order, start=1):
-        M = seq._matrix(i)
-        prod = [row[:] for row in M] if prod is None else combine(prod, M)
+    for step_count, prod in enumerate(seq._carry(prod, carry, order),
+                                      start=1):
         if step_count in want:
-            cols = _columns(prod) if kind == "current" \
-                else [tuple(row) for row in prod]
-            d, _ = set_diameter(cols)
-            profile.append((step_count, d))
-    if prod is None:
-        prod = identity(ambient)
-        profile.append((0, set_diameter(_columns(prod))[0]))
-    cols = _columns(prod) if kind == "current" \
-        else [tuple(row) for row in prod]
+            profile.append((step_count,
+                            set_diameter(_generators(prod, kind))[0]))
+    cols = _generators(prod, kind)
     diameter, ratio = set_diameter(cols)
+    if not depth:
+        profile.append((0, diameter))
     generators = tuple(_normalize_l1(c) for c in cols)
     clusters = cluster_generators(generators, tol)
     reps = tuple(c[0] for c in clusters)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import chain
 from math import log
 
-from .errors import (BudgetExceededError, DirectionError, InvalidTrackError,
-                     ShallowDepthError)
+from .errors import (BudgetExceededError, DirectionError, FormatError,
+                     InvalidTrackError, ShallowDepthError)
 from .paths import count_occurrences, require_reduced, reverse_path
 from .sequences import _turn, path_turns
 
@@ -198,6 +198,8 @@ def _harvest(seq, depth, L, source, require_depth, budget, canonical):
     if depth < 1 or depth > seq.n_steps:
         raise ShallowDepthError(
             f"depth {depth} outside the stored range 1..{seq.n_steps}")
+    if L < 1:
+        raise FormatError(f"window length L must be at least 1, got {L}")
     level = -depth
     g = seq.graph_at(level)
     lengths = seq.image_lengths(level)

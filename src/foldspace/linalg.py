@@ -6,7 +6,7 @@ large.
 """
 
 from fractions import Fraction
-from math import log
+from math import log, log1p
 
 
 def identity(n):
@@ -53,10 +53,6 @@ def transpose_vec(A, x):
     return out
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def dot(x, y):
     if len(x) != len(y):
         raise ValueError("vector dimensions do not match")
@@ -68,11 +64,14 @@ def _zero_like(x):
 
 
 def frac_log(q):
-    """Natural log of a positive Fraction, safe for huge numerators."""
+    """Natural log of a positive Fraction, safe for huge numerators and
+    near 1 (log1p of the exact q - 1 there)."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log of a non-positive rational")
     np_, dp = q.numerator, q.denominator
+    if 2 * abs(np_ - dp) <= dp:
+        return log1p((np_ - dp) / dp)
     # scale both parts into float range via bit lengths
     shift_n = max(np_.bit_length() - 500, 0)
     shift_d = max(dp.bit_length() - 500, 0)

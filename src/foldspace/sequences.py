@@ -184,12 +184,9 @@ class FoldingSequence:
         a, b = self._internal(level_from), self._internal(level_to)
         if a > b:
             raise SequenceError("composite runs against map direction")
-        prod = None
-        for i in range(a, b):
-            M = self._matrix(i)
-            prod = M if prod is None else mat_mul(M, prod)
-        if prod is None:
-            prod = identity(self.graph_at(level_from).n_edges)
+        prod = identity(self.graph_at(level_from).n_edges)
+        for prod in self._carry(prod, "current", range(a, b)):
+            pass
         return prod
 
     def first_edge_composite(self, level_from, level_to=None):
@@ -227,11 +224,21 @@ class FoldingSequence:
     def image_lengths(self, level):
         """Simplicial lengths of composite images into the right end."""
         i = self._internal(level)
-        T = self.n_steps
-        vec = [1] * self.graph_at(self.levels[-1]).n_edges
-        for j in range(T - 1, i - 1, -1):
-            vec = transpose_vec(self._matrix(j), vec)
-        return vec
+        block = [[1] * self.graph_at(self.levels[-1]).n_edges]
+        for block in self._carry(block, "length",
+                                 range(self.n_steps - 1, i - 1, -1)):
+            pass
+        return block[0]
+
+    def _carry(self, vectors, kind, steps):
+        """Yield a block of vectors after each internal step in ``steps``.
+        Length vectors are its rows (V -> V M_i), currents its columns
+        (V -> M_i V)."""
+        for i in steps:
+            M = self._matrix(i)
+            vectors = mat_mul(vectors, M) if kind == "length" \
+                else mat_mul(M, vectors)
+            yield vectors
 
     def expansion(self, level, oriented, *, budget=10_000_000):
         """Composite image of an oriented edge in the right-end graph.
@@ -275,8 +282,15 @@ class FoldingSequence:
 # -- measure tracks ------------------------------------------------------
 
 
+def _exact(vector):
+    """An all-int vector stays int; any other vector becomes Fractions."""
+    v = tuple(vector)
+    return v if all(type(x) is int for x in v) else tuple(map(Fraction, v))
+
+
 class MeasureTrack:
-    """Nonnegative rational vectors satisfying a length or current recurrence.
+    """Nonnegative exact vectors satisfying a length or current recurrence;
+    a level's entries are ints when all of them are, else Fractions.
 
     Length kind: v_n = M_n^T v_{n+1} (pulled back from the right end).
     Current kind: v_{n+1} = M_n v_n (pushed forward from the left end).
@@ -289,7 +303,7 @@ class MeasureTrack:
         self.kind = kind
         vecs = []
         for level, v in zip(seq.levels, vectors):
-            v = tuple(Fraction(x) for x in v)
+            v = _exact(v)
             if len(v) != seq.graph_at(level).n_edges:
                 raise DimensionMismatchError(
                     f"track vector at level {level} has wrong dimension")
@@ -315,16 +329,10 @@ class MeasureTrack:
         for level in list(seq.levels)[:-1]:
             M = seq.matrix_at(level)
             cur, nxt = self.at(level), self.at(level + 1)
-            if self.kind == "length":
-                want = transpose_vec(M, list(nxt))
-                if tuple(want) != cur:
-                    raise InvalidTrackError(
-                        f"length recurrence fails at level {level}")
-            else:
-                want = mat_vec(M, list(cur))
-                if tuple(want) != nxt:
-                    raise InvalidTrackError(
-                        f"current recurrence fails at level {level}")
+            if (tuple(transpose_vec(M, nxt)) != cur if self.kind == "length"
+                    else tuple(mat_vec(M, cur)) != nxt):
+                raise InvalidTrackError(
+                    f"{self.kind} recurrence fails at level {level}")
 
     def __repr__(self):
         return f"MeasureTrack({self.kind}, {self.seq.n_steps + 1} levels)"
@@ -332,24 +340,17 @@ class MeasureTrack:
 
 def length_track_from_terminal(seq, terminal_vector):
     """Pull a length vector back from the right end through every step."""
-    T = seq.n_steps
-    vec = [Fraction(x) for x in terminal_vector]
-    out = [tuple(vec)]
-    for i in range(T - 1, -1, -1):
-        vec = transpose_vec(seq._matrix(i), vec)
-        out.append(tuple(vec))
-    out.reverse()
-    return MeasureTrack(seq, "length", out)
+    block = [_exact(terminal_vector)]
+    steps = range(seq.n_steps - 1, -1, -1)
+    out = [block[0]] + [b[0] for b in seq._carry(block, "length", steps)]
+    return MeasureTrack(seq, "length", out[::-1])
 
 
 def current_track_from_initial(seq, initial_vector):
     """Push a current forward from the left end through every step."""
-    vec = [Fraction(x) for x in initial_vector]
-    out = [tuple(vec)]
-    for i in range(seq.n_steps):
-        vec = mat_vec(seq._matrix(i), vec)
-        out.append(tuple(vec))
-    return MeasureTrack(seq, "current", out)
+    block = [[x] for x in _exact(initial_vector)]
+    out = [block, *seq._carry(block, "current", range(seq.n_steps))]
+    return MeasureTrack(seq, "current", [[r[0] for r in b] for b in out])
 
 
 def simplicial_length_measure(seq):
@@ -382,11 +383,9 @@ def area(seq, length_track, current_track):
     length_track.validate()
     current_track.validate()
     levels = list(seq.levels)
-    value = dot(list(current_track.at(levels[0])),
-                list(length_track.at(levels[0])))
+    value = dot(current_track.at(levels[0]), length_track.at(levels[0]))
     for level in levels[1:]:
-        other = dot(list(current_track.at(level)),
-                    list(length_track.at(level)))
+        other = dot(current_track.at(level), length_track.at(level))
         if other != value:
             raise InvalidTrackError(
                 f"area is not invariant: {value} at level {levels[0]}, "

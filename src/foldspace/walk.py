@@ -80,6 +80,8 @@ def _positive_stretch(C):
 
 
 def run_walk(config):
+    if config.steps < 2:
+        raise FormatError(f"a walk needs at least 2 steps, got {config.steps}")
     gens, weights = config.resolved()
     g = gens[0].domain
     for f in gens:

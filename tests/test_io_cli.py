@@ -461,3 +461,36 @@ def test_parser_built_once(monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main(["walk", "--steps", "40"])
     assert built == [1]
+
+
+# -- input errors end in exit code 2 ----------------------------------------
+
+
+@pytest.mark.parametrize("steps", ["0", "1", "-5"])
+def test_walk_too_few_steps(capsys, steps):
+    assert main(["walk", "--seed", "1", "--steps", steps]) == 2
+    assert "at least 2 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["0", "-2"])
+def test_lamination_nonpositive_length(tmp_path, capsys, length):
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12")
+    capsys.readouterr()
+    assert main(["lamination", seq_file, "--depth", "5",
+                 "--length", length]) == 2
+    assert f"got {length}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", ["unfolding", "folding"])
+@pytest.mark.parametrize("seeds,named", [("zz", "'zz'"), (",", "''"),
+                                         ("a,zz", "'zz'")])
+def test_decompose_unknown_seed_edges(tmp_path, capsys, direction, seeds,
+                                      named):
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3", "--direction", direction)
+    window = "--window=-9:0" if direction == "unfolding" else "--window=0:9"
+    capsys.readouterr()
+    assert main(["decompose", seq_file, window, "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "unknown seed edges" in err and named in err
+    assert "vanishes" not in err

@@ -4,6 +4,8 @@ the reducedness window search."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspace import (BudgetExceededError, DirectionError,
                        FoldingSequence, InvalidTrackError, SequenceError,
@@ -11,10 +13,14 @@ from foldspace import (BudgetExceededError, DirectionError,
                        frequency_current, identity_morphism,
                        is_reduced_window, length_track_from_terminal,
                        path_turns, rose, simplicial_length_measure)
+from foldspace.cones import (_normalize_l1, _sample_depths, current_cone,
+                             length_cone, set_diameter)
 from foldspace.examples import fibonacci_step
+from foldspace.linalg import identity, mat_mul, mat_vec, transpose_vec
 from foldspace.sequences import _turn
 
 from conftest import rose_morphism
+from test_lamination import _POOLS
 
 
 # -- construction and indexing -------------------------------------------
@@ -264,3 +270,131 @@ def test_reduced_window_budget():
 def test_reduced_window_bad_range(fib_unfold20):
     with pytest.raises(SequenceError):
         is_reduced_window(fib_unfold20, (-30, 0))
+
+
+# -- one carry routine against the per-caller loops ----------------------
+
+
+def _loop_composite_matrix(seq, level_from, level_to):
+    prod = None
+    for i in range(seq._internal(level_from), seq._internal(level_to)):
+        M = seq._matrix(i)
+        prod = M if prod is None else mat_mul(M, prod)
+    if prod is None:
+        prod = identity(seq.graph_at(level_from).n_edges)
+    return prod
+
+
+def _loop_image_lengths(seq, level):
+    vec = [1] * seq.graph_at(seq.levels[-1]).n_edges
+    for j in range(seq.n_steps - 1, seq._internal(level) - 1, -1):
+        vec = transpose_vec(seq._matrix(j), vec)
+    return vec
+
+
+def _loop_length_track(seq, terminal_vector):
+    vec = [Fraction(x) for x in terminal_vector]
+    out = [tuple(vec)]
+    for i in range(seq.n_steps - 1, -1, -1):
+        vec = transpose_vec(seq._matrix(i), vec)
+        out.append(tuple(vec))
+    out.reverse()
+    return out
+
+
+def _loop_current_track(seq, initial_vector):
+    vec = [Fraction(x) for x in initial_vector]
+    out = [tuple(vec)]
+    for i in range(seq.n_steps):
+        vec = mat_vec(seq._matrix(i), vec)
+        out.append(tuple(vec))
+    return out
+
+
+def _loop_cone(seq, depth, kind):
+    """Generators and diameter profile of the nested cone, from products
+    accumulated matrix by matrix."""
+    T = seq.n_steps
+    if kind == "current":
+        order = range(T - 1, T - depth - 1, -1)
+        bound_depths = {T - b for b in seq.block_boundaries}
+        combine = lambda prod, M: mat_mul(prod, M)
+    else:
+        order = range(0, depth)
+        bound_depths = set(seq.block_boundaries)
+        combine = lambda prod, M: mat_mul(M, prod)
+    want = set(_sample_depths(depth, bound_depths) if depth else [])
+    ambient = seq.graph_at(seq.levels[-1] if kind == "current"
+                           else seq.levels[0]).n_edges
+    columns = lambda m: [tuple(row[j] for row in m) for j in range(len(m[0]))]
+    gens = lambda m: columns(m) if kind == "current" else [tuple(r) for r in m]
+    prod = None
+    profile = []
+    for step_count, i in enumerate(order, start=1):
+        M = seq._matrix(i)
+        prod = [row[:] for row in M] if prod is None else combine(prod, M)
+        if step_count in want:
+            profile.append((step_count, set_diameter(gens(prod))[0]))
+    if prod is None:
+        prod = identity(ambient)
+        profile.append((0, set_diameter(columns(prod))[0]))
+    return (tuple(_normalize_l1(c) for c in gens(prod)), tuple(profile),
+            set_diameter(gens(prod)))
+
+
+@st.composite
+def _chains(draw):
+    pool = draw(st.sampled_from(_POOLS))
+    # past 64 steps the cone profile samples depths
+    steps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    direction = draw(st.sampled_from(("folding", "unfolding")))
+    return FoldingSequence(steps, direction)
+
+
+def _seed(data, n):
+    entry = st.one_of(st.integers(0, 20),
+                      st.fractions(min_value=0, max_value=20,
+                                   max_denominator=1000))
+    return data.draw(st.lists(entry, min_size=n, max_size=n), label="seed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=_chains(), data=st.data())
+def test_carry_matches_step_loops(seq, data):
+    levels = list(seq.levels)
+    level = data.draw(st.sampled_from(levels), label="level")
+    assert seq.image_lengths(level) == _loop_image_lengths(seq, level)
+    a, b = sorted(data.draw(st.lists(st.sampled_from(levels), min_size=2,
+                                     max_size=2), label="levels"))
+    assert seq.composite_matrix(a, b) == _loop_composite_matrix(seq, a, b)
+    for make, loop, end in (
+            (length_track_from_terminal, _loop_length_track, levels[-1]),
+            (current_track_from_initial, _loop_current_track, levels[0])):
+        seed = _seed(data, seq.graph_at(end).n_edges)
+        track = make(seq, seed)
+        track.validate()
+        assert [track.at(n) for n in levels] == loop(seq, seed)
+        entries = [x for n in levels for x in track.at(n)]
+        if all(type(x) is int for x in seed):
+            assert all(type(x) is int for x in entries)
+        else:
+            assert all(type(x) is Fraction for x in entries if x)
+    depth = data.draw(st.integers(0, seq.n_steps), label="depth")
+    kind = "current" if seq.direction == "unfolding" else "length"
+    cone = (current_cone if kind == "current" else length_cone)(seq, depth)
+    generators, profile, (diameter, ratio) = _loop_cone(seq, depth, kind)
+    assert cone.generators == generators
+    assert cone.diameter_profile == profile
+    assert (cone.diameter, cone.diameter_ratio) == (diameter, ratio)
+
+
+def test_integer_seeds_give_int_tracks(alt4_unfold_full):
+    for track in (simplicial_length_measure(alt4_unfold_full),
+                  current_track_from_initial(alt4_unfold_full, (1, 0, 2, 0))):
+        assert all(type(x) is int for n in track.levels for x in track.at(n))
+    half = current_track_from_initial(alt4_unfold_full,
+                                      (Fraction(1, 2), 0, 0, 0))
+    assert all(type(x) is Fraction for x in half.at(0))
+    assert half.at(0) == tuple(Fraction(x, 2) for x in
+                               current_track_from_initial(
+                                   alt4_unfold_full, (1, 0, 0, 0)).at(0))
