@@ -28,8 +28,8 @@ from math import log
 
 from .errors import (BudgetExceededError, DirectionError, FormatError,
                      InvalidTrackError, ShallowDepthError)
-from .paths import count_occurrences, require_reduced, reverse_path
-from .sequences import _turn, path_turns
+from .paths import _turn, count_occurrences, require_reduced, reverse_path
+from .sequences import EXPANSION_BUDGET, check_expansion
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,14 @@ def _piece(joined, L):
     return joined[:L - 1] + (_GAP,) + joined[len(joined) - (L - 1):]
 
 
-def _check_expansion_budget(lengths, paths, budget=10_000_000):
+def _check_expansion_budget(lengths, paths):
     """Refuse, as ``FoldingSequence.expansion`` would, the first path edge
-    whose composite image exceeds ``budget`` edges."""
-    if max(lengths) <= budget:
+    whose composite image exceeds the expansion budget."""
+    if max(lengths) <= EXPANSION_BUDGET:
         return
     for p in paths:
         for e in p:
-            total = lengths[abs(e) - 1]
-            if total > budget:
-                raise BudgetExceededError(
-                    f"composite image of length {total} exceeds the "
-                    f"expansion budget {budget}")
+            check_expansion(lengths[abs(e) - 1])
 
 
 def _windows(seq, level, paths, L, *, canonical=True):
@@ -250,6 +246,8 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
     ``stable`` reports whether the two deepest depths agree on every count;
     ``subexponential`` whether log|B_L|/L is nonincreasing over trailing L.
     """
+    if L_max < 1:
+        raise FormatError(f"L_max must be at least 1, got {L_max}")
     depths = sorted(set(depths))
     if not depths:
         raise ValueError("no depths supplied")

@@ -261,21 +261,8 @@ def kl_pairing(lengths, current):
 # -- non-filling support horizons ---------------------------------------
 
 
-def _support_step(step):
-    cache = getattr(step, "_support_cache", None)
-    if cache is None:
-        cache = {}
-        g = step.domain
-        for j, name in enumerate(g.edge_ids):
-            img = step.edge_image(j + 1)
-            cache[name] = frozenset(step.codomain.edge_name(abs(e))
-                                    for e in img)
-        step._support_cache = cache
-    return cache
-
-
 def _apply_support(step, support):
-    table = _support_step(step)
+    table = step.edge_supports()
     out = set()
     for name in support:
         out |= table[name]

@@ -9,11 +9,25 @@ isomorphism onto the codomain.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import (BudgetExceededError, MalformedMorphismError,
                      NotChangeOfMarkingError)
 from .graphs import OrientedGraph
-from .paths import is_reduced, reverse_path, tighten
+from .paths import is_reduced, path_turns, reverse_path, tighten
+
+
+def _kept(method):
+    """Compute a morphism's derived data once and keep it: a morphism is
+    immutable after ``__init__``.  A call that raises keeps nothing."""
+    @wraps(method)
+    def kept(self):
+        try:
+            return self._derived[method]
+        except KeyError:
+            value = self._derived[method] = method(self)
+            return value
+    return kept
 
 
 class GraphMorphism:
@@ -65,6 +79,7 @@ class GraphMorphism:
                     f"edge {eid} collapses but its endpoints map apart")
             images.append(p)
         self._images = tuple(images)
+        self._derived = {}
 
     # -- evaluation ------------------------------------------------------
 
@@ -99,15 +114,30 @@ class GraphMorphism:
         if self.has_collapsed_edges():
             raise MalformedMorphismError(
                 "first-edge map undefined with collapsed edges")
+        return self._first_edges()
+
+    @_kept
+    def _first_edges(self):
         out = {}
-        for j in range(self.domain.n_edges):
-            p = self._images[j]
+        for j, p in enumerate(self._images):
             out[j + 1] = p[0]
             out[-(j + 1)] = -p[-1]
         return out
 
+    @_kept
+    def image_turns(self):
+        """Turns of the codomain crossed inside the edge images."""
+        return frozenset().union(*map(path_turns, self._images))
+
+    @_kept
+    def edge_supports(self):
+        """Domain edge name -> codomain edge names its image crosses."""
+        return {name: frozenset(self.codomain.edge_name(abs(e)) for e in p)
+                for name, p in zip(self.domain.edge_ids, self._images)}
+
     # -- linear shadow ---------------------------------------------------
 
+    @_kept
     def incidence_matrix(self):
         """Counts of codomain edges in domain-edge images.
 
@@ -122,6 +152,23 @@ class GraphMorphism:
             for e in self._images[j]:
                 mat[abs(e) - 1][j] += 1
         return mat
+
+    @_kept
+    def _marking_failure(self):
+        """Why this is not a change of marking, or None when it is (see
+        ``validate_change_of_marking``)."""
+        G, H = self.domain, self.codomain
+        if G.betti() != H.betti():
+            return f"first Betti numbers differ: {G.betti()} vs {H.betti()}"
+        if self.has_collapsed_edges():
+            return "a change of marking cannot collapse edges"
+        decomp = fold_decompose(stallings_factorize(self)[1])
+        if decomp.is_isomorphism():
+            return None
+        return ("folding terminates in a proper immersion onto "
+                f"{decomp.terminal.codomain.n_edges}-edge codomain "
+                f"(final graph has {decomp.terminal.domain.n_edges} "
+                "edges)")
 
     def __eq__(self, other):
         if not isinstance(other, GraphMorphism):
@@ -336,23 +383,9 @@ def validate_change_of_marking(f, *, raise_on_failure=False):
 
     True when domain and codomain have equal first Betti number and the fold
     decomposition of the subdivided morphism terminates in an isomorphism.
+    The verdict is kept on the morphism.
     """
-    ok = f.domain.betti() == f.codomain.betti()
-    reason = None
-    if not ok:
-        reason = ("first Betti numbers differ: "
-                  f"{f.domain.betti()} vs {f.codomain.betti()}")
-    elif f.has_collapsed_edges():
-        ok, reason = False, "a change of marking cannot collapse edges"
-    else:
-        _, simplicial = stallings_factorize(f)
-        decomp = fold_decompose(simplicial)
-        if not decomp.is_isomorphism():
-            ok = False
-            reason = ("folding terminates in a proper immersion onto "
-                      f"{decomp.terminal.codomain.n_edges}-edge codomain "
-                      f"(final graph has {decomp.terminal.domain.n_edges} "
-                      "edges)")
-    if not ok and raise_on_failure:
+    reason = f._marking_failure()
+    if reason is not None and raise_on_failure:
         raise NotChangeOfMarkingError(reason)
-    return ok
+    return reason is None

@@ -3,8 +3,9 @@
 An oriented edge is a nonzero int: +k is the positive orientation of the
 unoriented edge with 1-based index k, -k its reverse.  A path is a tuple of
 oriented edges; the empty tuple is the trivial path.  Reversal negates and
-reverses.  These helpers are graph-agnostic; composability checks live on
-OrientedGraph, which knows endpoints.
+reverses.  A turn is an unordered pair of oriented edges; a path crosses the
+turn (-a, b) where a is followed by b.  These helpers are graph-agnostic;
+composability checks live on OrientedGraph, which knows endpoints.
 """
 
 from .errors import MalformedPathError
@@ -12,6 +13,18 @@ from .errors import MalformedPathError
 
 def reverse_path(path):
     return tuple(-e for e in reversed(path))
+
+
+def _turn(x, y):
+    """Canonical unordered pair of oriented edges (a turn)."""
+    kx = (abs(x), 0 if x > 0 else 1)
+    ky = (abs(y), 0 if y > 0 else 1)
+    return (x, y) if kx <= ky else (y, x)
+
+
+def path_turns(path):
+    """Turns crossed at the junctions of a reduced path."""
+    return {_turn(-a, b) for a, b in zip(path, path[1:])}
 
 
 def is_reduced(path):

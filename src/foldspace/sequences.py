@@ -21,19 +21,17 @@ from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError
 from .linalg import (dot, frac_log, identity, mat_mul, mat_vec,
                      transpose_vec)
 from .morphisms import validate_change_of_marking
-from .paths import reverse_path
+from .paths import _turn, path_turns, reverse_path  # path_turns re-exported
+
+EXPANSION_BUDGET = 10_000_000
 
 
-def _turn(x, y):
-    """Canonical unordered pair of oriented edges (a turn)."""
-    kx = (abs(x), 0 if x > 0 else 1)
-    ky = (abs(y), 0 if y > 0 else 1)
-    return (x, y) if kx <= ky else (y, x)
-
-
-def path_turns(path):
-    """Turns crossed at the junctions of a reduced path."""
-    return {_turn(-a, b) for a, b in zip(path, path[1:])}
+def check_expansion(total, budget=EXPANSION_BUDGET):
+    """Refuse a composite image of ``total`` edges beyond the budget."""
+    if total > budget:
+        raise BudgetExceededError(
+            f"composite image of length {total} exceeds the expansion "
+            f"budget {budget}")
 
 
 class FoldingSequence:
@@ -68,11 +66,8 @@ class FoldingSequence:
         self.direction = direction
         self.block_boundaries = (tuple(sorted(block_boundaries))
                                  if block_boundaries else ())
-        self._matrices = {}
-        self._step_valid = {}
         self._expansions = {}
         self._taken = None
-        self._suffix_first = None
         self.step_runs = self._run_length_encode()
         if validate:
             self.validate()
@@ -116,11 +111,7 @@ class FoldingSequence:
         return self._matrix(i)
 
     def _matrix(self, i):
-        f = self.morphisms[i]
-        key = id(f)
-        if key not in self._matrices:
-            self._matrices[key] = f.incidence_matrix()
-        return self._matrices[key]
+        return self.morphisms[i].incidence_matrix()
 
     def _run_length_encode(self):
         """Maximal runs of identical step objects: (start, length, morphism)."""
@@ -139,24 +130,23 @@ class FoldingSequence:
 
     def validate(self):
         """Per-step change-of-marking checks plus the no-cancellation pass."""
-        for _, _, f in self.step_runs:
-            key = id(f)
-            if key not in self._step_valid:
-                self._step_valid[key] = validate_change_of_marking(f)
-            if not self._step_valid[key]:
-                i = self.morphisms.index(f)
+        for start, _, f in self.step_runs:
+            if not validate_change_of_marking(f):
                 raise SequenceError(
-                    f"step {i} is not a change of marking")
+                    f"step {start} is not a change of marking")
         self._propagate_taken()
 
     def _propagate_taken(self):
         """Forward pass computing taken-turn sets; detects cancellation."""
         taken = [frozenset()]
-        current = set()
         for i, f in enumerate(self.morphisms):
+            if i and f is self.morphisms[i - 1] and taken[-1] == taken[-2]:
+                # a repeated step fixes the set it fixed one level before
+                taken.append(taken[-1])
+                continue
             fmap = f.first_edge_map()
-            nxt = set()
-            for x, y in current:
+            nxt = set(f.image_turns())
+            for x, y in taken[-1]:
                 fx, fy = fmap[x], fmap[y]
                 if fx == fy:
                     G = f.domain
@@ -165,10 +155,7 @@ class FoldingSequence:
                         f"{i}: taken turn ({G.token(x)},{G.token(y)}) maps "
                         f"to a degenerate turn at {f.codomain.token(fx)}")
                 nxt.add(_turn(fx, fy))
-            for j in range(f.domain.n_edges):
-                nxt |= path_turns(f.edge_image(j + 1))
-            current = nxt
-            taken.append(frozenset(current))
+            taken.append(frozenset(nxt))
         self._taken = tuple(taken)
 
     def taken_turns_at(self, level):
@@ -196,30 +183,11 @@ class FoldingSequence:
         b = self.n_steps if level_to is None else self._internal(level_to)
         if a > b:
             raise SequenceError("composite runs against map direction")
-        if self._suffix_first is None:
-            self._build_suffix_first()
-        if b == self.n_steps:
-            return self._suffix_first[a]
-        fmap = None
+        fmap = {e: e for e in self.graph_at(level_from).oriented_edges()}
         for i in range(a, b):
             step = self.morphisms[i].first_edge_map()
-            fmap = step if fmap is None else \
-                {e: step[v] for e, v in fmap.items()}
-        if fmap is None:
-            g = self.graph_at(level_from)
-            fmap = {e: e for e in g.oriented_edges()}
+            fmap = {e: step[v] for e, v in fmap.items()}
         return fmap
-
-    def _build_suffix_first(self):
-        T = self.n_steps
-        suffix = [None] * (T + 1)
-        g = self.graph_at(self.levels[-1])
-        suffix[T] = {e: e for e in g.oriented_edges()}
-        for i in range(T - 1, -1, -1):
-            step = self.morphisms[i].first_edge_map()
-            nxt = suffix[i + 1]
-            suffix[i] = {e: nxt[v] for e, v in step.items()}
-        self._suffix_first = tuple(suffix)
 
     def image_lengths(self, level):
         """Simplicial lengths of composite images into the right end."""
@@ -240,7 +208,7 @@ class FoldingSequence:
                 else mat_mul(M, vectors)
             yield vectors
 
-    def expansion(self, level, oriented, *, budget=10_000_000):
+    def expansion(self, level, oriented, *, budget=EXPANSION_BUDGET):
         """Composite image of an oriented edge in the right-end graph.
 
         Memoized per positive edge; raises when the expanded length would
@@ -253,11 +221,7 @@ class FoldingSequence:
         key = (i, oriented)
         if key in self._expansions:
             return self._expansions[key]
-        total = self.image_lengths(level)[oriented - 1]
-        if total > budget:
-            raise BudgetExceededError(
-                f"composite image of length {total} exceeds the expansion "
-                f"budget {budget}")
+        check_expansion(self.image_lengths(level)[oriented - 1], budget)
         path = self._expand(i, oriented)
         self._expansions[key] = path
         return path

@@ -71,11 +71,10 @@ class WalkRecord:
     dispersion: float
 
 
-def _positive_stretch(C):
-    """Max candidate stretch of the composition with count matrix C:
-    single-letter loops stretch by their column sum, the two-letter loop
-    by half the total mass."""
-    cols = [sum(C[i][j] for i in range(len(C))) for j in range(len(C[0]))]
+def _positive_stretch(cols):
+    """Max candidate stretch of the composition whose count matrix has
+    column sums ``cols``: single-letter loops stretch by their column sum,
+    the two-letter loop by half the total mass."""
     return max(Fraction(max(cols)), Fraction(sum(cols), len(cols)))
 
 
@@ -110,9 +109,8 @@ def run_walk(config):
                 break
         choices.append(pick)
         C = mat_mul(matrices[pick], C)
-        displacement.append(frac_log(_positive_stretch(C)))
-        lam = [sum(C[i][j] for i in range(len(C)))
-               for j in range(len(C[0]))]
+        lam = [sum(col) for col in zip(*C)]
+        displacement.append(frac_log(_positive_stretch(lam)))
         vol = sum(lam)
         lengths.append(tuple(x / vol for x in lam))
     half = len(displacement) // 2
@@ -130,13 +128,11 @@ def run_walk(config):
         dispersion = statistics.stdev(chunk_slopes) / abs(escape)
     else:
         dispersion = float("inf")
-    final = [sum(C[i][j] for i in range(len(C))) for j in range(len(C[0]))]
-    vol = sum(final)
     return WalkRecord(seed=config.seed, steps=config.steps,
                       generator_keys=tuple(_generator_key(f) for f in gens),
                       choices=tuple(choices),
                       displacement=tuple(displacement),
                       lengths_normalized=tuple(lengths),
-                      final_lengths=tuple(Fraction(x, vol) for x in final),
+                      final_lengths=tuple(Fraction(x, vol) for x in lam),
                       escape_rate=escape,
                       dispersion=dispersion)

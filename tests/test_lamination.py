@@ -20,6 +20,7 @@ from foldspace import (BudgetExceededError, DirectionError, FoldingSequence,
                        sandwich_report, simplicial_length_measure)
 from foldspace import lamination
 from foldspace.cli import main
+from foldspace.errors import FormatError
 from foldspace.io_formats import write_sequence
 from foldspace.sequences import _turn
 
@@ -109,6 +110,12 @@ def test_complexity_profile_fibonacci_deep(fib_unfold40):
     profile = complexity_profile(fib_unfold40, (15, 30), 12)
     assert profile.counts == {L: L + 1 for L in range(1, 13)}
     assert profile.stable
+
+
+def test_complexity_profile_rejects_short_length(fib_unfold20):
+    for L_max in (0, -3):
+        with pytest.raises(FormatError, match="L_max must be at least 1"):
+            complexity_profile(fib_unfold20, (10, 12), L_max)
 
 
 def test_allowed_words_expansion_budget(fib_unfold40):

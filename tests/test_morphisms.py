@@ -157,3 +157,21 @@ def test_rose_to_theta_change_of_marking(rose2, theta):
     f = GraphMorphism(rose2, theta, {"*": "u"},
                       {"a": (1, -2), "b": (1, -3)})
     assert validate_change_of_marking(f)
+
+
+def test_first_edge_map_raises_on_every_call(theta, rose2):
+    collapsing = GraphMorphism(theta, rose2, {"u": "*", "v": "*"},
+                               {"e1": (), "e2": (1,), "e3": (2,)})
+    for _ in range(2):
+        with pytest.raises(MalformedMorphismError):
+            collapsing.first_edge_map()
+    assert not validate_change_of_marking(collapsing)
+    assert not validate_change_of_marking(collapsing)
+
+
+def test_step_data_is_kept(fib):
+    assert fib.incidence_matrix() is fib.incidence_matrix()
+    assert fib.first_edge_map() is fib.first_edge_map()
+    # a -> a b and b -> a cross one turn, (-a, b)
+    assert fib.image_turns() == {(-1, 2)}
+    assert fib.edge_supports() == {"a": {"a", "b"}, "b": {"a"}}

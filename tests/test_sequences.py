@@ -398,3 +398,66 @@ def test_integer_seeds_give_int_tracks(alt4_unfold_full):
     assert half.at(0) == tuple(Fraction(x, 2) for x in
                                current_track_from_initial(
                                    alt4_unfold_full, (1, 0, 0, 0)).at(0))
+
+
+# -- step data kept on the morphism against the per-step loops -----------
+
+
+def _first_edges(f):
+    return {e: f.edge_image(e)[0] for e in f.domain.oriented_edges()}
+
+
+def _loop_taken(seq):
+    """Taken turns at every internal level, rebuilding each step's
+    first-edge map and image turns."""
+    taken = [frozenset()]
+    current = set()
+    for f in seq.morphisms:
+        fmap = _first_edges(f)
+        nxt = {_turn(fmap[x], fmap[y]) for x, y in current}
+        for j in range(f.domain.n_edges):
+            nxt |= path_turns(f.edge_image(j + 1))
+        current = nxt
+        taken.append(frozenset(current))
+    return taken
+
+
+def _loop_first_edge_composite(seq, level_from, level_to):
+    """First-edge map of the composite from level_from to level_to."""
+    fmap = None
+    for i in range(seq._internal(level_from), seq._internal(level_to)):
+        step = _first_edges(seq.morphisms[i])
+        fmap = step if fmap is None else \
+            {e: step[v] for e, v in fmap.items()}
+    if fmap is None:
+        fmap = {e: e for e in seq.graph_at(level_from).oriented_edges()}
+    return fmap
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=_chains(), data=st.data())
+def test_step_data_matches_step_loops(seq, data):
+    levels = list(seq.levels)
+    assert [seq.taken_turns_at(n) for n in levels] == _loop_taken(seq)
+    for f in seq.morphisms:
+        assert f.first_edge_map() == _first_edges(f)
+        assert f.incidence_matrix() is f.incidence_matrix()
+    level = data.draw(st.sampled_from(levels), label="level")
+    assert seq.first_edge_composite(level) == _loop_first_edge_composite(
+        seq, level, levels[-1])
+    a, b = sorted(data.draw(st.lists(st.sampled_from(levels), min_size=2,
+                                     max_size=2), label="levels"))
+    assert seq.first_edge_composite(a, b) == _loop_first_edge_composite(
+        seq, a, b)
+
+
+def test_shared_bad_step_refused_by_every_sequence(rose2):
+    good = rose_morphism(rose2, {"a": "a b", "b": "a"})
+    bad = rose_morphism(rose2, {"a": "a", "b": "a"})
+    with pytest.raises(SequenceError, match="step 0 is not"):
+        FoldingSequence([bad, good])
+    with pytest.raises(SequenceError, match="step 2 is not"):
+        FoldingSequence([good, good, bad, bad])
+    control = FoldingSequence([good, bad], validate=False)
+    with pytest.raises(SequenceError, match="step 1 is not"):
+        control.validate()
