@@ -12,9 +12,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DirectionError, SequenceError
-from .linalg import frac_log, identity
+from .linalg import frac_log, identity, log_ratio
 
 INF = float("inf")
+
+
+def _cross(x, y):
+    """The cross-ratio max_i x_i/y_i over min_i x_i/y_i on the common
+    support, as an unreduced pair (n, d) found by cross-multiplying; None
+    when the supports differ or are empty."""
+    if len(x) != len(y):
+        raise ValueError("vectors of different dimension")
+    sup = [i for i, v in enumerate(x) if v != 0]
+    if not sup or sup != [i for i, v in enumerate(y) if v != 0]:
+        return None
+    hi = lo = sup[0]
+    for i in sup[1:]:
+        if x[i] * y[hi] > x[hi] * y[i]:
+            hi = i
+        elif x[i] * y[lo] < x[lo] * y[i]:
+            lo = i
+    return x[hi] * y[lo], y[hi] * x[lo]
 
 
 def hilbert_distance(x, y):
@@ -23,17 +41,25 @@ def hilbert_distance(x, y):
     Returns ``(float, exact_ratio_or_None)``; vectors with different supports
     are infinitely far apart (ratio None).
     """
-    if len(x) != len(y):
-        raise ValueError("vectors of different dimension")
-    sup_x = [i for i, v in enumerate(x) if v != 0]
-    sup_y = [i for i, v in enumerate(y) if v != 0]
-    if sup_x != sup_y:
+    pair = _cross(x, y)
+    if pair is None:
         return INF, None
-    if not sup_x:
-        return INF, None
-    ratios = [Fraction(x[i]) / Fraction(y[i]) for i in sup_x]
-    cross = max(ratios) / min(ratios)
+    cross = Fraction(*pair)
     return frac_log(cross), cross
+
+
+def _widest(vectors):
+    """Unreduced cross-ratio (n, d) of the widest pair of vectors: (1, 1)
+    for fewer than two, None when some pair has split supports."""
+    worst = (1, 1)
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            pair = _cross(vectors[i], vectors[j])
+            if pair is None:
+                return None
+            if pair[0] * worst[1] > worst[0] * pair[1]:
+                worst = pair
+    return worst
 
 
 def set_diameter(vectors):
@@ -42,15 +68,18 @@ def set_diameter(vectors):
     The maximum is taken over the exact cross-ratios, so deep cones whose
     float distance underflows to 0.0 still report the true extremal ratio.
     """
-    worst = (0.0, Fraction(1))
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            d, ratio = hilbert_distance(vectors[i], vectors[j])
-            if ratio is None:
-                return d, ratio
-            if ratio > worst[1]:
-                worst = (d, ratio)
-    return worst
+    worst = _widest(vectors)
+    if worst is None:
+        return INF, None
+    ratio = Fraction(*worst)
+    return frac_log(ratio), ratio
+
+
+def _log_width(vectors):
+    """``set_diameter(vectors)[0]`` without reducing the exact ratio, whose
+    gcd is the largest cost of a deep cone's profile."""
+    worst = _widest(vectors)
+    return INF if worst is None else log_ratio(*worst)
 
 
 def cluster_generators(vectors, tol):
@@ -65,8 +94,7 @@ def cluster_generators(vectors, tol):
 
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            d, _ = hilbert_distance(vectors[i], vectors[j])
-            if d < tol:
+            if _log_width((vectors[i], vectors[j])) < tol:
                 parent[find(j)] = find(i)
     clusters = {}
     for i in range(len(vectors)):
@@ -188,22 +216,22 @@ def _build_cone(seq, depth, kind, tol):
         # unit columns pushed forward: the rows of M_{depth-1} ... M_0
         carry, order = "current", range(depth)
         bound_depths = set(seq.block_boundaries)
-    want = set(_sample_depths(depth, bound_depths))
+    want = _sample_depths(depth, bound_depths)
     # level 0 is the right end of an unfolding and the left end of a folding
     ambient = seq.graph_at(0).n_edges
     prod = identity(ambient)
     profile = []
-    for step_count, prod in enumerate(seq._carry(prod, carry, order),
-                                      start=1):
-        if step_count in want:
-            profile.append((step_count,
-                            set_diameter(_generators(prod, kind))[0]))
+    # products are formed only at the sampled depths, which include depth
+    for step_count, prod in seq._carry(prod, carry, order, want):
+        profile.append((step_count, _log_width(_generators(prod, kind))))
     cols = _generators(prod, kind)
     diameter, ratio = set_diameter(cols)
     if not depth:
         profile.append((0, diameter))
     generators = tuple(_normalize_l1(c) for c in cols)
-    clusters = cluster_generators(generators, tol)
+    # the distances are projective: the integer columns give the same
+    # clusters as the normalized generators, without their gcds
+    clusters = cluster_generators(cols, tol)
     reps = tuple(c[0] for c in clusters)
     extremes = extreme_ray_indices(generators, reps)
     return ConeApprox(kind=kind, depth=depth, ambient_dim=ambient,

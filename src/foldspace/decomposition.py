@@ -44,8 +44,8 @@ def moduli_window(seq, length_track, indices, pinch_tol=None):
         pinch_tol = Fraction(1, 1000 * g.n_edges)
     pinch_tol = Fraction(pinch_tol)
     normalized = []
-    for n in indices:
-        vec = [Fraction(x) for x in length_track.at(n)]
+    for n, v in zip(indices, length_track.at_levels(indices)):
+        vec = [Fraction(x) for x in v]
         vol = sum(vec)
         if vol == 0:
             raise InvalidTrackError(f"zero volume at level {n}")
@@ -172,34 +172,36 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel,
         else simplicial_length_measure(seq)
     g = _window_graph(seq, window)
     kind = "length" if folding else "current"
+    windows = []            # each track's vectors over the window
     for track in tracks:
         if track.kind != kind or track.seq is not seq:
             raise InvalidTrackError(
                 f"{'components' if folding else 'currents'} must be "
                 f"{kind}-kind tracks on this sequence")
-        if folding and any(all(x == 0 for x in track.at(n))
-                           for n in window):
+        windows.append(track.at_levels(window))
+        if folding and any(all(x == 0 for x in v) for v in windows[-1]):
             raise InvalidTrackError(
                 "a length component vanishes identically on the window")
     if len(tracks) > 1:
-        level = window[0] if folding else window[-1]
-        _check_separation([track.at(level) for track in tracks], separation)
-    tables = [[[Fraction(fixed.at(n)[j]) * Fraction(track.at(n)[j])
-                for n in window] for j in range(g.n_edges)]
-              for track in tracks]
+        _check_separation([w[0] if folding else w[-1] for w in windows],
+                          separation)
+    fixed_window = fixed.at_levels(window)
+    tables = [[[Fraction(f[j]) * Fraction(v[j])
+                for f, v in zip(fixed_window, w)] for j in range(g.n_edges)]
+              for w in windows]
     parts, undecided, confident, thresholds = _decompose(
         g, window, tables, eps_rel)
     ratios = None
     if folding:
         ratios = {}
-        for i, den in enumerate(tracks):
-            for jj, num in enumerate(tracks):
+        for i, den in enumerate(windows):
+            for jj, num in enumerate(windows):
                 if i == jj:
                     continue
                 for j, name in enumerate(g.edge_ids):
                     ratios[(jj + 1, i + 1, name)] = tuple(
-                        Fraction(num.at(n)[j]) / Fraction(den.at(n)[j])
-                        if den.at(n)[j] else None for n in window)
+                        Fraction(a[j]) / Fraction(b[j]) if b[j] else None
+                        for a, b in zip(num, den))
     stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
              for i in range(len(tables)) for j in range(g.n_edges)}
     issues = _theory_issues(g, parts, undecided, confident)

@@ -32,6 +32,19 @@ def mat_mul(A, B):
     return out
 
 
+def mat_pow(M, k):
+    """M^k for k >= 1 by repeated squaring: O(log k) products.  M^1 is M
+    itself, not a copy."""
+    power = None
+    while True:
+        if k & 1:
+            power = M if power is None else mat_mul(power, M)
+        k >>= 1
+        if not k:
+            return power
+        M = mat_mul(M, M)
+
+
 def mat_vec(A, x):
     if A and len(A[0]) != len(x):
         raise ValueError("matrix and vector dimensions do not match")
@@ -66,10 +79,11 @@ def _zero_like(x):
 def frac_log(q):
     """Natural log of a positive Fraction, safe for huge numerators and
     near 1 (log1p of the exact q - 1 there)."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("log of a non-positive rational")
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     np_, dp = q.numerator, q.denominator
+    if np_ <= 0:
+        raise ValueError("log of a non-positive rational")
     if 2 * abs(np_ - dp) <= dp:
         return log1p((np_ - dp) / dp)
     # scale both parts into float range via bit lengths
@@ -77,3 +91,12 @@ def frac_log(q):
     shift_d = max(dp.bit_length() - 500, 0)
     return (log(np_ >> shift_n) + shift_n * log(2)
             - log(dp >> shift_d) - shift_d * log(2))
+
+
+def log_ratio(n, d):
+    """log(n/d) for positive n and d: the same float as
+    ``frac_log(Fraction(n, d))``, without reducing n/d near 1, where that
+    float depends only on the exact n/d - 1."""
+    if 2 * abs(n - d) <= d:
+        return log1p((n - d) / d)
+    return frac_log(Fraction(n, d))

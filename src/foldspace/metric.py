@@ -309,7 +309,7 @@ def fills(seq, level, support):
     support = frozenset(support)
     for name in support:
         g.edge_index(name)
-    memo = seq.__dict__.setdefault("_fill_memo", {})
+    memo = seq._fill_memo
     offset = 0
     runs = seq.step_runs
     # locate the run containing internal step i and handle the partial run

@@ -3,6 +3,15 @@
 Exact rationals are written as ``num/den`` strings; floats appear only in
 report output, never in the propagation core.  JSON output is key-sorted
 so identical inputs produce identical bytes.
+
+Python refuses to write an int of more than ``sys.get_int_max_str_digits()``
+decimal digits (4300 by default) in decimal, and conversion to hex has no
+such limit.  So an exact number with a part past that limit is written in
+hex: an int as ``0x...`` (``-0x...`` when negative) and a fraction as
+``0x.../0x...``, both parts in hex; ``int(part, 0)`` reads either form
+back exactly.  This holds for fractions, for JSON ints (which then become
+strings) and for CSV cells.  Numbers within the limit keep their decimal
+form.  The limit itself is left as the interpreter has it.
 """
 
 import csv
@@ -13,11 +22,34 @@ import math
 from fractions import Fraction
 
 
+def _past_limit(n):
+    """Whether ``str(n)`` is refused by the int-to-str digit limit."""
+    if n.bit_length() < 2000:   # 603 digits, under every allowed limit
+        return False
+    try:
+        str(n)
+    except ValueError:
+        return True
+    return False
+
+
 def frac_str(q):
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.numerator, q.denominator
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:          # a part is past the int-to-str digit limit
+        return hex(num) if den == 1 else f"{hex(num)}/{hex(den)}"
+
+
+def _csv_cell(x):
+    if isinstance(x, Fraction):
+        return frac_str(x)
+    if isinstance(x, float):
+        return "inf" if math.isinf(x) else x
+    if isinstance(x, int) and not isinstance(x, bool) and _past_limit(x):
+        return hex(x)
+    return x
 
 
 def _key(k):
@@ -27,8 +59,10 @@ def _key(k):
 
 
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, int):
+        return hex(obj) if _past_limit(obj) else obj
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -59,10 +93,7 @@ def dumps_csv(header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([frac_str(x) if isinstance(x, Fraction)
-                         else ("inf" if isinstance(x, float)
-                               and math.isinf(x) else x)
-                         for x in row])
+        writer.writerow([_csv_cell(x) for x in row])
     return buf.getvalue()
 
 

@@ -12,13 +12,22 @@ checked in a single forward pass that propagates the set of "taken" turns
 taken turn is mapped onto a degenerate turn, i.e. the two first edges of the
 step images agree.  The per-level taken-turn sets are retained; the
 lamination analysis harvests its language from them.
+
+Exact transport is run-aware: ``FoldingSequence._carry`` moves a block of
+vectors across a run of k identical steps as one product with M^k, formed
+by repeated squaring, so it costs O(log k) matrix products instead of k.
+Measure tracks are lazy: they keep checkpoint vectors and carry from the
+nearest one on demand, so an analysis that reads a window deep in the
+sequence pays for its window and for O(log k) products per run on the way,
+not for every step.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
-from .linalg import (dot, frac_log, identity, mat_mul, mat_vec,
+from .linalg import (dot, frac_log, identity, mat_mul, mat_pow, mat_vec,
                      transpose_vec)
 from .morphisms import validate_change_of_marking
 from .paths import _turn, path_turns, reverse_path  # path_turns re-exported
@@ -68,7 +77,10 @@ class FoldingSequence:
                                  if block_boundaries else ())
         self._expansions = {}
         self._taken = None
+        self._fill_memo = {}        # metric.fills: (run, support) -> result
+        self._image_track = None    # image_lengths, carried on demand
         self.step_runs = self._run_length_encode()
+        self._run_starts = tuple(start for start, _, _ in self.step_runs)
         if validate:
             self.validate()
 
@@ -172,7 +184,7 @@ class FoldingSequence:
         if a > b:
             raise SequenceError("composite runs against map direction")
         prod = identity(self.graph_at(level_from).n_edges)
-        for prod in self._carry(prod, "current", range(a, b)):
+        for _, prod in self._carry(prod, "current", range(a, b)):
             pass
         return prod
 
@@ -190,23 +202,50 @@ class FoldingSequence:
         return fmap
 
     def image_lengths(self, level):
-        """Simplicial lengths of composite images into the right end."""
-        i = self._internal(level)
-        block = [[1] * self.graph_at(self.levels[-1]).n_edges]
-        for block in self._carry(block, "length",
-                                 range(self.n_steps - 1, i - 1, -1)):
-            pass
-        return block[0]
+        """Simplicial lengths of composite images into the right end: the
+        length track seeded with ones there.  The sequence keeps that track,
+        so each call carries only from the nearest level already read."""
+        if self._image_track is None:
+            ones = [1] * self.graph_at(self.levels[-1]).n_edges
+            self._image_track = MeasureTrack._from_seed(self, "length", ones)
+        return list(self._image_track.at_levels((level,))[0])
 
-    def _carry(self, vectors, kind, steps):
-        """Yield a block of vectors after each internal step in ``steps``.
-        Length vectors are its rows (V -> V M_i), currents its columns
-        (V -> M_i V)."""
-        for i in steps:
-            M = self._matrix(i)
-            vectors = mat_mul(vectors, M) if kind == "length" \
-                else mat_mul(M, vectors)
-            yield vectors
+    def _carry(self, vectors, kind, steps, stops=()):
+        """Carry a block of vectors through the internal steps ``steps`` (a
+        range of step 1 or -1, in carry order) and yield ``(count, block)``
+        after ``count`` steps, for each count in ``stops`` and after the
+        last step.  Length vectors are the block's rows (V -> V M_i),
+        currents its columns (V -> M_i V).
+
+        Between stops, each stretch of one repeated step object (a
+        ``step_runs`` entry clipped to the range) of k steps is one product
+        with M^k, formed by repeated squaring of the kept incidence matrix:
+        O(log k) products instead of k.  With w vectors and n edges, a
+        single product costs w n^2 and each product in M^k costs n^3, so a
+        short stretch, where (k - 1) w is at most n times the number of
+        products in M^k, is k single products with the kept matrix, as a
+        stretch of one step is.
+        """
+        n = len(steps)
+        cuts = sorted({c for c in stops if 0 < c < n} | {n}) if n else ()
+        width = len(vectors) if kind == "length" else len(vectors[0])
+        done = 0
+        for cut in cuts:
+            while done < cut:
+                i = steps[done]
+                start, length, f = self.step_runs[
+                    bisect_right(self._run_starts, i) - 1]
+                left = start + length - i if steps.step > 0 else i - start + 1
+                k = min(cut - done, left)
+                M, reps = f.incidence_matrix(), k
+                if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
+                        * len(M):
+                    M, reps = mat_pow(M, k), 1
+                for _ in range(reps):
+                    vectors = mat_mul(vectors, M) if kind == "length" \
+                        else mat_mul(M, vectors)
+                done += k
+            yield done, vectors
 
     def expansion(self, level, oriented, *, budget=EXPANSION_BUDGET):
         """Composite image of an oriented edge in the right-end graph.
@@ -258,30 +297,104 @@ class MeasureTrack:
 
     Length kind: v_n = M_n^T v_{n+1} (pulled back from the right end).
     Current kind: v_{n+1} = M_n v_n (pushed forward from the left end).
+    The upstream end, where a carry starts, is the right end for lengths
+    and the left end for currents.
+
+    A track built here from explicit vectors keeps one per level.  The
+    track constructors below (``length_track_from_terminal``,
+    ``current_track_from_initial`` and the canonical measures) keep only
+    the seed at the upstream end, and carry from the nearest kept vector
+    on the upstream side when read.  ``at_levels`` jumps to the levels it
+    is given by run powers, keeping them and the run boundaries passed, so
+    reading a window of w levels costs O(log k) products per run of k
+    steps on the way, plus w products.  ``at`` keeps every level it passes,
+    so single reads in any order cost at most one stepwise pass.  A full
+    sweep (``validate``, ``area``, ``decay_check``) is one stepwise pass.
     """
 
     def __init__(self, seq, kind, vectors):
+        self._begin(seq, kind)
+        for level, v in zip(seq.levels, vectors):
+            self._known[seq._internal(level)] = self._checked(level, v)
+        if len(self._known) != seq.n_steps + 1:
+            raise DimensionMismatchError(
+                "track must store one vector per level")
+
+    @classmethod
+    def _from_seed(cls, seq, kind, vector):
+        """The track carried from ``vector`` at its upstream end."""
+        track = cls.__new__(cls)
+        track._begin(seq, kind)
+        level = seq.levels[0 if kind == "current" else -1]
+        track._known[seq._internal(level)] = track._checked(level, vector)
+        return track
+
+    def _begin(self, seq, kind):
         if kind not in ("length", "current"):
             raise InvalidTrackError(f"unknown track kind {kind!r}")
         self.seq = seq
         self.kind = kind
-        vecs = []
-        for level, v in zip(seq.levels, vectors):
-            v = _exact(v)
-            if len(v) != seq.graph_at(level).n_edges:
-                raise DimensionMismatchError(
-                    f"track vector at level {level} has wrong dimension")
-            if any(x < 0 for x in v):
-                raise InvalidTrackError(
-                    f"negative entry at level {level}")
-            vecs.append(v)
-        if len(vecs) != seq.n_steps + 1:
+        self._known = {}        # internal index -> kept vector
+
+    def _checked(self, level, vector):
+        v = _exact(vector)
+        if len(v) != self.seq.graph_at(level).n_edges:
             raise DimensionMismatchError(
-                "track must store one vector per level")
-        self._vectors = tuple(vecs)
+                f"track vector at level {level} has wrong dimension")
+        if any(x < 0 for x in v):
+            raise InvalidTrackError(f"negative entry at level {level}")
+        return v
 
     def at(self, level):
-        return self._vectors[self.seq._internal(level)]
+        """The vector at ``level``.  Every level between it and the nearest
+        kept vector upstream is carried one step at a time and kept, so
+        reading levels one by one, in any order, costs at most one stepwise
+        pass over the track."""
+        i = self.seq._internal(level)
+        if i not in self._known:
+            up = -1 if self.kind == "current" else 1
+            j = i + up
+            while j not in self._known:
+                j += up
+            self._carry_to(j, range(i, j, up))
+        return self._known[i]
+
+    def at_levels(self, levels):
+        """Vectors at ``levels``, in the order given.  Those not kept are
+        reached in one carry from the nearest kept vector upstream of them
+        all, by run powers, so a window costs O(log k) products per run of
+        k steps on the way to it, then one product per level in it."""
+        idx = [self.seq._internal(level) for level in levels]
+        missing = [i for i in idx if i not in self._known]
+        if missing:
+            marks = sorted(self._known)
+            j = (marks[bisect_left(marks, min(missing)) - 1]
+                 if self.kind == "current"
+                 else marks[bisect_left(marks, max(missing))])
+            self._carry_to(j, missing)
+        return [self._known[i] for i in idx]
+
+    def _carry_to(self, j, targets):
+        """One carry from the kept vector at internal level ``j`` through
+        the internal levels ``targets`` (all on its downstream side); keeps
+        each target and each run boundary passed (vectors kept before stay:
+        they are equal)."""
+        starts = self.seq._run_starts
+        lo, hi = min(targets), max(targets)
+        if self.kind == "current":
+            steps, sign = range(j, hi), 1
+            passed = starts[bisect_right(starts, j):bisect_left(starts, hi)]
+        else:
+            steps, sign = range(j - 1, lo - 1, -1), -1
+            passed = starts[bisect_right(starts, lo):bisect_left(starts, j)]
+        stops = {abs(i - j) for i in targets}.union(abs(b - j) for b in passed)
+        rows = self.kind == "length"
+        v = self._known[j]
+        block = [list(v)] if rows else [[x] for x in v]
+        for count, block in self.seq._carry(block, self.kind, steps, stops):
+            self._known.setdefault(
+                j + sign * count,
+                tuple(block[0]) if rows else tuple(r[0] for r in block))
 
     @property
     def levels(self):
@@ -290,9 +403,10 @@ class MeasureTrack:
     def validate(self):
         """Exact recurrence check; raises on the first violation."""
         seq = self.seq
-        for level in list(seq.levels)[:-1]:
+        levels = list(seq.levels)
+        vectors = self.at_levels(levels)
+        for level, cur, nxt in zip(levels, vectors, vectors[1:]):
             M = seq.matrix_at(level)
-            cur, nxt = self.at(level), self.at(level + 1)
             if (tuple(transpose_vec(M, nxt)) != cur if self.kind == "length"
                     else tuple(mat_vec(M, cur)) != nxt):
                 raise InvalidTrackError(
@@ -303,18 +417,15 @@ class MeasureTrack:
 
 
 def length_track_from_terminal(seq, terminal_vector):
-    """Pull a length vector back from the right end through every step."""
-    block = [_exact(terminal_vector)]
-    steps = range(seq.n_steps - 1, -1, -1)
-    out = [block[0]] + [b[0] for b in seq._carry(block, "length", steps)]
-    return MeasureTrack(seq, "length", out[::-1])
+    """Length track pulled back from ``terminal_vector`` at the right end;
+    levels are carried when read."""
+    return MeasureTrack._from_seed(seq, "length", terminal_vector)
 
 
 def current_track_from_initial(seq, initial_vector):
-    """Push a current forward from the left end through every step."""
-    block = [[x] for x in _exact(initial_vector)]
-    out = [block, *seq._carry(block, "current", range(seq.n_steps))]
-    return MeasureTrack(seq, "current", [[r[0] for r in b] for b in out])
+    """Current track pushed forward from ``initial_vector`` at the left
+    end; levels are carried when read."""
+    return MeasureTrack._from_seed(seq, "current", initial_vector)
 
 
 def simplicial_length_measure(seq):
@@ -376,7 +487,7 @@ def decay_check(seq, length_track=None, current_track=None):
     report = {"levels": tuple(levels)}
     flags = {}
     if length_track is not None:
-        maxima = [max(length_track.at(n)) for n in levels]
+        maxima = [max(v) for v in length_track.at_levels(levels)]
         # deep end is the left end: reverse so "growth" reads left-ward
         rev = list(reversed(maxima))
         growing = _trend_nondecreasing(rev) and rev[-1] > rev[0]
@@ -384,8 +495,9 @@ def decay_check(seq, length_track=None, current_track=None):
             frac_log(v) if v > 0 else float("-inf") for v in maxima)
         flags["lambda_deep_growth"] = growing
     if current_track is not None:
-        minima = [min(current_track.at(n)) for n in levels]
-        maxima = [max(current_track.at(n)) for n in levels]
+        vectors = current_track.at_levels(levels)
+        minima = [min(v) for v in vectors]
+        maxima = [max(v) for v in vectors]
         growing = _trend_nondecreasing(minima) and minima[-1] > minima[0]
         report["mu_min_log"] = tuple(
             frac_log(v) if v > 0 else float("-inf") for v in minima)

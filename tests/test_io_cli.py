@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from foldspace.io_formats import (
     write_sequence,
 )
 from foldspace.morphisms import GraphMorphism
+from foldspace.reports import dumps_csv, dumps_json, frac_str
 
 from conftest import marked, rose_morphism
 
@@ -494,3 +496,50 @@ def test_decompose_unknown_seed_edges(tmp_path, capsys, direction, seeds,
     err = capsys.readouterr().err
     assert "unknown seed edges" in err and named in err
     assert "vanishes" not in err
+
+
+# -- exact numbers past the int-to-str digit limit -------------------------
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    return limit
+
+
+def test_huge_numbers_written_in_hex():
+    limit = _digit_limit()
+    ok, big = 10 ** (limit - 1), 10 ** limit        # limit, limit+1 digits
+    assert frac_str(ok) == str(ok)
+    assert frac_str(Fraction(ok, 7)) == f"{ok}/7"
+    assert frac_str(big) == hex(big)
+    assert frac_str(-big) == hex(-big)
+    # one part past the limit puts both parts in hex
+    assert frac_str(Fraction(big + 1, 7)) == f"{hex(big + 1)}/0x7"
+    assert frac_str(Fraction(7, big + 1)) == f"0x7/{hex(big + 1)}"
+    report = json.loads(dumps_json({"int": big, "ok": ok, "q": Fraction(1, 3),
+                                    "flag": True}))
+    assert report == {"int": hex(big), "ok": ok, "q": "1/3", "flag": True}
+    assert dumps_csv(("x", "y"), [(big, Fraction(1, big + 1)), (ok, 2),
+                                  (True, 0.5)]) == (
+        f"x,y\n{hex(big)},0x1/{hex(big + 1)}\n{ok},2\nTrue,0.5\n")
+
+
+def test_deep_cone_report_round_trips(tmp_path):
+    """At depth 20000 the Fibonacci cone's exact diameter ratio has more
+    than 8000 decimal digits; the report still writes it exactly."""
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "20000")
+    out = tmp_path / "cone.json"
+    assert main(["cone", seq_file, "--depth", "20000", "--out",
+                 str(out)]) == 0
+    ratio = json.loads(out.read_text())["cone"]["diameter_ratio"]
+    # generators (F_{m+1}, F_m) and (F_m, F_{m-1}) at even depth m: the
+    # cross-ratio is F_{m+1} F_{m-1} / F_m^2 = (F_m^2 + 1) / F_m^2
+    f_prev, f_m = 0, 1
+    for _ in range(20000 - 1):
+        f_prev, f_m = f_m, f_prev + f_m
+    want = Fraction(f_m * f_m + 1, f_m * f_m)
+    assert Fraction(*(int(part, 0) for part in ratio.split("/"))) == want
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert ratio == f"{hex(want.numerator)}/{hex(want.denominator)}"

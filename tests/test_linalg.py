@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foldspace.linalg import frac_log
+from foldspace.linalg import frac_log, log_ratio, mat_mul, mat_pow
 
 
 def _decimal_log(q):
@@ -64,3 +64,23 @@ def test_frac_log_near_one_regressions():
     assert frac_log(1 - Fraction(1, 10 ** 50)) == -1e-50
     # ln(3/2) correctly rounded
     assert frac_log(Fraction(3, 2)) == 0.4054651081081644
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.one_of(_positive, _near_one), g=st.integers(1, 2 ** 300))
+def test_log_ratio_is_frac_log_of_the_reduced_ratio(q, g):
+    """Unreduced pairs give exactly the float of the reduced fraction, near
+    1 and away from it."""
+    assert log_ratio(q.numerator * g, q.denominator * g) == frac_log(q)
+
+
+@given(k=st.integers(1, 200), entries=st.lists(st.integers(0, 5), min_size=9,
+                                                max_size=9))
+def test_mat_pow_matches_repeated_products(k, entries):
+    M = [entries[0:3], entries[3:6], entries[6:9]]
+    want = M
+    for _ in range(k - 1):
+        want = mat_mul(want, M)
+    assert mat_pow(M, k) == want
+    assert mat_pow(M, 1) is M
+

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from foldspace import (BudgetExceededError, DirectionError,
                        FoldingSequence, InvalidTrackError, SequenceError,
                        area, current_track_from_initial, decay_check,
-                       frequency_current, identity_morphism,
-                       is_reduced_window, length_track_from_terminal,
-                       path_turns, rose, simplicial_length_measure)
+                       frequency_current, gen_alternating_block,
+                       identity_morphism, is_reduced_window,
+                       length_track_from_terminal, path_turns, rose,
+                       simplicial_length_measure)
 from foldspace.cones import (_normalize_l1, _sample_depths, current_cone,
                              length_cone, set_diameter)
 from foldspace.examples import fibonacci_step
@@ -398,6 +399,97 @@ def test_integer_seeds_give_int_tracks(alt4_unfold_full):
     assert half.at(0) == tuple(Fraction(x, 2) for x in
                                current_track_from_initial(
                                    alt4_unfold_full, (1, 0, 0, 0)).at(0))
+
+
+def test_track_reads_keep_what_they_pass(alt4_unfold_full):
+    """A window is reached by run powers and keeps only its levels and the
+    run boundaries passed; a single read keeps every level it passes, so
+    single reads never cost more than one stepwise pass."""
+    seq = alt4_unfold_full                  # runs of 4, 16, ..., 4096
+    T = seq.n_steps
+    mu = current_track_from_initial(seq, (1, 0, 2, 0))
+    mu.at_levels([-11, -12])
+    assert sorted(mu._known) == [0, *seq._run_starts[1:], T - 12, T - 11]
+    mu.at(-9)
+    assert sorted(mu._known)[-4:] == [T - 12, T - 11, T - 10, T - 9]
+    lam = simplicial_length_measure(seq)
+    lam.at(-3)
+    assert sorted(lam._known) == [T - 3, T - 2, T - 1, T]
+    lam.at_levels([-5000])                  # passes one run boundary
+    assert sorted(lam._known) == [T - 5000, seq._run_starts[-1], T - 3,
+                                  T - 2, T - 1, T]
+
+
+# -- run powers against the step loops -------------------------------------
+
+
+@st.composite
+def _run_chains(draw):
+    """Long runs of one step: alternating blocks of 1-300 steps at rank 3
+    or 4, or a single run of Fibonacci steps, in either direction."""
+    direction = draw(st.sampled_from(("folding", "unfolding")))
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, 300), label="fibonacci steps")
+        return FoldingSequence([fibonacci_step()] * steps, direction)
+    schedule = draw(st.lists(st.integers(1, 300), min_size=1, max_size=5),
+                    label="schedule")
+    rank = draw(st.sampled_from((3, 4)), label="rank")
+    return gen_alternating_block(schedule, rank, direction).sequence
+
+
+def _check_types(seed, vector):
+    if all(type(x) is int for x in seed):
+        assert all(type(x) is int for x in vector)
+    else:
+        assert all(type(x) is Fraction for x in vector if x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=_run_chains(), data=st.data())
+def test_run_powers_match_step_loops(seq, data):
+    levels = list(seq.levels)
+    level = data.draw(st.sampled_from(levels), label="level")
+    assert seq.image_lengths(level) == _loop_image_lengths(seq, level)
+    a, b = sorted(data.draw(st.lists(st.sampled_from(levels), min_size=2,
+                                     max_size=2), label="levels"))
+    assert seq.composite_matrix(a, b) == _loop_composite_matrix(seq, a, b)
+    for make, loop, end in (
+            (length_track_from_terminal, _loop_length_track, levels[-1]),
+            (current_track_from_initial, _loop_current_track, levels[0])):
+        seed = _seed(data, seq.graph_at(end).n_edges)
+        want = dict(zip(levels, loop(seq, seed)))
+        # random windows in random order, each carried by run powers from
+        # the nearest kept vector upstream
+        track = make(seq, seed)
+        for _ in range(3):
+            window = data.draw(st.lists(st.sampled_from(levels), max_size=6),
+                               label="window")
+            got = track.at_levels(window)
+            assert got == [want[n] for n in window]
+            for v in got:
+                _check_types(seed, v)
+        # single levels in random order, carried one step at a time
+        stepped = make(seq, seed)
+        for n in data.draw(st.lists(st.sampled_from(levels), max_size=6),
+                           label="reads"):
+            assert stepped.at(n) == want[n]
+        # a full sweep, one step at a time, gives the same ints and
+        # Fractions, zeros included
+        swept = make(seq, seed)
+        swept.validate()
+        for n in levels:
+            assert swept.at(n) == want[n]
+            assert list(map(type, track.at(n))) == \
+                list(map(type, swept.at(n)))
+    kind = "current" if seq.direction == "unfolding" else "length"
+    # past 64 steps the sampled depths fall inside runs
+    depth = data.draw(st.integers(min(65, seq.n_steps), seq.n_steps),
+                      label="depth")
+    cone = (current_cone if kind == "current" else length_cone)(seq, depth)
+    generators, profile, (diameter, ratio) = _loop_cone(seq, depth, kind)
+    assert cone.generators == generators
+    assert cone.diameter_profile == profile
+    assert (cone.diameter, cone.diameter_ratio) == (diameter, ratio)
 
 
 # -- step data kept on the morphism against the per-step loops -----------
