@@ -256,80 +256,11 @@ def stallings_factorize(f):
     return subdivision, simplicial
 
 
-def _orientation_key(e):
-    return (abs(e), 0 if e > 0 else 1)
-
-
-def _least_foldable_pair(f):
-    """Smallest pair of distinct oriented edges with common initial vertex
-    and equal image, or None."""
-    G = f.domain
-    best = None
-    for v in G.vertices:
-        out = sorted(G.out_edges(v), key=_orientation_key)
-        by_image = {}
-        for e in out:
-            img = f.edge_image(e)[0]
-            if img in by_image:
-                cand = (by_image[img], e)
-                key = (_orientation_key(cand[0]), _orientation_key(cand[1]))
-                if best is None or key < best[0]:
-                    best = (key, cand)
-            else:
-                by_image[img] = e
-    return None if best is None else best[1]
-
-
-def _fold_once(f, pair):
-    """Quotient a simplicial morphism by identifying the pair of edges.
-
-    Returns ``(quotient_morphism, induced_morphism)`` where the quotient goes
-    from the current domain to the folded graph and the induced morphism
-    continues to the codomain.
-    """
-    a, b = pair
-    G, H = f.domain, f.codomain
-    a_name, b_name = G.edge_name(a), G.edge_name(b)
-    w1, w2 = G.term(a), G.term(b)
-    if w1 == w2:
-        survivor = w1
-        dropped = None
-    else:
-        survivor, dropped = (w1, w2) if w1 <= w2 else (w2, w1)
-
-    def send(v):
-        return survivor if v == dropped else v
-
-    verts = [v for v in G.vertices if v != dropped]
-    edges = []
-    for j, eid in enumerate(G.edge_ids):
-        if eid == b_name:
-            continue
-        edges.append((eid, send(G._einit[j]), send(G._eterm[j])))
-    Gq = OrientedGraph(verts, edges, _relaxed=True)
-
-    a_new = Gq.edge_index(a_name) if a > 0 else -Gq.edge_index(a_name)
-    q_emap = {}
-    for eid in G.edge_ids:
-        if eid == b_name:
-            q_emap[eid] = (a_new,) if b > 0 else (-a_new,)
-        else:
-            q_emap[eid] = (Gq.edge_index(eid),)
-    quotient = GraphMorphism(G, Gq, {v: send(v) for v in G.vertices}, q_emap)
-
-    ind_vmap = {v: f.vertex_map[v] for v in Gq.vertices}
-    ind_emap = {eid: f.edge_image(G.edge_index(eid))
-                for eid in Gq.edge_ids}
-    induced = GraphMorphism(Gq, H, ind_vmap, ind_emap)
-    return quotient, induced
-
-
 @dataclass(frozen=True)
 class FoldStep:
-    """One elementary fold: the identified pair (domain tokens) and the
-    quotient morphism onto the folded graph."""
+    """One elementary fold: the identified pair of oriented edges, as tokens
+    of the folded morphism's domain, the kept edge first."""
     pair: tuple
-    quotient: GraphMorphism
 
 
 @dataclass(frozen=True)
@@ -358,24 +289,76 @@ class FoldDecomposition:
 def fold_decompose(f, *, max_folds=100000):
     """Fold a simplicial morphism until no further fold is possible.
 
-    Each step picks the least eligible pair of oriented edges (ordered by
-    edge index, positive orientation first), merges them, and identifies
-    their terminal vertices.
+    One union-find pass over the domain's vertices.  Each vertex class keeps
+    its live outgoing edges by image; when two with one image meet, they
+    fold: the one with the larger edge index is dropped, and the classes of
+    their terminal vertices go on a worklist to be merged.  A merged class
+    keeps the smaller vertex name and takes in the other's edges, which may
+    fold in turn.  Folding is confluent, so the final classes do not depend
+    on the order of the folds, and by these survivor rules each class ends
+    at its minimum: the terminal (built once, in the domain's order) and the
+    fold count are those of folding the least pair first, one fold at a
+    time.  An immersion is its own terminal.  A decomposition that needs
+    ``max_folds`` folds or more raises ``BudgetExceededError``.
     """
     if not f.is_simplicial():
         raise MalformedMorphismError("fold decomposition needs a simplicial "
                                      "morphism; factor first")
+    G = f.domain
+    parent = {v: v for v in G.vertices}
+    tables = {v: {} for v in G.vertices}   # class -> {image: live edge}
+    dropped = set()     # folded-away edge indices, skipped where still held
+    merges = []
     steps = []
-    current = f
-    for _ in range(max_folds):
-        pair = _least_foldable_pair(current)
-        if pair is None:
-            return FoldDecomposition(tuple(steps), current)
-        tokens = (current.domain.token(pair[0]), current.domain.token(pair[1]))
-        quotient, current = _fold_once(current, pair)
-        steps.append(FoldStep(tokens, quotient))
-    raise BudgetExceededError("fold decomposition did not terminate within "
-                              f"{max_folds} folds")
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]     # path halving
+        return v
+
+    def attach(table, e):
+        if abs(e) in dropped:
+            return
+        x = f._images[abs(e) - 1][0]
+        img = x if e > 0 else -x
+        held = table.get(img)
+        if held is None or abs(held) in dropped:
+            table[img] = e
+            return
+        keep, drop = (held, e) if abs(held) < abs(e) else (e, held)
+        dropped.add(abs(drop))
+        table[img] = keep
+        steps.append(FoldStep((G.token(keep), G.token(drop))))
+        merges.append((G.term(keep), G.term(drop)))
+
+    for v in G.vertices:
+        for e in G.out_edges(v):
+            attach(tables[v], e)
+    while merges:
+        u, w = sorted(map(find, merges.pop()))
+        if u == w:
+            continue
+        parent[w] = u
+        small, big = tables.pop(w), tables[u]
+        if len(small) > len(big):
+            small, big = big, small
+        tables[u] = big
+        for e in small.values():
+            attach(big, e)
+    if len(steps) >= max_folds:
+        raise BudgetExceededError("fold decomposition did not terminate "
+                                  f"within {max_folds} folds")
+    if not steps:
+        return FoldDecomposition((), f)
+    verts = [v for v in G.vertices if parent[v] == v]
+    kept = [j for j in range(G.n_edges) if j + 1 not in dropped]
+    folded = OrientedGraph(
+        verts, [(G.edge_ids[j], find(G._einit[j]), find(G._eterm[j]))
+                for j in kept], _relaxed=True)
+    terminal = GraphMorphism(
+        folded, f.codomain, {v: f.vertex_map[v] for v in verts},
+        {G.edge_ids[j]: f._images[j] for j in kept})
+    return FoldDecomposition(tuple(steps), terminal)
 
 
 def validate_change_of_marking(f, *, raise_on_failure=False):

@@ -68,10 +68,9 @@ class FoldingSequence:
             raise SequenceError("a sequence needs at least one step")
         if direction not in ("folding", "unfolding"):
             raise DirectionError(f"unknown direction {direction!r}")
-        for i in range(len(morphisms) - 1):
-            if morphisms[i].codomain != morphisms[i + 1].domain:
-                raise SequenceError(f"steps {i} and {i + 1} do not chain")
         self.morphisms = tuple(morphisms)
+        self.step_runs = self._run_length_encode()
+        self._check_chain()
         self.direction = direction
         self.block_boundaries = (tuple(sorted(block_boundaries))
                                  if block_boundaries else ())
@@ -79,7 +78,6 @@ class FoldingSequence:
         self._taken = None
         self._fill_memo = {}        # metric.fills: (run, support) -> result
         self._image_track = None    # image_lengths, carried on demand
-        self.step_runs = self._run_length_encode()
         self._run_starts = tuple(start for start, _, _ in self.step_runs)
         if validate:
             self.validate()
@@ -137,6 +135,19 @@ class FoldingSequence:
             runs.append((i, j - i + 1, self.morphisms[i]))
             i = j + 1
         return tuple(runs)
+
+    def _check_chain(self):
+        """Each codomain is the next domain.  A run of one step object is
+        checked once, so the cost grows with the runs, not the steps."""
+        runs = self.step_runs
+        for k, (start, length, f) in enumerate(runs):
+            if length > 1 and f.codomain != f.domain:
+                i = start
+            elif k + 1 < len(runs) and f.codomain != runs[k + 1][2].domain:
+                i = start + length - 1
+            else:
+                continue
+            raise SequenceError(f"steps {i} and {i + 1} do not chain")
 
     # -- validation ------------------------------------------------------
 

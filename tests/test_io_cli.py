@@ -11,6 +11,7 @@ import pytest
 from foldspace import cli
 from foldspace.cli import main
 from foldspace.errors import FormatError
+from foldspace.examples import fibonacci_step
 from foldspace.graphs import MarkedGraph, Marking, rose, theta_graph
 from foldspace.io_formats import (
     parse_graph,
@@ -23,8 +24,9 @@ from foldspace.io_formats import (
     write_graph,
     write_sequence,
 )
-from foldspace.morphisms import GraphMorphism
+from foldspace.morphisms import GraphMorphism, compose
 from foldspace.reports import dumps_csv, dumps_json, frac_str
+from foldspace.sequences import FoldingSequence
 
 from conftest import marked, rose_morphism
 
@@ -543,3 +545,23 @@ def test_deep_cone_report_round_trips(tmp_path):
     assert Fraction(*(int(part, 0) for part in ratio.split("/"))) == want
     if getattr(sys, "get_int_max_str_digits", lambda: 0)():
         assert ratio == f"{hex(want.numerator)}/{hex(want.denominator)}"
+
+
+def test_fold_validates_a_1597_edge_step(tmp_path, capsys):
+    """One step whose images total 1597 edges (the 14th Fibonacci power) is
+    validated in parsing; a non-marking of that size exits 2."""
+    f = g = fibonacci_step()
+    for _ in range(13):
+        g = compose(f, g)
+    assert len(g.edge_image(1)) + len(g.edge_image(2)) == 1597
+    path = write_sequence(FoldingSequence([g], "folding"), tmp_path, "fib14")
+    assert main(["fold", path]) == 0
+    assert json.loads(capsys.readouterr().out)["validated"] is True
+    # a -> g(a) and b -> g(a) fold onto one circle: not a change of marking
+    image = g.edge_image(1)
+    bad = GraphMorphism(g.domain, g.codomain, {"*": "*"},
+                        {"a": image, "b": image})
+    path = write_sequence(FoldingSequence([bad], "folding", validate=False),
+                          tmp_path, "collapsed")
+    assert main(["fold", path]) == 2
+    assert "not a change of marking" in capsys.readouterr().err

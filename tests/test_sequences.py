@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldspace import (BudgetExceededError, DirectionError,
-                       FoldingSequence, InvalidTrackError, SequenceError,
-                       area, current_track_from_initial, decay_check,
-                       frequency_current, gen_alternating_block,
+                       FoldingSequence, GraphMorphism, InvalidTrackError,
+                       SequenceError, area, current_track_from_initial,
+                       decay_check, frequency_current, gen_alternating_block,
                        identity_morphism, is_reduced_window,
                        length_track_from_terminal, path_turns, rose,
                        simplicial_length_measure)
@@ -49,6 +49,18 @@ def test_step_runs_collapse_repeats(fib_fold15):
     start, length, step = runs[0]
     assert (start, length) == (0, 15)
     assert step is fib_fold15.morphisms[0]
+
+
+def test_chain_checked_per_run(rose2, theta):
+    to_theta = GraphMorphism(rose2, theta, {"*": "u"},
+                             {"a": (1, -2), "b": (1, -3)})
+    with pytest.raises(SequenceError, match="^steps 0 and 1 do not chain$"):
+        FoldingSequence([to_theta, to_theta])
+    # the first break after a run of one step object is at its last step
+    ident = identity_morphism(rose2)
+    with pytest.raises(SequenceError, match="^steps 2 and 3 do not chain$"):
+        FoldingSequence([ident] * 3 + [identity_morphism(theta)])
+    assert FoldingSequence([ident] * 3 + [to_theta]).n_steps == 4
 
 
 def test_empty_sequence_rejected():
