@@ -352,11 +352,16 @@ class Marking:
     def basepoint(self):
         return self.graph.vertices[0]
 
-    def letter_loop(self, letter):
-        """Edge loop at the basepoint realizing a basis letter."""
+    def letter_edge(self, letter):
+        """Oriented non-tree edge read as a basis letter."""
         e = self._edge_of_letter.get(letter)
         if e is None:
             raise DimensionMismatchError(f"letter {letter} outside basis")
+        return e
+
+    def letter_loop(self, letter):
+        """Edge loop at the basepoint realizing a basis letter."""
+        e = self.letter_edge(letter)
         g = self.graph
         base = self.basepoint()
         return tighten(self.tree_geodesic(base, g.init(e)) + (e,)

@@ -11,7 +11,7 @@ exact rationals written ``num/den``.
 import os
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import BudgetExceededError, FormatError
 from .graphs import Marking, MarkedGraph, OrientedGraph
 from .morphisms import GraphMorphism
 from .sequences import FoldingSequence
@@ -287,6 +287,8 @@ def parse_sequence(path):
     try:
         return FoldingSequence(steps, direction,
                                block_boundaries=boundaries)
+    except BudgetExceededError:
+        raise
     except Exception as exc:
         raise FormatError(f"bad sequence: {exc}") from exc
 

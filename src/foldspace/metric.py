@@ -7,8 +7,10 @@ the domain graph.  A brute-force check over short cyclic words is provided
 for cross-validation on small graphs.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
@@ -172,31 +174,6 @@ def lipschitz_distance(T, U):
                            per_candidate=tuple(rows))
 
 
-def _cyclic_words(rank, max_len):
-    """Cyclically reduced words in a rank-N free group up to length
-    max_len, one representative per rotation/inversion class."""
-    letters = [i for i in range(1, rank + 1)] + \
-              [-i for i in range(1, rank + 1)]
-    seen = set()
-    out = []
-
-    def rec(word):
-        if word and word[0] != -word[-1]:
-            key = canonical_cycle(word)
-            if key not in seen:
-                seen.add(key)
-                out.append(word)
-        if len(word) == max_len:
-            return
-        for x in letters:
-            if word and x == -word[-1]:
-                continue
-            rec(word + (x,))
-
-    rec(())
-    return out
-
-
 @dataclass(frozen=True)
 class BruteforceReport:
     distance: float
@@ -205,33 +182,111 @@ class BruteforceReport:
     words_checked: int
 
 
+def _letters(rank):
+    return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
+
+
+def _pair_table(marked, letters):
+    """Integer pair weights W[i][j] = length of the letter edge e_i plus the
+    tree distance from its end to the start of e_j, all scaled by the least
+    common denominator of the edge lengths; returns (W, denominator)."""
+    mk = marked.marking
+    g = marked.graph
+    scale = math.lcm(*(l.denominator for l in marked.lengths))
+    edges = [mk.letter_edge(x) for x in letters]
+    table = [[int(scale * (marked.length_of_edge(e) + marked.length_of_path(
+                  mk.tree_geodesic(g.term(e), g.init(f))))) for f in edges]
+             for e in edges]
+    return table, scale
+
+
+def _class_count(rank, max_len):
+    """Rotation-and-inversion classes of cyclically reduced words of length
+    1..max_len (Burnside; no class is fixed by an inversion)."""
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    total = 0
+    for m in range(1, max_len + 1):
+        fixed = sum(phi(m // d) * ((2 * rank - 1) ** d
+                                   + (rank - 1) * (-1) ** d + rank)
+                    for d in range(1, m + 1) if m % d == 0)
+        total += fixed // (2 * m)
+    return total
+
+
 def lipschitz_bruteforce(T, U, max_len):
     """Stretch maximum over all cyclically reduced words up to max_len.
 
     Requires max_len >= 2 * |edges of T| so the search space provably
     contains every candidate word; agrees exactly with
     ``lipschitz_distance`` under that bound.
+
+    The words are walked once, depth first, in the letter order
+    1..N, -1..-N.  A cyclically reduced word x_1..x_n has length
+    sum_k W[x_k, x_k+1] (indices cyclic) with W[x, y] = l(e_x) + d(end of
+    e_x, start of e_y) in the spanning tree: each letter loop is
+    tree.e_x.tree, and only the tree parts cancel, down to the tree
+    geodesic between consecutive letters.  So each word costs two integer
+    additions per graph and one cross-multiplied comparison.
+
+    The ratio depends only on the class of a word under rotation and
+    inversion, so the first word in the walk that reaches the strict
+    maximum is also the first-walked member of its class: the witness is
+    the class representative a per-class enumeration would report.
+
+    ``words_checked`` counts the classes in closed form.  No cyclic word
+    is a rotation of its own inverse, so by Burnside the classes of
+    length m number (1/2m) sum_{d | m} phi(m/d) tr(B^d), where B is the
+    letter-transition matrix of reduced words and
+    tr(B^d) = (2N-1)^d + (N-1)(-1)^d + N.
     """
     T.require_positive()
     U.require_positive()
     if max_len < 2 * T.graph.n_edges:
         raise BudgetExceededError(
             f"need max_len >= {2 * T.graph.n_edges} to cover candidates")
-    if (2 * T.marking.rank - 1) ** max_len > 5_000_000:
+    rank = T.marking.rank
+    if (2 * rank - 1) ** max_len > 5_000_000:
         raise BudgetExceededError(
             "brute-force word tree too large at this rank and length")
-    best = None
-    words = _cyclic_words(T.marking.rank, max_len)
-    for w in words:
-        lt = T.translation_length(w)
-        if lt == 0:
-            continue
-        ratio = Fraction(U.translation_length(w)) / Fraction(lt)
-        if best is None or ratio > best[0]:
-            best = (ratio, w)
-    ratio, w = best
+    letters = _letters(rank)
+    wt, t_scale = _pair_table(T, letters)
+    wu, u_scale = _pair_table(U, letters)
+    n = len(letters)
+    inverse = [(i + rank) % n for i in range(n)]
+    best_t, best_u, best_word = 1, 0, None
+
+    def walk(x, st, su, depth):
+        # children y of the word ``path``, which ends in x; ``rows`` and
+        # ``path`` are set per first letter below.  rows[x] holds the added
+        # weights and the closed sums (None where y would cancel the first
+        # letter)
+        nonlocal best_t, best_u, best_word
+        leaf = depth + 1 == max_len
+        for y, at, au, ct, cu in rows[x]:
+            if ct is not None and (su + cu) * best_t > best_u * (st + ct):
+                best_t, best_u = st + ct, su + cu
+                best_word = path + [y]
+            if not leaf:
+                path.append(y)
+                walk(y, st + at, su + au, depth + 1)
+                path.pop()
+
+    for first in range(n):
+        rows = [[(y, wt[x][y], wu[x][y],
+                  None if y == inverse[first] else wt[x][y] + wt[y][first],
+                  wu[x][y] + wu[y][first])
+                 for y in range(n) if y != inverse[x]] for x in range(n)]
+        path = [first]
+        if wu[first][first] * best_t > best_u * wt[first][first]:
+            best_t, best_u = wt[first][first], wu[first][first]
+            best_word = path[:]
+        walk(first, 0, 0, 1)
+    ratio = Fraction(best_u * t_scale, best_t * u_scale)
     return BruteforceReport(distance=frac_log(ratio), ratio=ratio,
-                            witness_word=w, words_checked=len(words))
+                            witness_word=tuple(letters[i] for i in best_word),
+                            words_checked=_class_count(rank, max_len))
 
 
 # -- pairing -------------------------------------------------------------
@@ -504,6 +559,13 @@ def _canonical_immersion(edges):
     return best
 
 
+@lru_cache(maxsize=None)
+def _rose(rank):
+    """The rank-N rose with edges named 1..N, shared by every core."""
+    return OrientedGraph(["*"], [(str(x), "*", "*")
+                                 for x in range(1, rank + 1)], _relaxed=True)
+
+
 def _subgroup_core(words):
     """Folded core of the subgroup generated by the words, as a canonical
     string (conjugacy-class invariant).
@@ -528,11 +590,9 @@ def _subgroup_core(words):
     if not edges:
         return "trivial"
     rank = max(abs(x) for word in words for x in word)
-    rose = OrientedGraph(["*"], [(str(x), "*", "*")
-                                 for x in range(1, rank + 1)], _relaxed=True)
     word_graph = OrientedGraph(vertices, edges, _relaxed=True)
     folded = fold_decompose(GraphMorphism(
-        word_graph, rose, {v: "*" for v in vertices}, images)).terminal
+        word_graph, _rose(rank), {v: "*" for v in vertices}, images)).terminal
     g = folded.domain
     return _canonical_immersion(_core(
         (g.init(e), g.term(e), folded.edge_image(e)[0])

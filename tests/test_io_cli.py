@@ -5,10 +5,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from foldspace import cli
+from foldspace import cli, morphisms
 from foldspace.cli import main
 from foldspace.errors import FormatError
 from foldspace.examples import fibonacci_step
@@ -565,3 +566,16 @@ def test_fold_validates_a_1597_edge_step(tmp_path, capsys):
                           tmp_path, "collapsed")
     assert main(["fold", path]) == 2
     assert "not a change of marking" in capsys.readouterr().err
+
+
+def test_fold_budget_in_parse_exits_3(tmp_path, monkeypatch, capsys):
+    """A fold-budget refusal while parsing validates a sequence exits 3
+    with the budget's own message, not 2 as a format error."""
+    path = write_sequence(FoldingSequence([fibonacci_step()], "folding"),
+                          tmp_path, "fib1")
+    # the Fibonacci step needs one fold; a budget of one refuses it
+    monkeypatch.setattr(morphisms, "fold_decompose",
+                        partial(morphisms.fold_decompose, max_folds=1))
+    assert main(["fold", path]) == 3
+    assert capsys.readouterr().err == \
+        "budget: fold decomposition did not terminate within 1 folds\n"

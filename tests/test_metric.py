@@ -13,6 +13,10 @@ from foldspace.errors import (
     GraphStructureError,
 )
 from foldspace.metric import (
+    BruteforceReport,
+    _class_count,
+    _letters,
+    _pair_table,
     _subgroup_core,
     candidates,
     edge_current_of_word,
@@ -26,8 +30,11 @@ from foldspace.metric import (
     non_filling_witness,
     thickness,
 )
-from foldspace.graphs import Marking, MarkedGraph, rose
-from foldspace.paths import cyclic_tighten, reverse_path, tighten
+from foldspace.graphs import (Marking, MarkedGraph, OrientedGraph, rose,
+                              theta_graph)
+from foldspace.linalg import frac_log
+from foldspace.paths import (canonical_cycle, cyclic_tighten, reverse_path,
+                             tighten)
 from foldspace.sequences import FoldingSequence
 
 from conftest import barbell_graph, marked, rose_morphism
@@ -166,6 +173,193 @@ class TestLipschitz:
                     assert tv <= tu * uv
 
 
+# -- the brute force, against the per-class enumeration it replaced -------
+
+
+def _oracle_cyclic_words(rank, max_len):
+    """Cyclically reduced words in a rank-N free group up to length
+    max_len, one representative per rotation/inversion class."""
+    letters = [i for i in range(1, rank + 1)] + \
+              [-i for i in range(1, rank + 1)]
+    seen = set()
+    out = []
+
+    def rec(word):
+        if word and word[0] != -word[-1]:
+            key = canonical_cycle(word)
+            if key not in seen:
+                seen.add(key)
+                out.append(word)
+        if len(word) == max_len:
+            return
+        for x in letters:
+            if word and x == -word[-1]:
+                continue
+            rec(word + (x,))
+
+    rec(())
+    return out
+
+
+def _oracle_bruteforce(T, U, max_len):
+    """The per-class enumeration: two path rebuilds per class
+    representative."""
+    T.require_positive()
+    U.require_positive()
+    if max_len < 2 * T.graph.n_edges:
+        raise BudgetExceededError(
+            f"need max_len >= {2 * T.graph.n_edges} to cover candidates")
+    if (2 * T.marking.rank - 1) ** max_len > 5_000_000:
+        raise BudgetExceededError(
+            "brute-force word tree too large at this rank and length")
+    best = None
+    words = _oracle_cyclic_words(T.marking.rank, max_len)
+    for w in words:
+        lt = T.translation_length(w)
+        if lt == 0:
+            continue
+        ratio = Fraction(U.translation_length(w)) / Fraction(lt)
+        if best is None or ratio > best[0]:
+            best = (ratio, w)
+    ratio, w = best
+    return BruteforceReport(distance=frac_log(ratio), ratio=ratio,
+                            witness_word=w, words_checked=len(words))
+
+
+def _graph_of_kind(kind):
+    """Graph and tree edges of one kind; ``path3`` has a two-edge tree, so
+    its pair weights see which end of a letter edge the tree path starts
+    from."""
+    if kind == "rose1":
+        return OrientedGraph(["*"], [("a", "*", "*")], _relaxed=True), ()
+    if kind in ("rose2", "rose3"):
+        return rose("abc"[:int(kind[-1])]), ()
+    if kind == "theta":
+        return theta_graph(), ("e3",)
+    if kind == "barbell":
+        return barbell_graph(), ("s",)
+    return OrientedGraph(["u", "v", "w"],
+                         [("t1", "u", "v"), ("t2", "v", "w"),
+                          ("x", "u", "w"), ("y", "v", "v"),
+                          ("z", "w", "u")]), ("t1", "t2")
+
+
+_KINDS = ("rose1", "rose2", "rose3", "theta", "barbell", "path3")
+
+
+def _point(kind, lengths, signed_order=None):
+    """Marked graph of a kind; ``signed_order`` lists the signed basis
+    symbols of the non-tree edges in edge order (default basis if None)."""
+    g, tree = _graph_of_kind(kind)
+    basis = None
+    if signed_order is not None:
+        names = [e for e in g.edge_ids if e not in tree]
+        basis = dict(zip(names, signed_order))
+    return MarkedGraph(g, dict(zip(g.edge_ids, lengths)),
+                       Marking(g, tree, basis))
+
+
+@st.composite
+def _marked_of_kind(draw, kind):
+    """A point of the given kind with random rational lengths; a rose gets
+    a default, permuted or signed basis."""
+    g, tree = _graph_of_kind(kind)
+    rank = g.n_edges - g.n_vertices + 1
+    order = None
+    how = draw(st.sampled_from(("default", "permuted", "signed")),
+               label="basis") if kind.startswith("rose") else "default"
+    if how != "default":
+        order = draw(st.permutations(range(1, rank + 1)), label="order")
+        if how == "signed":
+            order = [draw(st.sampled_from((1, -1)), label="sign") * k
+                     for k in order]
+    lengths = [draw(st.builds(Fraction, st.integers(1, 8),
+                              st.integers(1, 4)), label="length")
+               for _ in g.edge_ids]
+    return _point(kind, lengths, order)
+
+
+def _budget_max_len(rank):
+    return max(L for L in range(1, 40) if (2 * rank - 1) ** L <= 5_000_000)
+
+
+# deepest length at which one per-class oracle call stays near 0.1 s; the
+# deeper lengths up to the budget are checked below on fixed pairs
+_ORACLE_MAX_LEN = {1: 24, 2: 8, 3: 6}
+_SAME_RANK = {"rose1": ("rose1",), "rose3": ("rose3",)}
+_RANK2 = ("rose2", "theta", "barbell")
+
+
+@st.composite
+def _bruteforce_pairs(draw):
+    kind = draw(st.sampled_from(("rose1", "rose3") + _RANK2), label="T")
+    T = draw(_marked_of_kind(kind), label="Tpoint")
+    U = draw(_marked_of_kind(draw(st.sampled_from(
+        _SAME_RANK.get(kind, _RANK2)), label="U")), label="Upoint")
+    floor = 2 * T.graph.n_edges
+    top = min(_budget_max_len(T.rank), _ORACLE_MAX_LEN[T.rank])
+    return T, U, draw(st.integers(floor, top), label="max_len")
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_bruteforce_pairs())
+def test_bruteforce_matches_the_per_class_enumeration(pair):
+    """Ratio, distance, witness word and class count all agree."""
+    T, U, max_len = pair
+    assert lipschitz_bruteforce(T, U, max_len) == \
+        _oracle_bruteforce(T, U, max_len)
+
+
+_T_LENGTHS = (Fraction(3, 2), Fraction(1, 3), Fraction(5, 4))
+_U_LENGTHS = (Fraction(2, 3), Fraction(7, 4), Fraction(1, 2))
+_SIGNED = {"rose2": (-2, 1), "rose3": (3, -1, 2)}
+
+
+@pytest.mark.parametrize("kind,other,max_len", [
+    ("rose2", "theta", 9), ("barbell", "rose2", 8), ("rose3", "rose3", 7)])
+def test_bruteforce_matches_the_enumeration_deeper(kind, other, max_len):
+    T = _point(kind, _T_LENGTHS)
+    U = _point(other, _U_LENGTHS, _SIGNED.get(other))
+    assert lipschitz_bruteforce(T, U, max_len) == \
+        _oracle_bruteforce(T, U, max_len)
+
+
+def test_bruteforce_at_the_budget_boundary():
+    """Length 9 is the deepest the 5M word tree admits at rank 3."""
+    T = _point("rose3", _T_LENGTHS)
+    U = _point("rose3", _U_LENGTHS, _SIGNED["rose3"])
+    bf = lipschitz_bruteforce(T, U, 9)
+    assert bf.ratio == lipschitz_distance(T, U).ratio
+    w = bf.witness_word
+    assert bf.ratio == U.translation_length(w) / T.translation_length(w)
+    assert bf.words_checked == 140318
+    with pytest.raises(BudgetExceededError, match="^brute-force word tree "
+                       "too large at this rank and length$"):
+        lipschitz_bruteforce(T, U, 10)
+    with pytest.raises(BudgetExceededError,
+                       match="^need max_len >= 6 to cover candidates$"):
+        lipschitz_bruteforce(T, U, 5)
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 60), (2, 10), (3, 7), (4, 6)])
+def test_class_count_closed_form(rank, max_len):
+    lengths = [len(w) for w in _oracle_cyclic_words(rank, max_len)]
+    for L in range(1, max_len + 1):
+        assert _class_count(rank, L) == sum(1 for n in lengths if n <= L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(_KINDS), data=st.data())
+def test_pair_table_sums_to_translation_length(kind, data):
+    m = data.draw(_marked_of_kind(kind), label="point")
+    letters = _letters(m.rank)
+    word = data.draw(st.lists(st.sampled_from(letters), min_size=1,
+                              max_size=12).map(cyclic_tighten).filter(bool),
+                     label="word")
+    table, scale = _pair_table(m, letters)
+    idx = [letters.index(x) for x in word]
+    total = sum(table[i][j] for i, j in zip(idx, idx[1:] + idx[:1]))
+    assert Fraction(total, scale) == m.translation_length(word)
 # -- pairing --------------------------------------------------------------
 
 
