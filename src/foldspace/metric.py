@@ -17,7 +17,8 @@ from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
 from .graphs import MarkedGraph, OrientedGraph
 from .linalg import frac_log
 from .morphisms import GraphMorphism, fold_decompose
-from .paths import (canonical_cycle, cyclic_tighten, reverse_path, tighten)
+from .paths import (canonical_cycle, cyclic_reduced_length, reverse_path,
+                    tighten)
 
 
 # -- candidates ----------------------------------------------------------
@@ -243,6 +244,8 @@ def lipschitz_bruteforce(T, U, max_len):
     """
     T.require_positive()
     U.require_positive()
+    if T.marking.rank != U.marking.rank:
+        raise GraphStructureError("ranks differ")
     if max_len < 2 * T.graph.n_edges:
         raise BudgetExceededError(
             f"need max_len >= {2 * T.graph.n_edges} to cover candidates")
@@ -256,24 +259,10 @@ def lipschitz_bruteforce(T, U, max_len):
     n = len(letters)
     inverse = [(i + rank) % n for i in range(n)]
     best_t, best_u, best_word = 1, 0, None
-
-    def walk(x, st, su, depth):
-        # children y of the word ``path``, which ends in x; ``rows`` and
-        # ``path`` are set per first letter below.  rows[x] holds the added
-        # weights and the closed sums (None where y would cancel the first
-        # letter)
-        nonlocal best_t, best_u, best_word
-        leaf = depth + 1 == max_len
-        for y, at, au, ct, cu in rows[x]:
-            if ct is not None and (su + cu) * best_t > best_u * (st + ct):
-                best_t, best_u = st + ct, su + cu
-                best_word = path + [y]
-            if not leaf:
-                path.append(y)
-                walk(y, st + at, su + au, depth + 1)
-                path.pop()
-
     for first in range(n):
+        # rows[x] lists the children y of a word ending in x, with the
+        # added weights and the closed sums (None where y would cancel the
+        # first letter)
         rows = [[(y, wt[x][y], wu[x][y],
                   None if y == inverse[first] else wt[x][y] + wt[y][first],
                   wu[x][y] + wu[y][first])
@@ -282,7 +271,32 @@ def lipschitz_bruteforce(T, U, max_len):
         if wu[first][first] * best_t > best_u * wt[first][first]:
             best_t, best_u = wt[first][first], wu[first][first]
             best_word = path[:]
-        walk(first, 0, 0, 1)
+        # depth first with an explicit stack of (children left, open sums
+        # of ``path``), so the depth never meets the recursion limit; a
+        # child y has ``depth`` letters, and one letter short of max_len
+        # it scans its own children, the leaves, in place
+        stack = [(iter(rows[first]), 0, 0)]
+        while stack:
+            children, st, su = stack[-1]
+            depth = len(path) + 1
+            for y, at, au, ct, cu in children:
+                if ct is not None and (su + cu) * best_t > best_u * (st + ct):
+                    best_t, best_u = st + ct, su + cu
+                    best_word = path + [y]
+                if depth + 1 < max_len:
+                    path.append(y)
+                    stack.append((iter(rows[y]), st + at, su + au))
+                    break
+                if depth < max_len:
+                    yt, yu = st + at, su + au
+                    for z, _, _, zt, zu in rows[y]:
+                        if zt is not None and \
+                                (yu + zu) * best_t > best_u * (yt + zt):
+                            best_t, best_u = yt + zt, yu + zu
+                            best_word = path + [y, z]
+            else:
+                stack.pop()
+                path.pop()
     ratio = Fraction(best_u * t_scale, best_t * u_scale)
     return BruteforceReport(distance=frac_log(ratio), ratio=ratio,
                             witness_word=tuple(letters[i] for i in best_word),
@@ -453,16 +467,17 @@ def ff_progress_diagnostic(seq, levels=None):
 # -- linear speed --------------------------------------------------------
 
 
-def _transport_cycle(seq, loop, level_from, gap):
-    i = seq._internal(level_from)
-    p = loop
-    for t in range(i, i + gap):
-        step = seq.morphisms[t]
-        p = tighten(step.apply_to_path(p))
-    p = cyclic_tighten(p)
-    if not p:
-        raise MalformedPathError("essential loop collapsed in transport")
-    return p
+def _edge_images(seq, i, gap):
+    """Tight images of the oriented edges of the graph at internal index i
+    under the composite of the next ``gap`` steps, by oriented edge."""
+    images = [(e,) for e in range(1, seq.morphisms[i].domain.n_edges + 1)]
+    for step in seq.morphisms[i:i + gap]:
+        images = [tighten(step.apply_to_path(p)) for p in images]
+    table = {}
+    for e, p in enumerate(images, start=1):
+        table[e] = p
+        table[-e] = reverse_path(p)
+    return table
 
 
 @dataclass(frozen=True)
@@ -481,13 +496,31 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
     graphs with the marking transported through the sequence; the speed is
     the max of distance/(gap+1) over the samples, so every sampled pair
     satisfies d <= speed * (gap + 1).
+
+    A candidate loop's transported length is that of the cyclically
+    reduced image of the loop under the composite F of the gap's steps.
+    A path has one tight form rel its endpoints, so tightening between
+    steps changes nothing: tighten(f(tighten(p))) = tighten(f(p)).  Hence
+    tighten(F(e_1 ... e_k)) is the tight concatenation of the tight edge
+    images tighten(F(e_j)), which are built once per sample for the E
+    edges, and since each image is already tight, that concatenation only
+    cancels at the junctions between images and at the seam
+    (``cyclic_reduced_length``).  The lengths, and so the report, are
+    those of carrying each loop step by step.
+
+    The step entries are read once per run of one step object; entry i
+    (internal index) lies in the first half when i < n_steps // 2.
     """
+    half = seq.n_steps // 2
+    early = late = 0
+    for start, length, step in seq.step_runs:
+        top = max(max(row) for row in step.incidence_matrix())
+        if start < half:
+            early = max(early, top)
+        if start + length > half:
+            late = max(late, top)
+    entries_grow = half >= 1 and late > early
     levels = list(seq.levels)
-    entries = [max(max(row) for row in seq.matrix_at(n))
-               for n in levels[:-1]]
-    half = len(entries) // 2
-    entries_grow = (len(entries) >= 2 and half >= 1
-                    and max(entries[half:]) > max(entries[:half]))
     samples = []
     speed = 0.0
     for gap in sample_gaps:
@@ -499,17 +532,21 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
         for lf in froms:
             g_from = seq.graph_at(lf)
             g_to = seq.graph_at(lf + gap)
+            images = _edge_images(seq, seq._internal(lf), gap)
             d_best = None
             for cand in candidates(g_from):
-                image = _transport_cycle(seq, cand.path, lf, gap)
-                ratio = (Fraction(len(image), g_to.n_edges)
+                n = cyclic_reduced_length([images[e] for e in cand.path])
+                if not n:
+                    raise MalformedPathError(
+                        "essential loop collapsed in transport")
+                ratio = (Fraction(n, g_to.n_edges)
                          / Fraction(len(cand.path), g_from.n_edges))
                 if d_best is None or ratio > d_best:
                     d_best = ratio
-            d = frac_log(d_best) if d_best > 0 else 0.0
+            d = frac_log(d_best)
             samples.append((lf, lf + gap, d))
             speed = max(speed, d / (gap + 1))
-    return SpeedReport(entry_max=max(entries), entries_grow=entries_grow,
+    return SpeedReport(entry_max=max(early, late), entries_grow=entries_grow,
                        samples=tuple(samples), speed=speed)
 
 

@@ -56,6 +56,57 @@ def cyclic_tighten(path):
     return tuple(out)
 
 
+def cyclic_reduced_length(pieces):
+    """``len(cyclic_tighten(concatenation of pieces))`` for reduced pieces,
+    without forming the concatenation.
+
+    A reduced piece cancels only at its junctions, so a stack of slices
+    (piece, lo, hi), whose concatenation is the reduced prefix, meets each
+    new piece at its top; the seam is then cancelled from both ends.  The
+    cost grows with the number of pieces plus the cancellation, not with
+    the pieces' lengths.  Empty pieces are skipped; 0 means the loop
+    collapses.
+    """
+    stack = []
+    n = 0
+    for p in pieces:
+        lo, hi = 0, len(p)
+        while lo < hi and stack:
+            q, qlo, qhi = stack[-1]
+            m = min(hi - lo, qhi - qlo)
+            k = 0
+            while k < m and q[qhi - 1 - k] == -p[lo + k]:
+                k += 1
+            lo += k
+            n -= k
+            if k < qhi - qlo:
+                if k:
+                    stack[-1] = (q, qlo, qhi - k)
+                break
+            stack.pop()
+        if lo < hi:
+            stack.append((p, lo, hi))
+            n += hi - lo
+    if n < 2:
+        return n
+    a, b = 0, len(stack) - 1
+    qa, i, ahi = stack[a]
+    qb, blo, j = stack[b]
+    while n >= 2:
+        if i == ahi:
+            a += 1
+            qa, i, ahi = stack[a]
+        if j == blo:
+            b -= 1
+            qb, blo, j = stack[b]
+        if qa[i] != -qb[j - 1]:
+            break
+        i += 1
+        j -= 1
+        n -= 2
+    return n
+
+
 def concat_reduced(*paths):
     """Concatenate and tighten."""
     joined = []

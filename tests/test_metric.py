@@ -341,6 +341,28 @@ def test_bruteforce_at_the_budget_boundary():
         lipschitz_bruteforce(T, U, 5)
 
 
+def test_both_distances_refuse_differing_ranks(rose2, rose3):
+    """A rank-2 and a rank-3 point have no common loops to compare."""
+    small, big = marked(rose2), marked(rose3, (2, 1, 3))
+    for T, U in ((small, big), (big, small)):
+        with pytest.raises(GraphStructureError, match="^ranks differ$"):
+            lipschitz_distance(T, U)
+        with pytest.raises(GraphStructureError, match="^ranks differ$"):
+            lipschitz_bruteforce(T, U, 2 * T.graph.n_edges)
+
+
+def test_bruteforce_rank_one_walks_deep():
+    """At rank 1 the word tree is a path, so its budget never binds: the
+    walk goes 2000 letters deep without meeting the recursion limit."""
+    g = OrientedGraph(["*"], [("a", "*", "*")], _relaxed=True)
+    T = marked(g, (Fraction(2),))
+    U = marked(g, (Fraction(3, 7),))
+    bf = lipschitz_bruteforce(T, U, 2000)
+    assert bf.ratio == lipschitz_distance(T, U).ratio == Fraction(3, 14)
+    assert bf.witness_word == (1,)
+    assert bf.words_checked == 2000
+
+
 @pytest.mark.parametrize("rank,max_len", [(1, 60), (2, 10), (3, 7), (4, 6)])
 def test_class_count_closed_form(rank, max_len):
     lengths = [len(w) for w in _oracle_cyclic_words(rank, max_len)]
