@@ -18,6 +18,7 @@ from .errors import BudgetExceededError, FoldspaceError, FormatError
 from .examples import gen_example
 from .io_formats import parse_graph, parse_sequence
 from .lamination import allowed_words, complexity_profile, minimal_components
+from .linalg import frac_log
 from .metric import (ff_progress_diagnostic, linearity_and_speed,
                      lipschitz_bruteforce, lipschitz_distance, thickness)
 from .reports import dumps_csv, dumps_json, write_text
@@ -108,10 +109,16 @@ def _cmd_fold(args):
     if args.window:
         n0, n1 = _parse_window(args.window)
         report["reduced_window"] = is_reduced_window(seq, (n0, n1))
-    rows = [(n, x) for n, x in
-            zip(decay["levels"],
-                decay.get("lambda_max_log") or decay.get("mu_max_log"))]
-    return report, (("level", "log_extreme"), rows)
+    return report, (("level", "log_extreme"), _log_maxima(track, levels))
+
+
+def _log_maxima(track, levels):
+    """(level, log of the largest entry) rows of the ``fold`` CSV.  A
+    generator function, so the stepwise pass over every level runs only
+    when the CSV form is written."""
+    for level, v in zip(levels, track.at_levels(levels)):
+        x = max(v)
+        yield level, frac_log(x) if x > 0 else float("-inf")
 
 
 def _cmd_cone(args):

@@ -154,6 +154,15 @@ class GraphMorphism:
         return mat
 
     @_kept
+    def covers(self):
+        """Whether the edge images cross every codomain edge, that is,
+        every row of the incidence matrix has a nonzero entry.  A change
+        of marking covers: it is onto on fundamental groups, while a map
+        that misses an edge of a core graph lands in a proper subgraph,
+        which carries only a proper free factor."""
+        return all(any(row) for row in self.incidence_matrix())
+
+    @_kept
     def _marking_failure(self):
         """Why this is not a change of marking, or None when it is (see
         ``validate_change_of_marking``)."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
-from .linalg import (dot, frac_log, identity, mat_mul, mat_pow, mat_vec,
+from .linalg import (dot, identity, mat_mul, mat_pow, mat_vec,
                      transpose_vec)
 from .morphisms import validate_change_of_marking
 from .paths import _turn, path_turns, reverse_path  # path_turns re-exported
@@ -320,11 +320,13 @@ class MeasureTrack:
     reading a window of w levels costs O(log k) products per run of k
     steps on the way, plus w products.  ``at`` keeps every level it passes,
     so single reads in any order cost at most one stepwise pass.  A full
-    sweep (``validate``, ``area``, ``decay_check``) is one stepwise pass.
+    sweep (``validate``, ``area``) is one stepwise pass; ``decay_check``
+    reads only the two ends, plus the levels around any step that does
+    not cover its codomain.
     """
 
     def __init__(self, seq, kind, vectors):
-        self._begin(seq, kind)
+        self._begin(seq, kind, recurrent=False)
         for level, v in zip(seq.levels, vectors):
             self._known[seq._internal(level)] = self._checked(level, v)
         if len(self._known) != seq.n_steps + 1:
@@ -335,17 +337,20 @@ class MeasureTrack:
     def _from_seed(cls, seq, kind, vector):
         """The track carried from ``vector`` at its upstream end."""
         track = cls.__new__(cls)
-        track._begin(seq, kind)
+        track._begin(seq, kind, recurrent=True)
         level = seq.levels[0 if kind == "current" else -1]
         track._known[seq._internal(level)] = track._checked(level, vector)
         return track
 
-    def _begin(self, seq, kind):
+    def _begin(self, seq, kind, recurrent):
         if kind not in ("length", "current"):
             raise InvalidTrackError(f"unknown track kind {kind!r}")
         self.seq = seq
         self.kind = kind
         self._known = {}        # internal index -> kept vector
+        # the recurrence holds by construction when the track is carried
+        # from a seed, not when its vectors are given level by level
+        self._recurrent = recurrent
 
     def _checked(self, level, vector):
         v = _exact(vector)
@@ -482,42 +487,71 @@ def area(seq, length_track, current_track):
 # -- decay report --------------------------------------------------------
 
 
-def _trend_nondecreasing(series):
-    tail = series[len(series) // 2:]
-    return all(a <= b for a, b in zip(tail, tail[1:]))
+def _extreme_grows(seq, track):
+    """The flag of one track: its extreme never drops over the downstream
+    half of the steps and ends above where it starts (see
+    ``decay_check``)."""
+    T = seq.n_steps
+    current = track.kind == "current"
+    tail = range((T + 1) // 2, T) if current else range(T // 2)
+    pairs = []          # (upstream, downstream) internal levels to compare
+    for start, length, f in seq.step_runs:
+        if track._recurrent and f.covers():
+            continue
+        for i in range(max(start, tail.start),
+                       min(start + length, tail.stop)):
+            pairs.append((i, i + 1) if current else (i + 1, i))
+    up, down = (0, T) if current else (T, 0)
+    need = sorted({up, down}.union(*pairs))
+    extreme = min if current else max
+    values = dict(zip(need, map(extreme, track.at_levels(
+        [seq.levels[i] for i in need]))))
+    return (all(values[a] <= values[b] for a, b in pairs)
+            and values[down] > values[up])
 
 
 def decay_check(seq, length_track=None, current_track=None):
-    """Per-level extremes of the tracks, with growth/decay trend flags.
+    """Growth/decay trend flags of the tracks' extremes.
 
     On a reduced sequence the deep-end simplicial lengths blow up and the
     frequency current grows toward the fold end; a sequence whose extremes
-    stay flat is flagged as inconsistent with reducedness.
+    stay flat is flagged as inconsistent with reducedness.  A flag holds
+    when the track's extreme (the largest length, the smallest current)
+    never drops from one level to the next over the downstream half of
+    the steps, in carry order, and ends above its value at the seed.
+
+    Covering lemma.  A step covers when every codomain edge lies in some
+    edge image (``GraphMorphism.covers``), so every row of its incidence
+    matrix M has an entry >= 1; every change of marking covers.  For a
+    nonnegative current v, each entry of M v is then at least some entry
+    of v, so min(M v) >= min(v).  For a nonnegative length w, the entry
+    of w at an edge e is part of the entry of M^T w at any edge whose
+    image crosses e, so max(M^T w) >= max(w).  So a covering step never
+    lowers the extreme going downstream, and only the steps that do not
+    cover (none on a validated chain) are compared on their vectors.
+    The flags are exact, and no level between the ends and those steps is
+    read: one carry of each track reaches them all by run powers, O(log k)
+    products per run of k steps.  A track built from explicit vectors need
+    not satisfy the recurrence, so each of its steps is compared.
+
+    Returns ``{"levels": ..., "flags": ...}``; raises
+    ``InvalidTrackError`` for a track of the wrong kind or of another
+    sequence.
     """
-    levels = list(seq.levels)
-    report = {"levels": tuple(levels)}
     flags = {}
-    if length_track is not None:
-        maxima = [max(v) for v in length_track.at_levels(levels)]
-        # deep end is the left end: reverse so "growth" reads left-ward
-        rev = list(reversed(maxima))
-        growing = _trend_nondecreasing(rev) and rev[-1] > rev[0]
-        report["lambda_max_log"] = tuple(
-            frac_log(v) if v > 0 else float("-inf") for v in maxima)
-        flags["lambda_deep_growth"] = growing
-    if current_track is not None:
-        vectors = current_track.at_levels(levels)
-        minima = [min(v) for v in vectors]
-        maxima = [max(v) for v in vectors]
-        growing = _trend_nondecreasing(minima) and minima[-1] > minima[0]
-        report["mu_min_log"] = tuple(
-            frac_log(v) if v > 0 else float("-inf") for v in minima)
-        report["mu_max_log"] = tuple(
-            frac_log(v) if v > 0 else float("-inf") for v in maxima)
-        flags["mu_growth"] = growing
+    for name, track, kind in (("lambda_deep_growth", length_track, "length"),
+                              ("mu_growth", current_track, "current")):
+        if track is None:
+            continue
+        if track.kind != kind:
+            raise InvalidTrackError(
+                f"{kind}_track must be a {kind} track, not a {track.kind} "
+                "track")
+        if track.seq is not seq:
+            raise InvalidTrackError("track belongs to a different sequence")
+        flags[name] = _extreme_grows(seq, track)
     flags["reduced_consistent"] = all(flags.values()) if flags else False
-    report["flags"] = flags
-    return report
+    return {"levels": tuple(seq.levels), "flags": flags}
 
 
 # -- reducedness windows -------------------------------------------------
