@@ -16,9 +16,10 @@ is a straight-line program for every composite image: each edge image keeps
 its distinct length-L windows and its first and last L-1 edges, and a level
 adds only the windows crossing the junctions of its step images.  The cost
 is O(depth * edges * L^2) plus the unions of the window sets (at most |B_L|
-words an edge), not the image length.  The 10M-edge
-expansion budget still bounds the harvest depth (a ``BudgetExceededError``,
-exit code 3), and cylinder weights still expand composite images.
+words an edge), not the image length.  Cylinder weights count occurrences
+by the same recursion, so no analysis expands a composite image.  The
+10M-edge expansion budget still bounds the harvest depth (a
+``BudgetExceededError``, exit code 3).
 """
 
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from itertools import chain
 from math import log
 
 from .errors import (BudgetExceededError, DirectionError, FormatError,
-                     InvalidTrackError, ShallowDepthError)
-from .paths import _turn, count_occurrences, require_reduced, reverse_path
+                     InvalidTrackError, MalformedPathError, ShallowDepthError)
+from .paths import _turn, require_reduced, reverse_path
 from .sequences import EXPANSION_BUDGET, check_expansion
 
 
@@ -122,16 +123,17 @@ def _harvest_paths(graph, allowed_turns, lengths, L, budget):
 _GAP = 0       # never an oriented edge; no window spans it
 
 
-def _gap_free_windows(pieces, L, out):
-    """Add to ``out`` the length-L windows of the concatenated pieces that
-    contain no gap marker; return the concatenation."""
+def _gap_free_windows(pieces, L):
+    """The concatenation of the pieces, and its length-L windows that
+    contain no gap marker, with multiplicity."""
     joined = tuple(chain.from_iterable(pieces))
+    windows = []
     run = 0
     for k, x in enumerate(joined):
         run = run + 1 if x != _GAP else 0
         if run >= L:
-            out.add(joined[k - L + 1:k + 1])
-    return joined
+            windows.append(joined[k - L + 1:k + 1])
+    return joined, windows
 
 
 def _piece(joined, L):
@@ -171,8 +173,9 @@ def _windows(seq, level, paths, L, *, canonical=True):
         words, pieces = {}, {}
         for e in range(1, f.domain.n_edges + 1):
             image = f.edge_image(e)
-            w = set().union(*(up_words[x] for x in image))
-            joined = _gap_free_windows([up_pieces[x] for x in image], L, w)
+            joined, crossing = _gap_free_windows(
+                [up_pieces[x] for x in image], L)
+            w = set().union(crossing, *(up_words[x] for x in image))
             words[e], words[-e] = w, {reverse_path(u) for u in w}
             pieces[e] = _piece(joined, L)
             pieces[-e] = reverse_path(pieces[e])
@@ -181,7 +184,7 @@ def _windows(seq, level, paths, L, *, canonical=True):
         found |= words[e]
     for p in paths:
         if len(p) > 1:
-            _gap_free_windows([pieces[x] for x in p], L, found)
+            found.update(_gap_free_windows([pieces[x] for x in p], L)[1])
     if canonical:
         return {_flip_canonical(w) for w in found}
     return found
@@ -277,9 +280,38 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
 # -- cylinder weights ----------------------------------------------------
 
 
+def _hits(seq, level, gamma):
+    """Occurrences of gamma plus those of its reverse in the composite image
+    of each edge of the level, by the junction recursion of ``_windows``:
+    the windows of its joined pieces plus the hits of the images whose
+    pieces are gapped (a gapped piece holds no whole window).  An edge and
+    its reverse have equal hits.  The sequence keeps the word's tables of
+    every level, so a sweep over the levels costs one walk."""
+    key = _flip_canonical(gamma)
+    if key not in seq._hit_tables:
+        L, rev = len(gamma), reverse_path(gamma)
+        top = seq.graph_at(seq.levels[-1])
+        pieces = {e: _piece((e,), L) for e in top.oriented_edges()}
+        tables = [[((e,) == gamma) + ((e,) == rev)
+                   for e in range(1, top.n_edges + 1)]]
+        for f in reversed(seq.morphisms):
+            up, pieces, hits = pieces, {}, []
+            for e in range(1, f.domain.n_edges + 1):
+                image = f.edge_image(e)
+                joined, crossing = _gap_free_windows([up[x] for x in image], L)
+                hits.append(sum(tables[-1][abs(x) - 1] for x in image
+                                if _GAP in up[x])
+                            + crossing.count(gamma) + crossing.count(rev))
+                pieces[e] = _piece(joined, L)
+                pieces[-e] = reverse_path(pieces[e])
+            tables.append(hits)
+        seq._hit_tables[key] = tables[::-1]
+    return seq._hit_tables[key][seq._internal(level)]
+
+
 def cylinder_weight(seq, current_track, gamma, level):
     """The sum over oriented edges of mu_n(e) times the number of oriented
-    occurrences of gamma in the composite image of e.
+    occurrences of gamma in the composite image of e (see ``_hits``).
 
     Nondecreasing as the level moves toward the deep end; the defect against
     the one-edge-extension sum is bounded by the oriented mass of mu_n.
@@ -289,21 +321,13 @@ def cylinder_weight(seq, current_track, gamma, level):
     if current_track.seq is not seq:
         raise InvalidTrackError("track belongs to a different sequence")
     gamma = tuple(gamma)
+    if not gamma:
+        raise MalformedPathError("empty cylinder word")
     require_reduced(gamma, what="cylinder word")
     seq.graph_at(seq.levels[-1]).check_path(gamma)
-    g = seq.graph_at(level)
     mu = current_track.at(level)
-    rev = reverse_path(gamma)
-    total = Fraction(0)
-    for j in range(g.n_edges):
-        image = seq.expansion(level, j + 1)
-        hits = count_occurrences(image, gamma)
-        if rev != gamma:
-            hits += count_occurrences(image, rev)
-        else:
-            hits *= 2
-        total += Fraction(mu[j]) * hits
-    return total
+    return sum((Fraction(m) * h for m, h in zip(mu, _hits(seq, level, gamma))),
+               Fraction(0))
 
 
 def flip_cylinder_weight(seq, current_track, gamma, level):
@@ -331,10 +355,10 @@ def sandwich_report(seq, current_track, gamma, level):
     oriented mass of mu at the level (each edge image can end mid-word at
     most once per orientation).
     """
+    w = cylinder_weight(seq, current_track, gamma, level)
     g0 = seq.graph_at(seq.levels[-1])
     lo = sum((cylinder_weight(seq, current_track, ext, level)
               for ext in one_edge_extensions(g0, tuple(gamma))), Fraction(0))
-    w = cylinder_weight(seq, current_track, gamma, level)
     hi = lo + oriented_mass(current_track, level)
     return {"lower": lo, "weight": w, "upper": hi,
             "ok": lo <= w <= hi}

@@ -30,7 +30,7 @@ from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError
 from .linalg import (dot, identity, mat_mul, mat_pow, mat_vec,
                      transpose_vec)
 from .morphisms import validate_change_of_marking
-from .paths import _turn, path_turns, reverse_path  # path_turns re-exported
+from .paths import _turn, path_turns  # path_turns re-exported
 
 EXPANSION_BUDGET = 10_000_000
 
@@ -74,7 +74,7 @@ class FoldingSequence:
         self.direction = direction
         self.block_boundaries = (tuple(sorted(block_boundaries))
                                  if block_boundaries else ())
-        self._expansions = {}
+        self._hit_tables = {}       # lamination._hits: word -> per-level hits
         self._taken = None
         self._fill_memo = {}        # metric.fills: (run, support) -> result
         self._image_track = None    # image_lengths, carried on demand
@@ -259,37 +259,14 @@ class FoldingSequence:
             yield done, vectors
 
     def expansion(self, level, oriented, *, budget=EXPANSION_BUDGET):
-        """Composite image of an oriented edge in the right-end graph.
-
-        Memoized per positive edge; raises when the expanded length would
-        exceed ``budget`` edges.
-        """
+        """Composite image of an oriented edge in the right-end graph, not
+        kept; raises when it would exceed ``budget`` edges."""
         i = self._internal(level)
-        if oriented < 0:
-            return reverse_path(self.expansion(level, -oriented,
-                                               budget=budget))
-        key = (i, oriented)
-        if key in self._expansions:
-            return self._expansions[key]
-        check_expansion(self.image_lengths(level)[oriented - 1], budget)
-        path = self._expand(i, oriented)
-        self._expansions[key] = path
-        return path
-
-    def _expand(self, i, oriented):
-        T = self.n_steps
-        if i == T:
-            return (oriented,)
-        key = (i, oriented)
-        if key in self._expansions:
-            return self._expansions[key]
-        if oriented < 0:
-            return reverse_path(self._expand(i, -oriented))
-        out = []
-        for e in self.morphisms[i].edge_image(oriented):
-            out.extend(self._expand(i + 1, e))
-        path = tuple(out)
-        self._expansions[key] = path
+        self.graph_at(level).check_path((oriented,))
+        check_expansion(self.image_lengths(level)[abs(oriented) - 1], budget)
+        path = (oriented,)
+        for f in self.morphisms[i:]:
+            path = f.apply_to_path(path)
         return path
 
 

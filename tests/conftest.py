@@ -1,7 +1,8 @@
 """Shared fixtures: small graphs, canned sequences, and builders.
 
 Heavy sequences (the full alternating schedules) are session-scoped so the
-expansion and track caches are shared across test modules.
+data kept on them (taken turns, tracks, hit tables) is shared across test
+modules.
 """
 
 from fractions import Fraction
