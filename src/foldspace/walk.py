@@ -1,12 +1,22 @@
-"""Seeded random walks on rank-2 marked roses.
+"""Seeded random walks on a marked graph.
 
-Each step composes a randomly chosen positive rose map onto the marking;
-displacement from the base point is the one-sided stretch distance
-log max(|phi(a)|, |phi(b)|, (|phi(a)|+|phi(b)|)/2), which is exact for
-positive compositions: the inverse-orientation candidate a b^-1 only loses
-length to cancellation, so the three positive candidates realize the
-maximum.  Generator choice depends only on the seed and the generator
-set, not on input ordering.
+The generators are any number of positive self-maps of one graph.  Each
+step composes a randomly chosen generator onto the marking, and the walk
+keeps the exact count matrix C of the composition: row i, column j counts
+the traversals of edge i+1 by the image of edge j+1.  Positive maps never
+cancel, so the image length of edge j+1 is the column sum j of C.
+
+The displacement from the base point is the log of the largest column
+sum.  It is the one-sided stretch distance on a rank-2 rose, where the
+candidates are the loops a, b and ab: ab stretches by the mean of the two
+column sums, which never exceeds the larger, and the inverse-orientation
+candidate a b^-1 only loses length to cancellation.  Generator choice
+depends only on the seed, the generator set and the weights, not on input
+ordering.
+
+Exact entries grow by a bounded number of bits per step, so a walk of n
+steps costs O(n^2) time; ``MAX_STEPS`` refuses a longer walk before any
+work is done.
 """
 
 import random
@@ -14,10 +24,15 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import BudgetExceededError, FormatError
 from .graphs import rose
-from .linalg import frac_log, identity, mat_mul
+from .linalg import frac_log
 from .morphisms import GraphMorphism
+
+# A walk of this many steps takes about 5 s on a 2-vCPU host, report
+# included; time grows with the square of the steps, and a longer walk is
+# refused (exit code 3).
+MAX_STEPS = 100_000
 
 
 def default_generators():
@@ -71,16 +86,30 @@ class WalkRecord:
     dispersion: float
 
 
-def _positive_stretch(cols):
-    """Max candidate stretch of the composition whose count matrix has
-    column sums ``cols``: single-letter loops stretch by their column sum,
-    the two-letter loop by half the total mass."""
-    return max(Fraction(max(cols)), Fraction(sum(cols), len(cols)))
+def _row_plan(f):
+    """For each codomain edge, the domain edges whose images cross it, one
+    entry per crossing: row i of the composite ``f . C`` is the sum of the
+    rows of C listed at i."""
+    return tuple(tuple(t for t, m in enumerate(row) for _ in range(m))
+                 for row in f.incidence_matrix())
+
+
+def _pick(a, b, cumulative):
+    """Index of the first cumulative weight p/q above u = a/b, the last one
+    if none is."""
+    for i, (p, q) in enumerate(cumulative):
+        if a * q < p * b:
+            return i
+    return len(cumulative) - 1
 
 
 def run_walk(config):
     if config.steps < 2:
         raise FormatError(f"a walk needs at least 2 steps, got {config.steps}")
+    if config.steps > MAX_STEPS:
+        raise BudgetExceededError(
+            f"a walk of {config.steps} steps is past the limit of "
+            f"{MAX_STEPS} steps (walk.MAX_STEPS)")
     gens, weights = config.resolved()
     g = gens[0].domain
     for f in gens:
@@ -94,23 +123,22 @@ def run_walk(config):
     acc = Fraction(0)
     for w in weights:
         acc += w
-        cumulative.append(acc)
-    C = identity(g.n_edges)
+        cumulative.append((acc.numerator, acc.denominator))
+    n = g.n_edges
+    zero = (0,) * n
+    C = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     choices = []
     displacement = [0.0]
-    lengths = [tuple(1.0 / g.n_edges for _ in g.edge_ids)]
-    matrices = [f.incidence_matrix() for f in gens]
+    lengths = [tuple(1.0 / n for _ in g.edge_ids)]
+    plans = [_row_plan(f) for f in gens]
     for _ in range(config.steps):
-        u = rng.random()
-        pick = len(cumulative) - 1
-        for i, c in enumerate(cumulative):
-            if u < c:
-                pick = i
-                break
+        a, b = rng.random().as_integer_ratio()
+        pick = _pick(a, b, cumulative)
         choices.append(pick)
-        C = mat_mul(matrices[pick], C)
+        C = [tuple(map(sum, zip(*[C[t] for t in ts]))) if ts else zero
+             for ts in plans[pick]]
         lam = [sum(col) for col in zip(*C)]
-        displacement.append(frac_log(_positive_stretch(lam)))
+        displacement.append(frac_log(max(lam)))
         vol = sum(lam)
         lengths.append(tuple(x / vol for x in lam))
     half = len(displacement) // 2

@@ -477,6 +477,17 @@ def test_walk_too_few_steps(capsys, steps):
     assert "at least 2 steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["100001", "1000000", "10000000000"])
+def test_walk_past_the_step_budget_exits_3(capsys, steps):
+    """A walk costs time quadratic in its steps; past ``walk.MAX_STEPS`` it
+    is refused before any step is taken, with the limit in the message."""
+    assert main(["walk", "--seed", "1", "--steps", steps]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget: ")
+    assert "limit of 100000 steps" in captured.err
+
+
 @pytest.mark.parametrize("length", ["0", "-2"])
 def test_lamination_nonpositive_length(tmp_path, capsys, length):
     seq_file = _gen(tmp_path, "fibonacci", "--steps", "12")
