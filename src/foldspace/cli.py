@@ -51,7 +51,7 @@ def _parse_window(text):
 def _parse_levels(text, seq):
     if text is None:
         stride = max(1, seq.n_steps // 200)
-        return list(seq.levels)[:-1][::stride]
+        return seq.levels[:-1][::stride]
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise FormatError(f"levels must be n0:n1[:stride], got {text!r}")
@@ -97,7 +97,7 @@ def _cmd_fold(args):
     else:
         track = frequency_current(seq)
         decay = decay_check(seq, current_track=track)
-    levels = list(seq.levels)
+    levels = seq.levels
     report = {
         "direction": seq.direction,
         "n_steps": seq.n_steps,

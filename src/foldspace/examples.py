@@ -2,12 +2,13 @@
 block schedules with disjoint (or interacting) expanding pairs, and custom
 user chains.
 
-Block schedules are stored as unit steps with block boundary metadata;
-storing literal powers would require composite edge images whose lengths
-grow with Fibonacci numbers of the block size.
+Block schedules are stored as runs of unit steps with block boundary
+metadata; storing literal powers would require composite edge images whose
+lengths grow with Fibonacci numbers of the block size.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import FormatError
 from .graphs import rose
@@ -40,7 +41,7 @@ def fibonacci_step(g=None):
 def gen_fibonacci(steps=40, direction="unfolding"):
     g = rose("ab")
     f = fibonacci_step(g)
-    seq = FoldingSequence([f] * steps, direction)
+    seq = FoldingSequence.from_runs([(f, steps)], direction)
     return GeneratedExample(name="fibonacci", sequence=seq,
                             notes={"rank": 2, "steps": steps,
                                    "direction": direction})
@@ -68,14 +69,11 @@ def gen_alternating_block(schedule=_DEFAULT_SCHEDULE, rank=4,
         stepB = _rose_step(g, {"a": "b a", "b": "a", "c": "c b"})
     else:
         raise FormatError("alternating blocks come at rank 3 or 4")
-    morphisms = []
-    boundaries = []
-    for i, length in enumerate(schedule):
-        step = stepA if i % 2 == 0 else stepB
-        morphisms.extend([step] * length)
-        boundaries.append(len(morphisms))
-    seq = FoldingSequence(morphisms, direction,
-                          block_boundaries=boundaries)
+    runs = [(stepB if i % 2 else stepA, length)
+            for i, length in enumerate(schedule)]
+    boundaries = list(accumulate(max(0, length) for _, length in runs))
+    seq = FoldingSequence.from_runs(runs, direction,
+                                    block_boundaries=boundaries)
     return GeneratedExample(name=f"alternating{rank}", sequence=seq,
                             notes={"rank": rank,
                                    "schedule": tuple(schedule),

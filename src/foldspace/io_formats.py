@@ -245,7 +245,8 @@ def serialize_morphism(f, domain_file, codomain_file):
 
 def parse_sequence(path):
     """Read a sequence file; repeated references to one morphism file share
-    a single morphism object, so validation runs once per distinct step."""
+    a single morphism object, so validation runs once per distinct step.
+    A line ``file xCOUNT`` is one run of COUNT steps, never expanded."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
@@ -259,7 +260,7 @@ def parse_sequence(path):
         raise FormatError("DIRECTION must be 'folding' or 'unfolding'")
     direction = dirlines[0][0]
     cache = {}
-    steps = []
+    runs = []
     for line in sections["STEPS"]:
         count = 1
         tokens = list(line)
@@ -276,7 +277,7 @@ def parse_sequence(path):
         resolved = os.path.normpath(os.path.join(base, tokens[0]))
         if resolved not in cache:
             cache[resolved] = parse_morphism(resolved)
-        steps.extend([cache[resolved]] * count)
+        runs.append((cache[resolved], count))
     boundaries = None
     if "BLOCKS" in sections:
         try:
@@ -285,8 +286,8 @@ def parse_sequence(path):
         except ValueError as exc:
             raise FormatError("BLOCKS entries must be integers") from exc
     try:
-        return FoldingSequence(steps, direction,
-                               block_boundaries=boundaries)
+        return FoldingSequence.from_runs(runs, direction,
+                                         block_boundaries=boundaries)
     except BudgetExceededError:
         raise
     except Exception as exc:

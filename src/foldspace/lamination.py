@@ -168,7 +168,7 @@ def _windows(seq, level, paths, L, *, canonical=True):
     words = {e: {(e,)} if L == 1 else set() for e in edges}
     pieces = {e: _piece((e,), L) for e in edges}
     for i in range(seq.n_steps - 1, seq._internal(level) - 1, -1):
-        f = seq.morphisms[i]
+        f = seq._step(i)
         up_words, up_pieces = words, pieces
         words, pieces = {}, {}
         for e in range(1, f.domain.n_edges + 1):
@@ -294,7 +294,7 @@ def _hits(seq, level, gamma):
         pieces = {e: _piece((e,), L) for e in top.oriented_edges()}
         tables = [[((e,) == gamma) + ((e,) == rev)
                    for e in range(1, top.n_edges + 1)]]
-        for f in reversed(seq.morphisms):
+        for f in map(seq._step, range(seq.n_steps - 1, -1, -1)):
             up, pieces, hits = pieces, {}, []
             for e in range(1, f.domain.n_edges + 1):
                 image = f.edge_image(e)

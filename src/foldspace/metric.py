@@ -10,7 +10,7 @@ for cross-validation on small graphs.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
@@ -19,6 +19,7 @@ from .linalg import frac_log
 from .morphisms import GraphMorphism, fold_decompose
 from .paths import (canonical_cycle, cyclic_reduced_length, reverse_path,
                     tighten)
+from .sequences import orbit, orbit_at
 
 
 # -- candidates ----------------------------------------------------------
@@ -338,75 +339,34 @@ def _apply_support(step, support):
     return frozenset(out)
 
 
-def _advance_run(step, support, length, full):
-    """Push a support through ``length`` repeats of one step.
-
-    Returns (offset where it first fills, or None; support at run end when
-    it never fills).  Cycle detection keeps this O(#states) regardless of
-    run length.
-    """
-    if support == full:
-        return 0, None
-    seen = {support: 0}
-    trail = [support]
-    t = 0
-    s = support
-    while t < length:
-        s = _apply_support(step, s)
-        t += 1
-        if s == full:
-            return t, None
-        if s in seen:
-            start = seen[s]
-            period = t - start
-            rem = (length - start) % period
-            return None, trail[start + rem]
-        seen[s] = t
-        trail.append(s)
-    return None, s
-
-
 def fills(seq, level, support):
     """Least m >= 0 such that pushing the support forward m steps covers
     every edge, or None if it stays proper through the final level.
 
     Full support is absorbing: change-of-marking steps are surjective on
-    edges, so once everything is covered it stays covered.
+    edges, so once everything is covered it stays covered.  Across a run
+    the support follows its ``orbit``, kept per run and starting support,
+    so the cost does not grow with the run length.
     """
     i = seq._internal(level)
     g = seq.graph_at(level)
     support = frozenset(support)
     for name in support:
         g.edge_index(name)
-    memo = seq._fill_memo
     offset = 0
-    runs = seq.step_runs
-    # locate the run containing internal step i and handle the partial run
-    for ridx, (start, length, step) in enumerate(runs):
-        if i >= start + length:
-            continue
-        full = frozenset(step.domain.edge_ids)
-        if i > start:
-            hit, support = _advance_run(step, support, start + length - i,
-                                        full)
-            if hit is not None:
-                return offset + hit
-            offset += start + length - i
-        else:
-            key = (ridx, support)
-            if key in memo:
-                hit, end = memo[key]
-                if hit is not None:
-                    return offset + hit
-                support = end
-                offset += length
-                continue
-            hit, end = _advance_run(step, support, length, full)
-            memo[key] = (hit, end)
-            if hit is not None:
-                return offset + hit
-            support = end
-            offset += length
+    for (start, length, step), k in seq._runs_between(i, seq.n_steps):
+        key = (start, support)
+        if key not in seq._fill_memo:
+            trail, cycle = orbit(partial(_apply_support, step), support,
+                                 length)
+            full = frozenset(step.domain.edge_ids)
+            seq._fill_memo[key] = (
+                trail.index(full) if full in trail else None, trail, cycle)
+        hit, trail, cycle = seq._fill_memo[key]
+        if hit is not None and hit <= k:
+            return offset + hit
+        support = orbit_at(trail, cycle, k)
+        offset += k
     return None
 
 
@@ -470,8 +430,8 @@ def ff_progress_diagnostic(seq, levels=None):
 def _edge_images(seq, i, gap):
     """Tight images of the oriented edges of the graph at internal index i
     under the composite of the next ``gap`` steps, by oriented edge."""
-    images = [(e,) for e in range(1, seq.morphisms[i].domain.n_edges + 1)]
-    for step in seq.morphisms[i:i + gap]:
+    images = [(e,) for e in range(1, seq._step(i).domain.n_edges + 1)]
+    for step in map(seq._step, range(i, i + gap)):
         images = [tighten(step.apply_to_path(p)) for p in images]
     table = {}
     for e, p in enumerate(images, start=1):

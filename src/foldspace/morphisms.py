@@ -154,6 +154,15 @@ class GraphMorphism:
         return mat
 
     @_kept
+    def growth_bits(self):
+        """Bits one step can add to an exact entry it carries: the
+        ceiling of log2 of the largest row or column sum of the incidence
+        matrix, and at least 1."""
+        M = self.incidence_matrix()
+        s = max(map(sum, (*M, *zip(*M))))
+        return max(1, (s - 1).bit_length())
+
+    @_kept
     def covers(self):
         """Whether the edge images cross every codomain edge, that is,
         every row of the incidence matrix has a nonzero entry.  A change

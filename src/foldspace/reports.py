@@ -60,7 +60,7 @@ def _csv_cell(x):
     if isinstance(x, Fraction):
         return frac_str(x)
     if isinstance(x, float):
-        return "inf" if math.isinf(x) else x
+        return str(x) if math.isinf(x) else x
     if isinstance(x, int) and not isinstance(x, bool) and _past_limit(x):
         return hex(x)
     return x

@@ -1,17 +1,19 @@
 """Folding/unfolding sequences, their measure tracks, and reducedness checks.
 
-A sequence is a chain of change-of-marking morphisms.  Internally the graphs
-are indexed 0..T in map direction; the public ``level`` labels depend on the
-reading: a folding sequence has levels 0..T, an unfolding sequence has levels
--T..0 (the maps still point toward level 0).
+A sequence is a chain of change-of-marking morphisms, stored as runs of one
+step object (``step_runs``).  Internally the graphs are indexed 0..T in map
+direction; the public ``level`` labels depend on the reading: a folding
+sequence has levels 0..T, an unfolding sequence has levels -T..0 (the maps
+still point toward level 0).
 
-Validation does two jobs.  Each step must individually be a change of
-marking, and all composite edge images must stay reduced.  The latter is
-checked in a single forward pass that propagates the set of "taken" turns
-(junctions crossed by composite images): a composite unreduces exactly when a
-taken turn is mapped onto a degenerate turn, i.e. the two first edges of the
-step images agree.  The per-level taken-turn sets are retained; the
-lamination analysis harvests its language from them.
+Validation does two jobs, per run.  Each step must be a change of marking,
+and all composite edge images must stay reduced.  The latter propagates the
+set of "taken" turns (junctions crossed by composite images): a composite
+unreduces exactly when a taken turn is mapped onto a degenerate turn, i.e.
+the two first edges of the step images agree.  A step f maps the set T to
+C | g(T) (its image turns and its action on turns), so a run's sets form an
+``orbit``, kept and checked once per distinct set; the lamination analysis
+harvests its language from them.
 
 Exact transport is run-aware: ``FoldingSequence._carry`` moves a block of
 vectors across a run of k identical steps as one product with M^k, formed
@@ -24,6 +26,8 @@ not for every step.
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, islice
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
@@ -33,6 +37,9 @@ from .morphisms import validate_change_of_marking
 from .paths import _turn, path_turns  # path_turns re-exported
 
 EXPANSION_BUDGET = 10_000_000
+# bits an exact entry may reach in one carry; the Fibonacci power M^k has
+# about 0.69 k bits and takes about 0.6 s to form at k = 10^6, 20 s at 10^7
+CARRY_BIT_BUDGET = 2_000_000
 
 
 def check_expansion(total, budget=EXPANSION_BUDGET):
@@ -41,6 +48,28 @@ def check_expansion(total, budget=EXPANSION_BUDGET):
         raise BudgetExceededError(
             f"composite image of length {total} exceeds the expansion "
             f"budget {budget}")
+
+
+def orbit(advance, state, length):
+    """``(trail, cycle)``: ``trail[j]`` is the (hashable) state after j of
+    ``length`` calls of ``advance``, up to the first repeat, which returns
+    to ``trail[cycle]`` (cycle is None when none occurs).  One call per
+    distinct state, however long the run."""
+    trail, seen = [state], {state: 0}
+    while len(trail) <= length:
+        state = advance(state)
+        if state in seen:
+            return trail, seen[state]
+        seen[state] = len(trail)
+        trail.append(state)
+    return trail, None
+
+
+def orbit_at(trail, cycle, k):
+    """The state after ``k`` steps of an ``orbit`` (k up to its length)."""
+    if k < len(trail):
+        return trail[k]
+    return trail[cycle + (k - cycle) % (len(trail) - cycle)]
 
 
 class FoldingSequence:
@@ -63,30 +92,68 @@ class FoldingSequence:
 
     def __init__(self, morphisms, direction="folding", *, validate=True,
                  block_boundaries=None):
-        morphisms = list(morphisms)
-        if not morphisms:
+        self._build(((f, 1) for f in morphisms), direction, validate,
+                    block_boundaries)
+
+    @classmethod
+    def from_runs(cls, runs, direction="folding", *, validate=True,
+                  block_boundaries=None):
+        """The sequence of ``(morphism, count)`` runs; adjacent runs of one
+        step object merge, and a run of fewer than one step adds none."""
+        seq = cls.__new__(cls)
+        seq._build(runs, direction, validate, block_boundaries)
+        return seq
+
+    def _build(self, runs, direction, validate, block_boundaries):
+        merged = []             # [start, length, morphism]
+        n = 0
+        for f, count in runs:
+            if count < 1:
+                continue
+            if merged and merged[-1][2] is f:
+                merged[-1][1] += count
+            else:
+                merged.append([n, count, f])
+            n += count
+        if not merged:
             raise SequenceError("a sequence needs at least one step")
         if direction not in ("folding", "unfolding"):
             raise DirectionError(f"unknown direction {direction!r}")
-        self.morphisms = tuple(morphisms)
-        self.step_runs = self._run_length_encode()
+        self.step_runs = tuple(map(tuple, merged))
+        self.n_steps = n
+        self._run_starts = tuple(start for start, _, _ in merged)
         self._check_chain()
         self.direction = direction
         self.block_boundaries = (tuple(sorted(block_boundaries))
                                  if block_boundaries else ())
         self._hit_tables = {}       # lamination._hits: word -> per-level hits
-        self._taken = None
-        self._fill_memo = {}        # metric.fills: (run, support) -> result
+        self._taken_orbits = None   # per run: orbit of its taken-turn sets
+        self._fill_memo = {}        # metric.fills: (run, support) -> orbit
         self._image_track = None    # image_lengths, carried on demand
-        self._run_starts = tuple(start for start, _, _ in self.step_runs)
         if validate:
             self.validate()
 
     # -- indexing --------------------------------------------------------
 
-    @property
-    def n_steps(self):
-        return len(self.morphisms)
+    @cached_property
+    def morphisms(self):
+        """The steps one by one, expanded from the runs when first read;
+        package code reads single steps through ``_step``."""
+        return tuple(f for _, length, f in self.step_runs
+                     for _ in range(length))
+
+    def _step(self, i):
+        """The step object at internal index i, found by bisection."""
+        return self.step_runs[bisect_right(self._run_starts, i) - 1][2]
+
+    def _runs_between(self, a, b):
+        """``(run, k)`` per run met by internal steps a..b-1, k of them."""
+        r = bisect_right(self._run_starts, a) - 1
+        for run in islice(self.step_runs, r, None):
+            k = min(run[0] + run[1], b) - max(run[0], a)
+            if k <= 0:
+                return
+            yield run, k
 
     @property
     def levels(self):
@@ -104,15 +171,15 @@ class FoldingSequence:
     def graph_at(self, level):
         i = self._internal(level)
         if i < self.n_steps:
-            return self.morphisms[i].domain
-        return self.morphisms[-1].codomain
+            return self._step(i).domain
+        return self.step_runs[-1][2].codomain
 
     def step_at(self, level):
         """Morphism from ``level`` to ``level + 1``."""
         i = self._internal(level)
         if i >= self.n_steps:
             raise SequenceError(f"no step starts at level {level}")
-        return self.morphisms[i]
+        return self._step(i)
 
     def matrix_at(self, level):
         i = self._internal(level)
@@ -121,20 +188,7 @@ class FoldingSequence:
         return self._matrix(i)
 
     def _matrix(self, i):
-        return self.morphisms[i].incidence_matrix()
-
-    def _run_length_encode(self):
-        """Maximal runs of identical step objects: (start, length, morphism)."""
-        runs = []
-        i = 0
-        while i < len(self.morphisms):
-            j = i
-            while (j + 1 < len(self.morphisms)
-                   and self.morphisms[j + 1] is self.morphisms[i]):
-                j += 1
-            runs.append((i, j - i + 1, self.morphisms[i]))
-            i = j + 1
-        return tuple(runs)
+        return self._step(i).incidence_matrix()
 
     def _check_chain(self):
         """Each codomain is the next domain.  A run of one step object is
@@ -160,32 +214,36 @@ class FoldingSequence:
         self._propagate_taken()
 
     def _propagate_taken(self):
-        """Forward pass computing taken-turn sets; detects cancellation."""
-        taken = [frozenset()]
-        for i, f in enumerate(self.morphisms):
-            if i and f is self.morphisms[i - 1] and taken[-1] == taken[-2]:
-                # a repeated step fixes the set it fixed one level before
-                taken.append(taken[-1])
-                continue
-            fmap = f.first_edge_map()
-            nxt = set(f.image_turns())
-            for x, y in taken[-1]:
-                fx, fy = fmap[x], fmap[y]
-                if fx == fy:
-                    G = f.domain
-                    raise SequenceError(
-                        "composite image cancels at internal step "
-                        f"{i}: taken turn ({G.token(x)},{G.token(y)}) maps "
-                        f"to a degenerate turn at {f.codomain.token(fx)}")
-                nxt.add(_turn(fx, fy))
-            taken.append(frozenset(nxt))
-        self._taken = tuple(taken)
+        """Taken-turn orbits, run by run; detects cancellation.  The j-th
+        call of a run's ``advance`` is on the set of its j-th step."""
+        taken = frozenset()
+        orbits = []
+        for start, length, f in self.step_runs:
+            def advance(turns, fmap=f.first_edge_map(), steps=count(start)):
+                i = next(steps)
+                nxt = set(f.image_turns())
+                for x, y in turns:
+                    fx, fy = fmap[x], fmap[y]
+                    if fx == fy:
+                        G = f.domain
+                        raise SequenceError(
+                            "composite image cancels at internal step "
+                            f"{i}: taken turn ({G.token(x)},{G.token(y)}) "
+                            "maps to a degenerate turn at "
+                            f"{f.codomain.token(fx)}")
+                    nxt.add(_turn(fx, fy))
+                return frozenset(nxt)
+            orbits.append(orbit(advance, taken, length))
+            taken = orbit_at(*orbits[-1], length)
+        self._taken_orbits = tuple(orbits)
 
     def taken_turns_at(self, level):
         """Turns of G_level crossed by composite images from the left end."""
-        if self._taken is None:
+        if self._taken_orbits is None:
             self._propagate_taken()
-        return self._taken[self._internal(level)]
+        i = self._internal(level)
+        r = bisect_right(self._run_starts, i) - 1
+        return orbit_at(*self._taken_orbits[r], i - self._run_starts[r])
 
     # -- composites ------------------------------------------------------
 
@@ -201,15 +259,16 @@ class FoldingSequence:
 
     def first_edge_composite(self, level_from, level_to=None):
         """First-edge map of the composite morphism (defaults to the right
-        end)."""
+        end); each edge follows its orbit under a run's first-edge map."""
         a = self._internal(level_from)
         b = self.n_steps if level_to is None else self._internal(level_to)
         if a > b:
             raise SequenceError("composite runs against map direction")
         fmap = {e: e for e in self.graph_at(level_from).oriented_edges()}
-        for i in range(a, b):
-            step = self.morphisms[i].first_edge_map()
-            fmap = {e: step[v] for e, v in fmap.items()}
+        for (_, _, f), k in self._runs_between(a, b):
+            step = f.first_edge_map()
+            fmap = {e: orbit_at(*orbit(step.__getitem__, v, k), k)
+                    for e, v in fmap.items()}
         return fmap
 
     def image_lengths(self, level):
@@ -236,10 +295,19 @@ class FoldingSequence:
         short stretch, where (k - 1) w is at most n times the number of
         products in M^k, is k single products with the kept matrix, as a
         stretch of one step is.
+
+        Before each stretch's product, the bits an entry can reach are
+        bounded: those of the block's largest entry (numerator and
+        denominator), plus k * ``growth_bits`` for each stretch of k steps
+        so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused, so an
+        oversize chain ends in ``BudgetExceededError``, not in a multiply
+        that runs for minutes.
         """
         n = len(steps)
         cuts = sorted({c for c in stops if 0 < c < n} | {n}) if n else ()
         width = len(vectors) if kind == "length" else len(vectors[0])
+        bits = max(x.numerator.bit_length() + x.denominator.bit_length()
+                   for row in vectors for x in row)
         done = 0
         for cut in cuts:
             while done < cut:
@@ -248,6 +316,12 @@ class FoldingSequence:
                     bisect_right(self._run_starts, i) - 1]
                 left = start + length - i if steps.step > 0 else i - start + 1
                 k = min(cut - done, left)
+                bits += k * f.growth_bits()
+                if bits > CARRY_BIT_BUDGET:
+                    raise BudgetExceededError(
+                        f"carrying {n} steps could reach {bits} bits, past "
+                        f"the limit of {CARRY_BIT_BUDGET} bits "
+                        "(sequences.CARRY_BIT_BUDGET)")
                 M, reps = f.incidence_matrix(), k
                 if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
                         * len(M):
@@ -265,7 +339,7 @@ class FoldingSequence:
         self.graph_at(level).check_path((oriented,))
         check_expansion(self.image_lengths(level)[abs(oriented) - 1], budget)
         path = (oriented,)
-        for f in self.morphisms[i:]:
+        for f in map(self._step, range(i, self.n_steps)):
             path = f.apply_to_path(path)
         return path
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace.reports import _key, _past_limit, dumps_json, frac_str, \
-    to_jsonable
+from foldspace.reports import _key, _past_limit, dumps_csv, dumps_json, \
+    frac_str, to_jsonable
 from foldspace.walk import ExperimentConfig, run_walk
 
 
@@ -168,3 +168,11 @@ def test_unsupported_objects_raise_the_same_error(obj):
 def test_walk_report_matches_json_dumps():
     report = {"walk": run_walk(ExperimentConfig(seed=3, steps=300))}
     assert dumps_json(report) == old_dumps_json(report)
+
+
+def test_csv_keeps_the_sign_of_an_infinity():
+    """CSV cells write infinities as the JSON writer does: -inf stays
+    negative (``fold --format csv`` writes -inf for a zero maximum)."""
+    assert dumps_csv(("level", "log_extreme"),
+                     [(0, -math.inf), (1, math.inf), (2, 0.5)]) == \
+        "level,log_extreme\n0,-inf\n1,inf\n2,0.5\n"
