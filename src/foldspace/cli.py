@@ -136,7 +136,7 @@ def _cmd_cone(args):
 def _cmd_lamination(args):
     seq = parse_sequence(args.sequence)
     lang = allowed_words(seq, args.depth, args.length, source=args.source)
-    g0 = seq.graph_at(list(seq.levels)[-1])
+    g0 = seq.graph_at(seq.levels[-1])
     depths = sorted({max(1, args.depth // 4), max(1, args.depth // 2),
                      args.depth})
     profile = complexity_profile(seq, depths, args.length,
@@ -158,12 +158,11 @@ def _cmd_lamination(args):
 def _cmd_decompose(args):
     seq = parse_sequence(args.sequence)
     n0, n1 = _parse_window(args.window)
-    window = [n for n in seq.levels if n0 <= n <= n1]
+    window = seq._levels_between(n0, n1)
     if len(window) < 4:
         raise FormatError("window covers fewer than 4 levels")
-    deep_graph = seq.graph_at(list(seq.levels)[0]
-                              if seq.direction == "unfolding"
-                              else list(seq.levels)[-1])
+    deep_graph = seq.graph_at(seq.levels[0] if seq.direction == "unfolding"
+                              else seq.levels[-1])
     if args.seeds:
         names = args.seeds.split(",")
         unknown = [name for name in names if name not in deep_graph.edge_ids]

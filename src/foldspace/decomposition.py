@@ -276,21 +276,7 @@ def collapse(G, collapse_edges, labels=None):
         G.edge_index(name)
     if len(collapse_edges) == G.n_edges:
         raise GraphStructureError("cannot collapse every edge")
-    parent = {v: v for v in G.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for j, name in enumerate(G.edge_ids):
-        if name in collapse_edges:
-            a, b = find(G._einit[j]), find(G._eterm[j])
-            if a != b:
-                root, other = (a, b) if a <= b else (b, a)
-                parent[other] = root
-    vmap = {v: find(v) for v in G.vertices}
+    vmap = {v: min(G._reach(v, collapse_edges)) for v in G.vertices}
     verts = sorted(set(vmap.values()))
     edges = []
     for j, name in enumerate(G.edge_ids):

@@ -9,7 +9,6 @@ quotients/collapses may relax the valence bound; those constructors pass
 ``_relaxed=True``.
 """
 
-from collections import deque
 from fractions import Fraction
 
 from .errors import (DimensionMismatchError, GraphStructureError,
@@ -54,7 +53,7 @@ class OrientedGraph:
             self._out[self._eterm[i]].append(-(i + 1))
         if not self.vertices:
             raise GraphStructureError("graph has no vertices")
-        if not self._connected():
+        if len(self._reach(self.vertices[0])) != len(self.vertices):
             raise GraphStructureError("graph is not connected")
         if not _relaxed:
             if self.betti() < 2:
@@ -113,19 +112,22 @@ class OrientedGraph:
         n = self.n_edges
         return tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
 
-    def _connected(self):
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
+    def _reach(self, start, edge_names=None):
+        """Breadth-first search from ``start`` through the edges named in
+        ``edge_names`` (every edge when None).  Maps each vertex reached,
+        in the order reached, to the oriented edge that first reached it
+        (None for ``start``)."""
+        reached = {start: None}
+        queue = [start]
+        names, einit, eterm = self.edge_ids, self._einit, self._eterm
+        for v in queue:
             for e in self._out[v]:
-                w = self.term(e)
-                if w not in seen:
-                    seen.add(w)
+                w = eterm[e - 1] if e > 0 else einit[-e - 1]
+                if w not in reached and (edge_names is None
+                                         or names[abs(e) - 1] in edge_names):
+                    reached[w] = e
                     queue.append(w)
-        return len(seen) == len(self.vertices)
+        return reached
 
     # -- paths -----------------------------------------------------------
 
@@ -186,18 +188,7 @@ class OrientedGraph:
         if not edge_names:
             return False
         verts = self.subgraph_vertices(edge_names)
-        start = next(iter(verts))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in self._out[v]:
-                if self.edge_name(e) in edge_names:
-                    w = self.term(e)
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return seen == verts
+        return len(self._reach(next(iter(verts)), edge_names)) == len(verts)
 
     def subgraph_betti(self, edge_names):
         """First Betti number of the subgraph spanned by ``edge_names``
@@ -206,20 +197,10 @@ class OrientedGraph:
         verts = self.subgraph_vertices(edge_names)
         comps = 0
         seen = set()
-        for v0 in sorted(verts):
-            if v0 in seen:
-                continue
-            comps += 1
-            seen.add(v0)
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
-                for e in self._out[v]:
-                    if self.edge_name(e) in edge_names:
-                        w = self.term(e)
-                        if w not in seen:
-                            seen.add(w)
-                            queue.append(w)
+        for v in verts:
+            if v not in seen:
+                comps += 1
+                seen.update(self._reach(v, edge_names))
         return len(edge_names) - len(verts) + comps
 
     def __eq__(self, other):
@@ -289,19 +270,7 @@ class Marking:
 
     def _tree_spans(self):
         g = self.graph
-        if g.n_vertices == 1:
-            return not self.tree_edges
-        seen = {g.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for e in g.out_edges(v):
-                if g.edge_name(e) in self.tree_edges:
-                    w = g.term(e)
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return len(seen) == g.n_vertices
+        return len(g._reach(g.vertices[0], self.tree_edges)) == g.n_vertices
 
     def tree_geodesic(self, u, v):
         """Unique reduced path from u to v inside the spanning tree."""
@@ -309,21 +278,13 @@ class Marking:
         if key in self._geodesics:
             return self._geodesics[key]
         g = self.graph
-        prev = {u: None}
-        queue = deque([u])
-        while queue and v not in prev:
-            w = queue.popleft()
-            for e in g.out_edges(w):
-                if g.edge_name(e) in self.tree_edges and g.term(e) not in prev:
-                    prev[g.term(e)] = e
-                    queue.append(g.term(e))
+        prev = g._reach(u, self.tree_edges)
         if v not in prev:
             raise GraphStructureError("tree does not connect the vertices")
         path = []
-        w = v
-        while prev[w] is not None:
-            path.append(prev[w])
-            w = g.init(prev[w])
+        while prev[v] is not None:
+            path.append(prev[v])
+            v = g.init(prev[v])
         path.reverse()
         result = tuple(path)
         self._geodesics[key] = result
@@ -467,15 +428,5 @@ class MarkedGraph:
 
 def _default_spanning_tree(graph):
     """Deterministic BFS spanning tree (edge ids)."""
-    tree = []
-    seen = {graph.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for e in graph.out_edges(v):
-            w = graph.term(e)
-            if w not in seen:
-                seen.add(w)
-                tree.append(graph.edge_name(e))
-                queue.append(w)
-    return tree
+    reached = graph._reach(graph.vertices[0])
+    return [graph.edge_name(e) for e in reached.values() if e is not None]

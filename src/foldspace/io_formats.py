@@ -154,14 +154,7 @@ def _infer_vertex_map(domain, codomain, images):
     """Vertex images from edge images; edges collapsed to points contribute
     equality constraints."""
     assigned = {}
-    merged = {v: v for v in domain.vertices}
-
-    def find(v):
-        while merged[v] != v:
-            merged[v] = merged[merged[v]]
-            v = merged[v]
-        return v
-
+    collapsed = set()
     for j, name in enumerate(domain.edge_ids):
         p = images[name]
         u, w = domain.init(j + 1), domain.term(j + 1)
@@ -174,14 +167,11 @@ def _infer_vertex_map(domain, codomain, images):
                         f"({assigned[v]!r} vs {img!r})")
                 assigned[v] = img
         else:
-            a, b = find(u), find(w)
-            if a != b:
-                merged[a] = b
+            collapsed.add(name)
     vmap = {}
     for v in domain.vertices:
-        root = find(v)
-        candidates = [assigned[x] for x in domain.vertices
-                      if find(x) == root and x in assigned]
+        candidates = [assigned[x] for x in domain._reach(v, collapsed)
+                      if x in assigned]
         if not candidates:
             raise FormatError(
                 f"cannot infer the image of vertex {v!r}; every incident "

@@ -372,7 +372,6 @@ def _tarjan_scc(nodes, edges):
     index = {}
     low = {}
     onstack = set()
-    stack = []
     cstack = []
     counter = [0]
     comps = []

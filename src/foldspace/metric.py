@@ -480,7 +480,7 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
         if start + length > half:
             late = max(late, top)
     entries_grow = half >= 1 and late > early
-    levels = list(seq.levels)
+    levels = seq.levels
     samples = []
     speed = 0.0
     for gap in sample_gaps:

@@ -161,6 +161,11 @@ class FoldingSequence:
         return range(0, T + 1) if self.direction == "folding" \
             else range(-T, 1)
 
+    def _levels_between(self, n0, n1):
+        """The levels n with n0 <= n <= n1, as a slice of ``levels``."""
+        levels = self.levels
+        return levels[max(0, n0 - levels.start):max(0, n1 - levels.start + 1)]
+
     def _internal(self, level):
         T = self.n_steps
         i = level if self.direction == "folding" else level + T
@@ -617,7 +622,7 @@ def is_reduced_window(seq, window, *, max_edges=15):
     ``passed`` and, when failed, the witness chain as edge-name sets.
     """
     n0, n1 = window
-    levels = [n for n in seq.levels if n0 <= n <= n1]
+    levels = seq._levels_between(n0, n1)
     if len(levels) < 2 or levels[0] != n0 or levels[-1] != n1:
         raise SequenceError(f"window {window} outside the sequence range")
     g0 = seq.graph_at(n0)

@@ -25,7 +25,7 @@ from foldspace.examples import fibonacci_step
 from foldspace.io_formats import parse_sequence, serialize_morphism, \
     write_graph
 from foldspace.metric import _apply_support, fills
-from foldspace.sequences import _turn, orbit, orbit_at
+from foldspace.sequences import _turn, is_reduced_window, orbit, orbit_at
 
 from conftest import marked, rose_morphism
 from test_lamination import _POOLS
@@ -374,10 +374,10 @@ def _gen(tmp_path, *args):
                 if p.name.endswith(".sequence"))
 
 
-def _huge(tmp_path):
-    """A Fibonacci folding chain of 10^13 steps, as one run."""
+def _huge(tmp_path, direction="folding"):
+    """A Fibonacci chain of 10^13 steps, as one run."""
     path = _gen(tmp_path, "fibonacci", "--steps", "1", "--direction",
-                "folding")
+                direction)
     with open(path) as fh:
         text = fh.read()
     with open(path, "w") as fh:
@@ -408,6 +408,58 @@ def test_progress_of_10_13_steps_exits_0(tmp_path, capsys):
     T = 10 ** 13
     assert report["levels"] == list(range(0, T, T // 200))
     assert len(report["horizons"]) == 200
+
+
+@pytest.mark.parametrize("direction,window", [("folding", "--window=0:5"),
+                                              ("unfolding", "--window=-5:0")])
+def test_decompose_of_10_13_steps_exits_3_at_once(tmp_path, capsys,
+                                                  direction, window):
+    """The window is a slice of the level range, so the carry budget
+    refuses the deep end's track before any level is listed."""
+    path = _huge(tmp_path, direction)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["decompose", path, window]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: carrying 10000000000000 steps could reach 9999999999997 "
+        "bits, past the limit of 2000000 bits "
+        "(sequences.CARRY_BIT_BUDGET)\n")
+
+
+def test_lamination_of_10_13_steps_exits_0(tmp_path, capsys):
+    path = _huge(tmp_path, "unfolding")
+    capsys.readouterr()
+    assert main(["lamination", path, "--depth", "5", "--length", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["depth"] == 5 and report["count"] == len(report["words"])
+
+
+def test_speed_of_10_13_steps_exits_0(tmp_path, capsys):
+    path = _huge(tmp_path)
+    capsys.readouterr()
+    assert main(["progress", path, "--speed"]) == 0
+    assert "speed" in json.loads(capsys.readouterr().out)
+
+
+def test_reduced_window_of_10_13_steps_returns_at_once(tmp_path):
+    seq = parse_sequence(_huge(tmp_path))
+    start = time.perf_counter()
+    assert is_reduced_window(seq, (0, 3)) == {
+        "passed": True, "witness": None, "window": (0, 3)}
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.integers(1, 12),
+       direction=st.sampled_from(("folding", "unfolding")),
+       n0=st.integers(-16, 16), n1=st.integers(-16, 16))
+def test_level_windows_are_the_filtered_levels(steps, direction, n0, n1):
+    seq = FoldingSequence.from_runs([(_FIB, steps)], direction)
+    assert list(seq._levels_between(n0, n1)) \
+        == [n for n in seq.levels if n0 <= n <= n1]
 
 
 _JOBS = [
