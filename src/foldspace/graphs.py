@@ -129,6 +129,14 @@ class OrientedGraph:
                     queue.append(w)
         return reached
 
+    def _tree_paths(self, start, edge_names=None):
+        """The search tree of ``_reach`` as paths: maps each vertex reached
+        to the path of first-reaching edges from ``start``."""
+        paths = {}
+        for v, e in self._reach(start, edge_names).items():
+            paths[v] = () if e is None else paths[self.init(e)] + (e,)
+        return paths
+
     # -- paths -----------------------------------------------------------
 
     def check_path(self, path, *, reduced=False):
@@ -273,22 +281,15 @@ class Marking:
         return len(g._reach(g.vertices[0], self.tree_edges)) == g.n_vertices
 
     def tree_geodesic(self, u, v):
-        """Unique reduced path from u to v inside the spanning tree."""
-        key = (u, v)
-        if key in self._geodesics:
-            return self._geodesics[key]
-        g = self.graph
-        prev = g._reach(u, self.tree_edges)
-        if v not in prev:
+        """Unique reduced path from u to v inside the spanning tree.  One
+        search from u gives the paths to every v, kept per u."""
+        paths = self._geodesics.get(u)
+        if paths is None:
+            paths = self.graph._tree_paths(u, self.tree_edges)
+            self._geodesics[u] = paths
+        if v not in paths:
             raise GraphStructureError("tree does not connect the vertices")
-        path = []
-        while prev[v] is not None:
-            path.append(prev[v])
-            v = g.init(prev[v])
-        path.reverse()
-        result = tuple(path)
-        self._geodesics[key] = result
-        return result
+        return paths[v]
 
     def word_of_path(self, path):
         """Read the basis letters crossed by a path (tree edges are silent);

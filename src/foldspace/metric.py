@@ -37,23 +37,11 @@ def _graph_of(obj):
 
 def _embedded_circles(g):
     """Vertex-simple cycles as reduced edge paths, up to rotation and
-    reversal."""
+    reversal: the embedded arcs from each vertex back to itself."""
     out = {}
-
-    def rec(v, path, visited, v0):
-        for e in g.out_edges(v):
-            if path and e == -path[-1]:
-                continue
-            w = g.term(e)
-            if w == v0:
-                cyc = path + (e,)
-                if len(cyc) == 1 or cyc[0] != -e:
-                    out.setdefault(canonical_cycle(cyc), cyc)
-            elif w not in visited:
-                rec(w, path + (e,), visited | {w}, v0)
-
     for v0 in g.vertices:
-        rec(v0, (), frozenset((v0,)), v0)
+        for cyc in _arcs_between(g, {v0}, {v0}):
+            out.setdefault(canonical_cycle(cyc), cyc)
     return list(out.values())
 
 
@@ -619,43 +607,29 @@ def factor_projection(marked, *, max_rank=6):
     for mask in range(1, (1 << len(names)) - 1):
         subset = frozenset(names[j] for j in range(len(names))
                            if mask >> j & 1)
-        if not g.subgraph_is_connected(subset):
-            continue
-        if g.subgraph_betti(subset) < 1:
-            continue
-        words = _subgraph_basis_words(marked, subset)
-        by_subgraph[subset] = _subgroup_core(words)
+        verts = g.subgraph_vertices(subset)
+        tree = g._tree_paths(min(verts), subset)
+        # connected, and of positive rank
+        if len(tree) == len(verts) and len(subset) >= len(verts):
+            by_subgraph[subset] = _subgroup_core(
+                _subgraph_basis_words(marked, subset, tree))
     factors = tuple(sorted(set(by_subgraph.values())))
     return FactorReport(count=len(factors), factors=factors,
                         by_subgraph=by_subgraph)
 
 
-def _subgraph_basis_words(marked, subset):
-    """Basis loops of the subgraph, read as words via the ambient
-    marking."""
+def _subgraph_basis_words(marked, subset, tree):
+    """Basis loops of a connected subgraph at its root, read as words via
+    the ambient marking.  ``tree`` maps each vertex to its path from the
+    root in a spanning tree of the subgraph; each edge off the tree closes
+    one loop.  The loops are read as based words, so that together they
+    generate the subgroup itself, not generators conjugated one by one."""
     g = marked.graph
-    verts = g.subgraph_vertices(subset)
-    root = min(verts)
-    tree_to = {root: ()}
-    frontier = [root]
-    inside = set(subset)
-    while frontier:
-        v = frontier.pop()
-        for e in g.out_edges(v):
-            if g.edge_name(abs(e)) not in inside:
-                continue
-            w = g.term(e)
-            if w not in tree_to:
-                tree_to[w] = tree_to[v] + (e,)
-                frontier.append(w)
-    tree_edges = {abs(e) for p in tree_to.values() for e in p}
+    tree_edges = {abs(p[-1]) for p in tree.values() if p}
     words = []
     for name in sorted(subset):
         j = g.edge_index(name)
-        if j in tree_edges:
-            continue
-        loop = tree_to[g.init(j)] + (j,) + reverse_path(tree_to[g.term(j)])
-        word = marked.marking.word_of_loop(tighten(loop))
-        if word:
-            words.append(word)
+        if j not in tree_edges:
+            words.append(marked.marking.word_of_path(
+                tree[g.init(j)] + (j,) + reverse_path(tree[g.term(j)])))
     return words
