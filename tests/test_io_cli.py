@@ -1,13 +1,17 @@
 """File formats and the command-line interface."""
 
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspace import cli, morphisms
 from foldspace.cli import main
@@ -590,3 +594,43 @@ def test_fold_budget_in_parse_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["fold", path]) == 3
     assert capsys.readouterr().err == \
         "budget: fold decomposition did not terminate within 1 folds\n"
+
+
+# -- lamination subcommand fuzz ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def canned_laminations(tmp_path_factory):
+    """The canned Fibonacci chain (40 steps) and the rank-3 alternating
+    blocks (5460 steps), both unfolding."""
+    out = tmp_path_factory.mktemp("canned")
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "fibonacci", "--out-dir", str(out)]) == 0
+        assert main(["gen", "alternating_block", "--rank", "3",
+                     "--out-dir", str(out)]) == 0
+    return (str(out / "fibonacci.sequence"),
+            str(out / "alternating3.sequence"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.integers(0, 1), depth=st.integers(-2, 45),
+       length=st.integers(-2, 64), source=st.sampled_from(("taken", "legal")))
+def test_lamination_fuzz_exits_with_a_documented_code(
+        canned_laminations, which, depth, length, source):
+    # depths past 33 on the Fibonacci chain pass the expansion budget (exit
+    # 3); the length stays at most 64, so every example runs in well under
+    # a second
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["lamination", canned_laminations[which],
+                   f"--depth={depth}", f"--length={length}",
+                   "--source", source])
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        report = json.loads(out.getvalue())
+        assert report["count"] == len(report["words"])
+        assert set(report["complexity"]["counts"]) == \
+            {str(L) for L in range(1, length + 1)}
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "budget: "))

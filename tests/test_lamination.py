@@ -2,6 +2,7 @@
 components."""
 
 import json
+import time
 from fractions import Fraction
 from math import ceil
 from unittest.mock import patch
@@ -23,6 +24,8 @@ from foldspace.cli import main
 from foldspace.errors import FormatError
 from foldspace.io_formats import write_sequence
 from foldspace.sequences import _turn
+
+import lamination_oracle
 
 
 # -- legal structures ----------------------------------------------------
@@ -118,6 +121,103 @@ def test_complexity_profile_rejects_short_length(fib_unfold20):
             complexity_profile(fib_unfold20, (10, 12), L_max)
 
 
+# -- error precedence of the harvest checks ------------------------------
+
+
+def test_cli_half_depth_shallower_than_length(fib_unfold20, tmp_path,
+                                              capsys):
+    # depth 6 has a 21-edge image, its half depth 3 only 5 edges: the
+    # second-deepest scan agrees up to L = 5 and is refused at L = 6
+    seq_file = write_sequence(fib_unfold20, tmp_path, "fib20")
+    capsys.readouterr()
+    rc = main(["lamination", seq_file, "--depth", "6", "--length", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: longest composite image at depth 3 has 5 "
+                            "edges < window length 6; deepen the "
+                            "truncation\n")
+
+
+def _early_break_chain():
+    """Rank-3 rose chain whose counts at depths 3 and 7 first differ at
+    L = 3, while the depth-3 images have at most 4 edges."""
+    g = rose("abc")
+
+    def step(**images):
+        return GraphMorphism(g, g, {"*": "*"},
+                             {"a": "a", "b": "b", "c": "c", **images})
+
+    b, c, a, d = step(b="b a"), step(c="c b"), step(a="c a"), step(a="a b")
+    return FoldingSequence([b, b, c, c, a, a, d], "unfolding")
+
+
+def test_stability_break_stops_the_half_depth_scan():
+    # a scan past L = 4 at depth 3 would be refused by require_depth
+    seq = _early_break_chain()
+    assert max(seq.image_lengths(-3)) == 4
+    profile = complexity_profile(seq, (3, 7), 8)
+    assert not profile.stable
+    assert profile.counts == {1: 3, 2: 6, 3: 5, 4: 4, 5: 4, 6: 4, 7: 3, 8: 2}
+    legal = complexity_profile(seq, (3, 7), 8, source="legal")
+    assert not legal.stable
+    assert legal.counts == {1: 3, 2: 7, 3: 12, 4: 18, 5: 25, 6: 35, 7: 48,
+                            8: 63}
+
+
+def _short_half_chain():
+    """Two steps that lengthen d and a, then ``_fixed_edge_chain``: the
+    depth-4 image of d has one edge, so legal paths at depth 4 multiply."""
+    g = rose("abcd")
+    lead = [GraphMorphism(g, g, {"*": "*"}, images) for images in (
+        {"a": "a", "b": "b", "c": "c", "d": "d a"},
+        {"a": "a d", "b": "b", "c": "c", "d": "d"})]
+    return FoldingSequence(lead + list(_fixed_edge_chain().morphisms),
+                           "unfolding")
+
+
+def test_stability_break_before_the_half_depth_path_budget():
+    # the legal 14-paths at depth 4 number 277476, past the 200k budget,
+    # but the scan at depth 4 stops at L = 3 and never enumerates them
+    seq = _short_half_chain()
+    g, lengths = seq.graph_at(-4), seq.image_lengths(-4)
+    allowed = gates(seq, -4).legal_turns
+    with pytest.raises(BudgetExceededError):
+        lamination._harvest_paths(g, allowed, lengths, 14, 200_000)
+    profile = complexity_profile(seq, (4, 8), 14, source="legal",
+                                 require_depth=False)
+    assert not profile.stable
+    assert profile.counts == {1: 4, 2: 17, 3: 30, 4: 43, 5: 56, 6: 69,
+                              7: 82, 8: 111, 9: 140, 10: 169, 11: 214,
+                              12: 263, 13: 312, 14: 377}
+
+
+def test_early_stop_derives_no_long_half_depth_words():
+    # the legal language at depth 5 of the rank-3 blocks grows fast with L,
+    # and the scan there stops early: deriving it in blocks of lengths that
+    # double takes about 0.1 s, deriving all 64 lengths at once about 5 s
+    seq = gen_alternating_block(rank=3, direction="unfolding").sequence
+    start = time.perf_counter()
+    profile = complexity_profile(seq, (5, 10), 64, source="legal")
+    assert time.perf_counter() - start < 2.0
+    assert not profile.stable
+    assert profile.counts == {L: 5 * L - 2 for L in range(1, 65)}
+
+
+@pytest.mark.parametrize("depths,message", [
+    ((0, 10), "depth 0 outside the stored range 1..20"),
+    ((-3, 10), "depth -3 outside the stored range 1..20"),
+    ((10, 21), "depth 21 outside the stored range 1..20"),
+    ((0, 25), "depth 25 outside the stored range 1..20")])
+def test_complexity_profile_depth_outside_range(fib_unfold20, depths,
+                                                message):
+    # the deepest depth is checked first; a second-deepest depth outside
+    # the stored range is refused once the deepest table is complete
+    with pytest.raises(ShallowDepthError) as info:
+        complexity_profile(fib_unfold20, depths, 4)
+    assert str(info.value) == message
+
+
 def test_allowed_words_expansion_budget(fib_unfold40):
     # the depth-40 images have F_41 edges: refused although never expanded
     with pytest.raises(BudgetExceededError) as info:
@@ -126,7 +226,7 @@ def test_allowed_words_expansion_budget(fib_unfold40):
                                "exceeds the expansion budget 10000000")
 
 
-# -- junction recursion against the materialising harvest ----------------
+# -- one walk per call against the materialising harvest -----------------
 
 
 def _sliding_windows(seq, level, paths, L, *, canonical=True):
@@ -192,8 +292,10 @@ def test_windows_match_sliding_oracle(seq, data):
              (minimal_components, {})]
     for fn, kwargs in calls:
         got = _outcome(fn, seq, depth, L, require_depth=False, **kwargs)
-        with patch.object(lamination, "_windows", _sliding_windows):
-            want = _outcome(fn, seq, depth, L, require_depth=False, **kwargs)
+        # the per-length harvest, each window slid over an expanded image
+        with patch.object(lamination_oracle, "_windows", _sliding_windows):
+            want = _outcome(getattr(lamination_oracle, fn.__name__), seq,
+                            depth, L, require_depth=False, **kwargs)
         assert got == want, (fn.__name__, kwargs)
 
 
@@ -232,7 +334,7 @@ def test_length_aware_paths_match_capped_enumeration(seq, data):
     new = lamination._harvest_paths(g, allowed, lengths, L, 20_000)
     assert set(new) <= set(old)
     lang = allowed_words(seq, depth, L, source=source, require_depth=False)
-    assert lang.words == lamination._windows(seq, level, old, L)
+    assert lang.words == lamination_oracle._windows(seq, level, old, L)
 
 
 def _fixed_edge_chain():
