@@ -6,6 +6,9 @@ relative to the morphism file) and list edge images as signed tokens; the
 vertex map is inferred from the edge images.  Sequence files list morphism
 files, each optionally repeated with an ``x<count>`` suffix.  Lengths are
 exact rationals written ``num/den``.
+
+``parse_sequence`` parses each morphism file and each graph file once per
+call, however many steps name it; the tables live for that call only.
 """
 
 import os
@@ -183,6 +186,20 @@ def _infer_vertex_map(domain, codomain, images):
 
 
 def parse_morphism_text(text, base_dir="."):
+    return _parse_morphism_text(text, base_dir, {})
+
+
+def _graph_at(path, graphs):
+    """The graph file at ``path``, parsed on its first reference in
+    ``graphs`` (keyed by normalized path) and shared after that.  The first
+    reference opens ``path`` as written, so its errors read as before."""
+    key = os.path.normpath(path)
+    if key not in graphs:
+        graphs[key] = parse_graph(path)
+    return graphs[key]
+
+
+def _parse_morphism_text(text, base_dir, graphs):
     sections = _sectionize(text, ("DOMAIN", "CODOMAIN", "MORPHISM"))
     for required in ("DOMAIN", "CODOMAIN", "MORPHISM"):
         if required not in sections:
@@ -193,8 +210,8 @@ def parse_morphism_text(text, base_dir="."):
         if len(lines) != 1 or len(lines[0]) != 1:
             raise FormatError(f"{key} needs exactly one file path")
         paths[key] = os.path.join(base_dir, lines[0][0])
-    dom = parse_graph(paths["DOMAIN"])
-    cod = parse_graph(paths["CODOMAIN"])
+    dom = _graph_at(paths["DOMAIN"], graphs)
+    cod = _graph_at(paths["CODOMAIN"], graphs)
     images = {}
     for line in sections["MORPHISM"]:
         name, tokens = line[0], line[1:]
@@ -217,9 +234,14 @@ def parse_morphism_text(text, base_dir="."):
 
 
 def parse_morphism(path):
+    return _parse_morphism(path, {})
+
+
+def _parse_morphism(path, graphs):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_morphism_text(text, os.path.dirname(os.path.abspath(path)))
+    return _parse_morphism_text(text, os.path.dirname(os.path.abspath(path)),
+                                graphs)
 
 
 def serialize_morphism(f, domain_file, codomain_file):
@@ -235,7 +257,9 @@ def serialize_morphism(f, domain_file, codomain_file):
 
 def parse_sequence(path):
     """Read a sequence file; repeated references to one morphism file share
-    a single morphism object, so validation runs once per distinct step.
+    a single morphism object, so validation runs once per distinct step,
+    and repeated references to one graph file (after path normalization)
+    share one parsed graph, so each graph file is parsed once per call.
     A line ``file xCOUNT`` is one run of COUNT steps, never expanded."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -250,6 +274,7 @@ def parse_sequence(path):
         raise FormatError("DIRECTION must be 'folding' or 'unfolding'")
     direction = dirlines[0][0]
     cache = {}
+    graphs = {}
     runs = []
     for line in sections["STEPS"]:
         count = 1
@@ -266,7 +291,7 @@ def parse_sequence(path):
             raise FormatError(f"step line needs 'file [xCOUNT]': {line}")
         resolved = os.path.normpath(os.path.join(base, tokens[0]))
         if resolved not in cache:
-            cache[resolved] = parse_morphism(resolved)
+            cache[resolved] = _parse_morphism(resolved, graphs)
         runs.append((cache[resolved], count))
     boundaries = None
     if "BLOCKS" in sections:

@@ -78,7 +78,12 @@ def _zero_like(x):
 
 def frac_log(q):
     """Natural log of a positive Fraction, safe for huge numerators and
-    near 1 (log1p of the exact q - 1 there)."""
+    near 1 (log1p of the exact q - 1 there).  A positive int takes the
+    numerator's part of the general path alone: the float is the same,
+    since the denominator's part is log(1) - 0*log(2)."""
+    if isinstance(q, int) and q > 0:
+        shift = q.bit_length() - 500
+        return log(q >> shift) + shift * log(2) if shift > 0 else log(q)
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
     np_, dp = q.numerator, q.denominator

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import cli, morphisms
+from foldspace import cli, io_formats, morphisms
 from foldspace.cli import main
 from foldspace.errors import FormatError
 from foldspace.examples import fibonacci_step
@@ -279,6 +280,97 @@ class TestSequenceFormat:
         path = self._write_fib(tmp_path, reps="x4", blocks="two")
         with pytest.raises(FormatError, match="BLOCKS"):
             parse_sequence(path)
+
+
+# -- graph files shared across steps ------------------------------------
+
+# one transvection per line, cycled along the chain; each step gets its own
+# morphism file, so only the graph files are shared
+_TRANSVECTIONS = ("a a b\nb b\nc c\n", "a a\nb b c\nc c\n",
+                  "a a\nb b\nc c a\n")
+
+
+def _write_shared_chain(tmp_path, graph_names, bad=None):
+    """A folding chain on the rank-3 rose whose step k (0-based) names the
+    graph file ``graph_names[k]`` as domain and codomain; the step files
+    sit in ``tmp_path`` and ``sub``.  ``bad`` maps a graph file name to
+    text written there in place of the rose."""
+    (tmp_path / "sub").mkdir()
+    write_graph(marked(rose("abc")), tmp_path / "g.graph")
+    for name, text in (bad or {}).items():
+        (tmp_path / name).write_text(text)
+    lines = ["DIRECTION", "folding", "STEPS"]
+    for k, name in enumerate(graph_names):
+        where = "sub" if k % 2 else "."
+        ref = "../" + name if k % 2 else name
+        (tmp_path / where / f"f{k}.morphism").write_text(
+            f"DOMAIN\n{ref}\nCODOMAIN\n{ref}\nMORPHISM\n"
+            + _TRANSVECTIONS[k % 3])
+        lines.append(f"{where}/f{k}.morphism")
+    (tmp_path / "s.sequence").write_text("\n".join(lines) + "\n")
+    return str(tmp_path / "s.sequence")
+
+
+def _fold(path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["fold", path])
+    return rc, out.getvalue(), err.getvalue()
+
+
+_SPELLINGS = ("g.graph", "./g.graph", "sub/../g.graph")
+
+
+def test_shared_graph_sequence_matches_step_by_step_parse(tmp_path):
+    path = _write_shared_chain(tmp_path, _SPELLINGS * 2)
+    seq = parse_sequence(path)
+    steps = [parse_morphism(tmp_path / ("sub" if k % 2 else ".")
+                            / f"f{k}.morphism") for k in range(6)]
+    assert seq.direction == "folding" and seq.n_steps == 6
+    assert [n for _, n, _ in seq.step_runs] == [1] * 6
+    assert list(seq.morphisms) == steps
+    assert [seq.matrix_at(n) for n in range(6)] == \
+        [FoldingSequence(steps, "folding").matrix_at(n) for n in range(6)]
+
+
+def test_each_graph_file_is_parsed_once_per_sequence(tmp_path, monkeypatch):
+    path = _write_shared_chain(tmp_path, _SPELLINGS * 2)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return parse_graph(p)
+
+    monkeypatch.setattr(io_formats, "parse_graph", counting)
+    seq = parse_sequence(path)
+    assert len(calls) == 1
+    assert all(f.domain is seq.morphisms[0].domain
+               and f.codomain is seq.morphisms[0].domain
+               for f in seq.morphisms)
+    # the table lives for one call: a second parse reads the file again
+    parse_sequence(path)
+    assert len(calls) == 2
+
+
+_BROKEN_GRAPH = "VERTICES\n*\nEDGES\na * *\nb * q\n"
+
+
+def test_broken_graph_named_by_two_steps_exits_2(tmp_path):
+    names = ["g.graph", "bad.graph", "g.graph", "./g.graph", "bad.graph"]
+    path = _write_shared_chain(tmp_path, names,
+                               bad={"bad.graph": _BROKEN_GRAPH})
+    assert _fold(path) == (
+        2, "", "error: bad graph: edge b has endpoint outside the vertex set\n")
+
+
+def test_missing_graph_file_exits_4(tmp_path):
+    names = ["g.graph", "sub/../missing.graph", "g.graph", "missing.graph"]
+    path = _write_shared_chain(tmp_path, names)
+    # the first reference names the file, as it is written there
+    missing = os.path.join(str(tmp_path / "sub"), "../sub/../missing.graph")
+    assert _fold(path) == (
+        4, "", f"io error: [Errno 2] No such file or directory: "
+               f"'{missing}'\n")
 
 
 # -- command line ---------------------------------------------------------
@@ -634,3 +726,92 @@ def test_lamination_fuzz_exits_with_a_documented_code(
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error: ", "budget: "))
+
+
+# -- fold parser fuzz -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def canned_fold_files(tmp_path_factory):
+    """The lines of every file of the canned Fibonacci chain and of the
+    rank-3 alternating blocks, by example and file name."""
+    out = tmp_path_factory.mktemp("canned_fold")
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "fibonacci", "--out-dir", str(out)]) == 0
+        assert main(["gen", "alternating_block", "--rank", "3",
+                     "--out-dir", str(out)]) == 0
+    return {example: {p.name: p.read_text().splitlines()
+                      for p in out.iterdir() if p.name.startswith(example)}
+            for example in ("fibonacci", "alternating3")}
+
+
+_FUZZ_TOKENS = ("", "a", "b", "c", "-a", "-b", "zz", "*", "-", "0", "2",
+                "1/0", "-1/2", "x", "x2", "#", "VERTICES", "EDGES", "MARKING",
+                "TREE", "BASIS", "MORPHISM", "DOMAIN", "STEPS", "BLOCKS")
+
+
+def _mutate(data, files):
+    """One drawn edit of one file: drop, duplicate or swap lines, corrupt a
+    token, a bad repeat count, or a DOMAIN naming a missing or broken
+    graph file."""
+    op = data.draw(st.sampled_from(
+        ("drop", "dup", "swap", "token", "count", "domain")))
+    if op in ("count", "domain"):
+        suffix = ".sequence" if op == "count" else ".morphism"
+        name = data.draw(st.sampled_from(
+            sorted(n for n in files if n.endswith(suffix))))
+    else:
+        name = data.draw(st.sampled_from(sorted(files)))
+    lines = files[name] = list(files[name])
+    if not lines:
+        return
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if op == "drop":
+        del lines[i]
+    elif op == "dup":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "token":
+        tokens = lines[i].split() or [""]
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = data.draw(st.one_of(
+            st.sampled_from(_FUZZ_TOKENS),
+            st.text(alphabet="abcx*-/019#", max_size=4)))
+        lines[i] = " ".join(tokens)
+    elif op == "count":
+        steps = [k for k, line in enumerate(lines) if ".morphism" in line]
+        if steps:
+            k = data.draw(st.sampled_from(steps))
+            lines[k] = lines[k].split()[0] + " " + data.draw(
+                st.sampled_from(("x0", "x-1", "xabc")))
+    elif "DOMAIN" in lines[:-1]:
+        k = lines.index("DOMAIN") + 1
+        lines[k] = data.draw(st.sampled_from(
+            ("missing.graph", "broken.graph")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_parser_fuzz_exits_with_a_documented_code(canned_fold_files,
+                                                       data):
+    example = data.draw(st.sampled_from(sorted(canned_fold_files)))
+    files = dict(canned_fold_files[example])
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, files)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        with open(os.path.join(tmp, "broken.graph"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(_BROKEN_GRAPH)
+        rc, out, err = _fold(os.path.join(tmp, f"{example}.sequence"))
+    # any other exception would escape main as a traceback
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        assert json.loads(out)["n_steps"] >= 1
+    else:
+        assert out == ""
+        assert err.startswith(("error: ", "budget: ", "io error: "))

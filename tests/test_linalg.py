@@ -1,9 +1,11 @@
 """Exact helpers: the float log of a rational against a decimal oracle."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +86,45 @@ def test_mat_pow_matches_repeated_products(k, entries):
     assert mat_pow(M, k) == want
     assert mat_pow(M, 1) is M
 
+
+
+def _frac_log_fraction_path(q):
+    """``frac_log`` before its int path: every input goes through the
+    numerator and denominator parts."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    np_, dp = q.numerator, q.denominator
+    if np_ <= 0:
+        raise ValueError("log of a non-positive rational")
+    if 2 * abs(np_ - dp) <= dp:
+        return math.log1p((np_ - dp) / dp)
+    shift_n = max(np_.bit_length() - 500, 0)
+    shift_d = max(dp.bit_length() - 500, 0)
+    return (math.log(np_ >> shift_n) + shift_n * math.log(2)
+            - math.log(dp >> shift_d) - shift_d * math.log(2))
+
+
+def _int_cases():
+    rng = random.Random(3000)
+    for bits in range(1, 3001):
+        # the top bit set, the rest drawn: one int of every bit length, and
+        # 300 next to the shift, where one bit more or less moves the float
+        # of about one in thirty
+        for _ in range(300 if 495 <= bits <= 505 else 1):
+            yield (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+    for k in range(495, 506):
+        yield from (2 ** k - 1, 2 ** k, 2 ** k + 1)
+    yield from (1, 2, 3, True)
+
+
+def test_frac_log_int_path_is_the_fraction_path():
+    """The int path gives the same float, bit for bit, on both sides of
+    the 500-bit shift."""
+    for q in _int_cases():
+        assert frac_log(q) == _frac_log_fraction_path(q), q
+
+
+@pytest.mark.parametrize("q", [0, -5, False, Fraction(0), Fraction(-3, 2)])
+def test_frac_log_refuses_non_positive(q):
+    with pytest.raises(ValueError, match="non-positive"):
+        frac_log(q)

@@ -1,6 +1,7 @@
 """Seeded random-walk experiments: determinism, invariances, rate sanity,
 and the walk step checked against the Fraction/mat_mul loop it replaced."""
 
+import dataclasses
 import math
 import random
 import statistics
@@ -250,6 +251,20 @@ def test_uneven_weights_match_the_fraction_loop(seed, weights):
     config = ExperimentConfig(seed=seed, steps=300, generators=gens,
                               weights=weights)
     assert run_walk(config) == _reference_walk(config)
+
+
+@pytest.mark.parametrize("steps", [1300, 1500])
+@pytest.mark.parametrize("pool", ["default", "rank3"])
+def test_walks_past_500_bits_match_the_fraction_loop(pool, steps):
+    """Long enough for the largest column sum to pass 2^500, so the
+    displacement takes the shifted branch of the log."""
+    gens = None if pool == "default" else tuple(_RANK3)
+    config = ExperimentConfig(seed=steps, steps=steps, generators=gens)
+    record, want = run_walk(config), _reference_walk(config)
+    assert record.displacement[-1] > 500 * math.log(2)
+    for field in dataclasses.fields(WalkRecord):
+        assert getattr(record, field.name) == getattr(want, field.name), \
+            field.name
 
 
 class TestPick:
