@@ -210,7 +210,7 @@ def _cmd_distance(args):
         "symmetric": fwd.distance + back.distance,
         "thickness": [thickness(T), thickness(U)],
     }
-    if args.bruteforce:
+    if args.bruteforce is not None:
         bf = lipschitz_bruteforce(T, U, args.bruteforce)
         report["bruteforce"] = bf
         report["agrees"] = bf.ratio == fwd.ratio

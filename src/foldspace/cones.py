@@ -41,11 +41,7 @@ def hilbert_distance(x, y):
     Returns ``(float, exact_ratio_or_None)``; vectors with different supports
     are infinitely far apart (ratio None).
     """
-    pair = _cross(x, y)
-    if pair is None:
-        return INF, None
-    cross = Fraction(*pair)
-    return frac_log(cross), cross
+    return set_diameter((x, y))
 
 
 def _widest(vectors):
@@ -103,18 +99,10 @@ def cluster_generators(vectors, tol):
 
 
 def _proportional(x, y):
-    """x = c*y for some c > 0, exactly."""
-    c = None
-    for a, b in zip(x, y):
-        if (a == 0) != (b == 0):
-            return False
-        if b != 0:
-            r = Fraction(a) / Fraction(b)
-            if c is None:
-                c = r
-            elif r != c:
-                return False
-    return c is not None and c > 0
+    """x = c*y for some c > 0, exactly, for nonnegative vectors: their
+    cross-ratio is 1."""
+    pair = _cross(x, y)
+    return pair is not None and pair[0] == pair[1]
 
 
 def _in_pair_hull(target, g, h):

@@ -146,18 +146,20 @@ def _decompose(graph, window, stat_tables, eps_rel):
             confident, tuple(thresholds))
 
 
-def _check_separation(vectors, separation):
+_SEPARATION = 1e-8     # least Hilbert distance between two measures
+
+
+def _check_separation(vectors):
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             d, _ = hilbert_distance(vectors[i], vectors[j])
-            if d < separation:
+            if d < _SEPARATION:
                 raise InvalidTrackError(
                     f"measures {i} and {j} are homothetic within the "
                     "separation threshold; decomposition is ill-posed")
 
 
-def _transverse_decomposition(side, seq, tracks, window, eps_rel,
-                              separation):
+def _transverse_decomposition(side, seq, tracks, window, eps_rel):
     """Both sides: statistic fixed_n(e) * track^i_n(e) over the window.
 
     On unfolding sequences the tracks are currents and the simplicial length
@@ -183,8 +185,7 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel,
             raise InvalidTrackError(
                 "a length component vanishes identically on the window")
     if len(tracks) > 1:
-        _check_separation([w[0] if folding else w[-1] for w in windows],
-                          separation)
+        _check_separation([w[0] if folding else w[-1] for w in windows])
     fixed_window = fixed.at_levels(window)
     tables = [[[Fraction(f[j]) * Fraction(v[j])
                 for f, v in zip(fixed_window, w)] for j in range(g.n_edges)]
@@ -213,8 +214,7 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel,
 
 
 def transverse_decomposition_unfolding(seq, currents, window, *,
-                                       eps_rel=Fraction(1, 1000),
-                                       separation=1e-8):
+                                       eps_rel=Fraction(1, 1000)):
     """Assign edges to currents via the product statistic mu^i_n(e) l_n(e).
 
     ``currents`` are current-kind tracks on the unfolding sequence; the
@@ -223,16 +223,15 @@ def transverse_decomposition_unfolding(seq, currents, window, *,
     cross statistic passes the tail budget.
     """
     return _transverse_decomposition("unfolding", seq, currents, window,
-                                     eps_rel, separation)
+                                     eps_rel)
 
 
 def transverse_decomposition_folding(seq, length_components, window, *,
-                                     eps_rel=Fraction(1, 1000),
-                                     separation=1e-8):
+                                     eps_rel=Fraction(1, 1000)):
     """Folding-side decomposition: statistic mu_n(e) l^i_n(e), plus the
     decay-ratio report l^j/l^i per edge."""
     return _transverse_decomposition("folding", seq, length_components,
-                                     window, eps_rel, separation)
+                                     window, eps_rel)
 
 
 def _theory_issues(graph, parts, undecided, confident):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatchError, GraphStructureError,
                      MalformedPathError)
-from .paths import cyclic_tighten, require_reduced, reverse_path, tighten
+from .paths import cyclic_tighten, require_reduced, tighten
 
 
 class OrientedGraph:
@@ -68,7 +68,6 @@ class OrientedGraph:
             bad = [v for v in self.vertices if self.valence(v) < 1]
             if bad:
                 raise GraphStructureError(f"isolated vertices: {bad}")
-        self._relaxed = _relaxed
 
     # -- basic accessors -------------------------------------------------
 
@@ -409,8 +408,7 @@ class MarkedGraph:
 
     def translation_length(self, word):
         """Length of the shortest loop in the conjugacy class of ``word``."""
-        loop = cyclic_tighten(self.marking.loop_of_word(word))
-        return self.length_of_path(loop)
+        return self.length_of_path(self.geodesic_loop(word))
 
     def geodesic_loop(self, word):
         return cyclic_tighten(self.marking.loop_of_word(word))

@@ -309,34 +309,31 @@ def parse_sequence(path):
         raise FormatError(f"bad sequence: {exc}") from exc
 
 
-def write_sequence(seq, directory, name, *, lengths_by_level=None):
+def write_sequence(seq, directory, name):
     """Write a sequence plus all referenced graph and morphism files.
 
-    Graphs are deduplicated by identity along the chain; repeated steps
-    are written once and referenced with ``x<count>``.  Returns the
-    sequence file path.
+    Graphs are deduplicated by identity along the chain and written with
+    unit lengths; repeated steps are written once and referenced with
+    ``x<count>``.  Returns the sequence file path.
     """
     os.makedirs(directory, exist_ok=True)
     graph_files = {}
 
-    def graph_file(g, level_hint):
+    def graph_file(g):
         if id(g) not in graph_files:
             fname = f"{name}_graph{len(graph_files)}.graph"
-            if lengths_by_level is not None and level_hint in lengths_by_level:
-                marked = MarkedGraph(g, lengths_by_level[level_hint])
-            else:
-                marked = MarkedGraph(g, {e: 1 for e in g.edge_ids})
-            write_graph(marked, os.path.join(directory, fname))
+            write_graph(MarkedGraph(g, {e: 1 for e in g.edge_ids}),
+                        os.path.join(directory, fname))
             graph_files[id(g)] = fname
         return graph_files[id(g)]
 
     step_files = {}
     step_lines = []
-    for idx, (start, length, step) in enumerate(seq.step_runs):
+    for _, length, step in seq.step_runs:
         if id(step) not in step_files:
             fname = f"{name}_step{len(step_files)}.morphism"
-            dom = graph_file(step.domain, start)
-            cod = graph_file(step.codomain, start + length)
+            dom = graph_file(step.domain)
+            cod = graph_file(step.codomain)
             with open(os.path.join(directory, fname), "w",
                       encoding="utf-8") as fh:
                 fh.write(serialize_morphism(step, dom, cod))
@@ -344,7 +341,7 @@ def write_sequence(seq, directory, name, *, lengths_by_level=None):
         fname = step_files[id(step)]
         step_lines.append(fname if length == 1 else f"{fname} x{length}")
     lines = ["DIRECTION", seq.direction, "STEPS"] + step_lines
-    if getattr(seq, "block_boundaries", None):
+    if seq.block_boundaries:
         lines.append("BLOCKS")
         lines.append(" ".join(str(b) for b in seq.block_boundaries))
     out = os.path.join(directory, f"{name}.sequence")

@@ -201,41 +201,53 @@ def _checked_paths(seq, depth, L, source, require_depth, budget):
     return paths
 
 
+def _junctions(seq, M, last):
+    """The junction recursion down the chain from the right end to the
+    step at internal index ``last``.  Per step it yields the step's index,
+    a row per positive edge of the domain, and the pieces (see ``_piece``)
+    of the domain's oriented edges.  A row is the edge image's joined
+    pieces, their gap-free M-windows with multiplicity (every M-window
+    that crosses a junction of the image), and the image's gapped letters,
+    whose images hold their own windows alone.  Images are never expanded.
+    """
+    top = seq.graph_at(seq.levels[-1])
+    pieces = {e: _piece((e,), M) for e in top.oriented_edges()}
+    for i in range(seq.n_steps - 1, last - 1, -1):
+        f = seq._step(i)
+        up, pieces, rows = pieces, {}, []
+        for e in range(1, f.domain.n_edges + 1):
+            image = f.edge_image(e)
+            joined, windows = _gap_free_windows([up[x] for x in image], M)
+            rows.append((joined, windows,
+                         [x for x in image if _GAP in up[x]]))
+            pieces[e] = _piece(joined, M)
+            pieces[-e] = reverse_path(pieces[e])
+        yield i, rows, pieces
+
+
 def _walk(seq, levels, M):
-    """The maximal strings and the piece (see ``_piece``) of every edge
-    image at each of the levels, by one junction recursion down the chain
-    from the right end.
+    """The maximal strings and the pieces of every edge image at each of
+    the levels, folded from ``_junctions``.
 
     The maximal strings of an image are its distinct length-M windows, or
     the whole image when it is shorter than M; every shorter window lies in
     one of them.  An image's maximal strings are the gap-free M-windows of
     its letters' joined pieces plus the maximal strings of its gapped
-    letters (a window inside a gapped image lies in that image alone), or
-    the joined image when it is shorter than M.  Strings are kept for
-    positive edges, pieces for both orientations.  Images are never
-    expanded.
+    letters, or the joined image when it is shorter than M.  Strings are
+    kept for positive edges, pieces for both orientations.
     """
     stops = {seq._internal(level): level for level in levels}
     top = seq.graph_at(seq.levels[-1])
     strings = {e: {(e,)} for e in range(1, top.n_edges + 1)}
-    pieces = {e: _piece((e,), M) for e in top.oriented_edges()}
     tables = {}
-    for i in range(seq.n_steps - 1, min(stops) - 1, -1):
-        f = seq._step(i)
-        up_strings, up_pieces = strings, pieces
-        strings, pieces = {}, {}
-        for e in range(1, f.domain.n_edges + 1):
-            image = f.edge_image(e)
-            joined, windows = _gap_free_windows(
-                [up_pieces[x] for x in image], M)
+    for i, rows, pieces in _junctions(seq, M, min(stops)):
+        up, strings = strings, {}
+        for e, (joined, windows, gapped) in enumerate(rows, 1):
             if len(joined) < M:
                 strings[e] = {joined}
             else:
-                strings[e] = set(windows).union(*(
-                    _oriented(up_strings, x) for x in image
-                    if _GAP in up_pieces[x]))
-            pieces[e] = _piece(joined, M)
-            pieces[-e] = reverse_path(pieces[e])
+                strings[e] = set(windows).union(
+                    *(_oriented(up, x) for x in gapped))
         if i in stops:
             tables[stops[i]] = strings, pieces
     return tables
@@ -378,29 +390,21 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
 
 def _hits(seq, level, gamma):
     """Occurrences of gamma plus those of its reverse in the composite image
-    of each edge of the level, by the junction recursion of ``_walk``:
-    the windows of its joined pieces plus the hits of the images whose
-    pieces are gapped (a gapped piece holds no whole window).  An edge and
-    its reverse have equal hits.  The sequence keeps the word's tables of
-    every level, so a sweep over the levels costs one walk."""
+    of each edge of the level, folded from ``_junctions``: the windows of
+    its joined pieces plus the hits of its gapped letters.  An edge and its
+    reverse have equal hits.  The sequence keeps the word's tables of every
+    level, so a sweep over the levels costs one walk."""
     key = _flip_canonical(gamma)
     if key not in seq._hit_tables:
-        L, rev = len(gamma), reverse_path(gamma)
+        rev = reverse_path(gamma)
         top = seq.graph_at(seq.levels[-1])
-        pieces = {e: _piece((e,), L) for e in top.oriented_edges()}
         tables = [[((e,) == gamma) + ((e,) == rev)
                    for e in range(1, top.n_edges + 1)]]
-        for f in map(seq._step, range(seq.n_steps - 1, -1, -1)):
-            up, pieces, hits = pieces, {}, []
-            for e in range(1, f.domain.n_edges + 1):
-                image = f.edge_image(e)
-                joined, crossing = _gap_free_windows([up[x] for x in image], L)
-                hits.append(sum(tables[-1][abs(x) - 1] for x in image
-                                if _GAP in up[x])
-                            + crossing.count(gamma) + crossing.count(rev))
-                pieces[e] = _piece(joined, L)
-                pieces[-e] = reverse_path(pieces[e])
-            tables.append(hits)
+        for _, rows, _ in _junctions(seq, len(gamma), 0):
+            up = tables[-1]
+            tables.append([sum(up[abs(x) - 1] for x in gapped)
+                           + windows.count(gamma) + windows.count(rev)
+                           for _, windows, gapped in rows])
         seq._hit_tables[key] = tables[::-1]
     return seq._hit_tables[key][seq._internal(level)]
 

@@ -436,8 +436,11 @@ class SpeedReport:
     speed: float
 
 
-def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
-                        pairs_per_gap=4):
+_SAMPLE_GAPS = (1, 2, 4, 8, 16)
+_PAIRS_PER_GAP = 4
+
+
+def linearity_and_speed(seq):
     """Bounded step entries + sampled distances between levels.
 
     The distance between levels uses the unit-length volume-normalized
@@ -471,12 +474,12 @@ def linearity_and_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16),
     levels = seq.levels
     samples = []
     speed = 0.0
-    for gap in sample_gaps:
+    for gap in _SAMPLE_GAPS:
         if gap > seq.n_steps:
             continue
-        froms = [levels[k] for k in
-                 sorted({round(j * (seq.n_steps - gap) / max(1, pairs_per_gap - 1))
-                         for j in range(pairs_per_gap)})]
+        froms = [levels[k] for k in sorted(
+            {round(j * (seq.n_steps - gap) / (_PAIRS_PER_GAP - 1))
+             for j in range(_PAIRS_PER_GAP)})]
         for lf in froms:
             g_from = seq.graph_at(lf)
             g_to = seq.graph_at(lf + gap)

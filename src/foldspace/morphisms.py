@@ -245,7 +245,7 @@ def stallings_factorize(f):
         p = f._images[j]
         if len(p) == 1:
             new_edges.append((eid, G._einit[j], G._eterm[j]))
-            sub_emap[eid] = None  # fill once indices are known
+            sub_emap[eid] = (len(new_edges),)
             simp_emap[eid] = p
             continue
         chain = [G._einit[j]]
@@ -259,17 +259,10 @@ def stallings_factorize(f):
             seg_id = f"{eid}.{k + 1}"
             new_edges.append((seg_id, chain[k], chain[k + 1]))
             simp_emap[seg_id] = (seg,)
-        sub_emap[eid] = tuple(f"{eid}.{k + 1}" for k in range(len(p)))
+        sub_emap[eid] = tuple(range(len(new_edges) - len(p) + 1,
+                                    len(new_edges) + 1))
     Gp = OrientedGraph(new_vertices, new_edges, _relaxed=True)
-    final_sub_emap = {}
-    for j, eid in enumerate(G.edge_ids):
-        if sub_emap[eid] is None:
-            final_sub_emap[eid] = (Gp.edge_index(eid),)
-        else:
-            final_sub_emap[eid] = tuple(Gp.edge_index(s)
-                                        for s in sub_emap[eid])
-    subdivision = GraphMorphism(G, Gp, {v: v for v in G.vertices},
-                                final_sub_emap)
+    subdivision = GraphMorphism(G, Gp, {v: v for v in G.vertices}, sub_emap)
     simplicial = GraphMorphism(Gp, H, simp_vmap, simp_emap)
     return subdivision, simplicial
 

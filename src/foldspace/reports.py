@@ -21,7 +21,9 @@ hex: an int as ``0x...`` (``-0x...`` when negative) and a fraction as
 ``0x.../0x...``, both parts in hex; ``int(part, 0)`` reads either form
 back exactly.  This holds for fractions, for JSON ints (which then become
 strings) and for CSV cells.  Numbers within the limit keep their decimal
-form.  The limit itself is left as the interpreter has it.
+form.  Each part is converted once: the decimal conversion is tried, and
+its ``ValueError`` selects hex, so no digit count is taken first.  The
+limit itself is left as the interpreter has it.
 """
 
 import csv
@@ -34,17 +36,6 @@ from fractions import Fraction
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
-
-
-def _past_limit(n):
-    """Whether ``str(n)`` is refused by the int-to-str digit limit."""
-    if n.bit_length() < 2000:   # 603 digits, under every allowed limit
-        return False
-    try:
-        str(n)
-    except ValueError:
-        return True
-    return False
 
 
 def frac_str(q):
@@ -61,8 +52,11 @@ def _csv_cell(x):
         return frac_str(x)
     if isinstance(x, float):
         return str(x) if math.isinf(x) else x
-    if isinstance(x, int) and not isinstance(x, bool) and _past_limit(x):
-        return hex(x)
+    if isinstance(x, int):
+        try:
+            return str(x)
+        except ValueError:      # past the int-to-str digit limit
+            return hex(x)
     return x
 
 
@@ -84,7 +78,10 @@ def _scalar(obj):
     if isinstance(obj, int):
         if obj is True or obj is False:
             return "true" if obj else "false"
-        return f'"{hex(obj)}"' if _past_limit(obj) else _int_repr(obj)
+        try:
+            return _int_repr(obj)
+        except ValueError:      # past the int-to-str digit limit
+            return f'"{hex(obj)}"'
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspace import (DirectionError, cluster_generators, current_cone,
                        ergodicity_verdict, hilbert_distance, length_cone,
                        set_diameter)
-from foldspace.cones import INF, extreme_ray_indices
+from foldspace.cones import INF, _cross, _proportional, extreme_ray_indices
+from foldspace.linalg import frac_log
 from foldspace import gen_alternating_block
 
 
@@ -45,6 +48,63 @@ def test_hilbert_distance_symmetry_and_triangle():
 def test_hilbert_distance_dimension_check():
     with pytest.raises(ValueError):
         hilbert_distance((1, 2), (1, 2, 3))
+
+
+def _old_hilbert_distance(x, y):
+    """The distance as its own routine: the reduced cross-ratio of the
+    pair, not the widest pair of a set."""
+    pair = _cross(x, y)
+    if pair is None:
+        return INF, None
+    cross = Fraction(*pair)
+    return frac_log(cross), cross
+
+
+def _old_proportional(x, y):
+    """x = c*y for some c > 0, by the quotients of the entries."""
+    c = None
+    for a, b in zip(x, y):
+        if (a == 0) != (b == 0):
+            return False
+        if b != 0:
+            r = Fraction(a) / Fraction(b)
+            if c is None:
+                c = r
+            elif r != c:
+                return False
+    return c is not None and c > 0
+
+
+_ENTRIES = st.one_of(
+    st.integers(0, 6),
+    st.integers(0, 10 ** 30),
+    st.fractions(min_value=0, max_value=50, max_denominator=12))
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Nonnegative vectors of one dimension with zero patterns that match
+    or differ, and some pairs proportional."""
+    n = draw(st.integers(1, 5))
+    x = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    how = draw(st.sampled_from(("free", "scaled", "same_zeros")))
+    if how == "scaled":
+        c = draw(st.sampled_from((1, 3, Fraction(2, 7), 10 ** 20)))
+        y = [c * v for v in x]
+    else:
+        y = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+        if how == "same_zeros":
+            y = [w if v else 0 for v, w in zip(x, y)]
+    return tuple(x), tuple(y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_vector_pairs())
+def test_one_cross_ratio_matches_the_old_routines(pair):
+    x, y = pair
+    assert hilbert_distance(x, y) == _old_hilbert_distance(x, y)
+    assert hilbert_distance(y, x) == _old_hilbert_distance(y, x)
+    assert _proportional(x, y) == _old_proportional(x, y)
 
 
 def test_set_diameter():

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 
 from foldspace import cli, io_formats, morphisms
 from foldspace.cli import main
+from foldspace.cones import current_cone, ergodicity_verdict, length_cone
+from foldspace.decomposition import (moduli_window, recurrence_check,
+                                     structural_sanity,
+                                     transverse_decomposition_folding,
+                                     transverse_decomposition_unfolding)
 from foldspace.errors import FormatError
-from foldspace.examples import fibonacci_step
+from foldspace.examples import (fibonacci_step, gen_alternating_block,
+                                gen_fibonacci)
 from foldspace.graphs import MarkedGraph, Marking, rose, theta_graph
 from foldspace.io_formats import (
     parse_graph,
@@ -32,7 +38,10 @@ from foldspace.io_formats import (
 )
 from foldspace.morphisms import GraphMorphism, compose
 from foldspace.reports import dumps_csv, dumps_json, frac_str
-from foldspace.sequences import FoldingSequence
+from foldspace.sequences import (FoldingSequence,
+                                 current_track_from_initial,
+                                 length_track_from_terminal,
+                                 simplicial_length_measure)
 
 from conftest import marked, rose_morphism
 
@@ -815,3 +824,202 @@ def test_fold_parser_fuzz_exits_with_a_documented_code(canned_fold_files,
     else:
         assert out == ""
         assert err.startswith(("error: ", "budget: ", "io error: "))
+
+
+# -- the sequence writer ----------------------------------------------------
+
+
+def _old_write_sequence(seq, directory, name):
+    """The writer with its per-level lengths plumbing, called as every
+    caller called it: no lengths, so unit lengths on every graph."""
+    os.makedirs(directory, exist_ok=True)
+    graph_files = {}
+
+    def graph_file(g, level_hint):
+        if id(g) not in graph_files:
+            fname = f"{name}_graph{len(graph_files)}.graph"
+            write_graph(MarkedGraph(g, {e: 1 for e in g.edge_ids}),
+                        os.path.join(directory, fname))
+            graph_files[id(g)] = fname
+        return graph_files[id(g)]
+
+    step_files = {}
+    step_lines = []
+    for idx, (start, length, step) in enumerate(seq.step_runs):
+        if id(step) not in step_files:
+            fname = f"{name}_step{len(step_files)}.morphism"
+            dom = graph_file(step.domain, start)
+            cod = graph_file(step.codomain, start + length)
+            with open(os.path.join(directory, fname), "w",
+                      encoding="utf-8") as fh:
+                fh.write(serialize_morphism(step, dom, cod))
+            step_files[id(step)] = fname
+        fname = step_files[id(step)]
+        step_lines.append(fname if length == 1 else f"{fname} x{length}")
+    lines = ["DIRECTION", seq.direction, "STEPS"] + step_lines
+    if getattr(seq, "block_boundaries", None):
+        lines.append("BLOCKS")
+        lines.append(" ".join(str(b) for b in seq.block_boundaries))
+    out = os.path.join(directory, f"{name}.sequence")
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return out
+
+
+def _files_digest(directory):
+    """sha256 over the sorted file names and bytes of a directory."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
+# the canned chains as the writer wrote them before its lengths plumbing
+# went; the alternating blocks carry a BLOCKS section
+WRITER_DIGESTS = {
+    ("fibonacci", "unfolding"):
+        "942e543d204b9792fce0fdf1b54033ddf5eef8e05662bdc8be06b55d49493e77",
+    ("fibonacci", "folding"):
+        "595a2fd704d78ec3d780e8dedc6919910ca7f01a173fe8fdabf3638963611a4c",
+    ("alternating4", "unfolding"):
+        "2d893c0db645414ecdb871eaa44e46ca461febed20c046108c878349ae1f28e4",
+    ("alternating3", "folding"):
+        "5c948458ad08fb879e20a881998308885733424fed67ed022c24cfb0c0aeb21c",
+}
+
+
+@pytest.mark.parametrize("example,direction", list(WRITER_DIGESTS))
+def test_write_sequence_keeps_the_canned_files(tmp_path, example,
+                                               direction):
+    if example == "fibonacci":
+        gen = gen_fibonacci(steps=40, direction=direction)
+    else:
+        gen = gen_alternating_block(rank=int(example[-1]),
+                                    direction=direction)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert gen.write(str(new)) == str(new / f"{example}.sequence")
+    _old_write_sequence(gen.sequence, str(old), example)
+    assert sorted(os.listdir(new)) == sorted(os.listdir(old))
+    for name in os.listdir(old):
+        assert (new / name).read_bytes() == (old / name).read_bytes()
+    assert _files_digest(new) == WRITER_DIGESTS[(example, direction)]
+    if example.startswith("alternating"):
+        assert "BLOCKS" in (new / f"{example}.sequence").read_text()
+
+
+def test_write_sequence_matches_the_old_writer_on_mixed_steps(tmp_path,
+                                                              rose2):
+    f = rose_morphism(rose2, {"a": (1, 2), "b": (1,)})
+    h = rose_morphism(rose2, {"a": (2,), "b": (2, 1)})
+    for blocks in ((), (2, 4)):
+        seq = FoldingSequence([f, f, h, f, h, h], direction="folding",
+                              block_boundaries=blocks)
+        new, old = (tmp_path / f"{side}{len(blocks)}"
+                    for side in ("new", "old"))
+        write_sequence(seq, str(new), "mix")
+        _old_write_sequence(seq, str(old), "mix")
+        assert _files_digest(new) == _files_digest(old)
+
+
+# -- options that change a report -------------------------------------------
+
+
+def _run(capsys, argv):
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_distance_bruteforce_below_the_candidates_exits_3(tmp_path, capsys,
+                                                           rose2, steps):
+    """``--bruteforce 0`` is a length like any other: too short to cover
+    the candidate loops, so refused (exit 3), not skipped."""
+    t, u = tmp_path / "t.graph", tmp_path / "u.graph"
+    write_graph(marked(rose2, (Fraction(1, 2), Fraction(1, 2))), t)
+    write_graph(marked(rose2, (Fraction(1, 3), Fraction(2, 3))), u)
+    rc, out, err = _run(capsys, ["distance", str(t), str(u),
+                                 "--bruteforce", steps])
+    assert (rc, out) == (3, "")
+    assert err == "budget: need max_len >= 4 to cover candidates\n"
+
+
+@pytest.mark.parametrize("direction", ["unfolding", "folding"])
+def test_cone_tol_is_the_library_tolerance(tmp_path, capsys, direction):
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12", "--direction",
+                    direction)
+    rc, default, _ = _run(capsys, ["cone", seq_file, "--depth", "8"])
+    assert rc == 0
+    rc, out, _ = _run(capsys, ["cone", seq_file, "--depth", "8",
+                               "--tol", "0.01"])
+    assert rc == 0
+    seq = io_formats.parse_sequence(seq_file)
+    build = current_cone if direction == "unfolding" else length_cone
+    cone = build(seq, 8, tol=0.01)
+    assert out == dumps_json({"cone": cone,
+                              "verdict": ergodicity_verdict(cone, tol=0.01)})
+    assert out != default
+    assert json.loads(out)["verdict"]["kind"] == "unique"
+
+
+def _library_decompose(seq_file, window_text, eps, pinch_tol):
+    """The ``decompose`` report with all-ones seeds, from library calls."""
+    seq = io_formats.parse_sequence(seq_file)
+    n0, n1 = map(int, window_text.split(":"))
+    window = seq._levels_between(n0, n1)
+    if seq.direction == "folding":
+        ones = [1] * seq.graph_at(seq.levels[-1]).n_edges
+        decomp = transverse_decomposition_folding(
+            seq, [length_track_from_terminal(seq, ones)], window,
+            eps_rel=eps)
+        return {"decomposition": decomp}
+    lam = simplicial_length_measure(seq)
+    ones = [1] * seq.graph_at(seq.levels[0]).n_edges
+    decomp = transverse_decomposition_unfolding(
+        seq, [current_track_from_initial(seq, ones)], window, eps_rel=eps)
+    mw = moduli_window(seq, lam, window, pinch_tol)
+    return {"decomposition": decomp,
+            "pinched": sorted(mw.pinched_edges),
+            "recurrence": recurrence_check(seq, lam, [window],
+                                           pinch_tol=pinch_tol),
+            "sanity": structural_sanity(decomp, mw.graph, mw.pinched_edges)}
+
+
+@pytest.mark.parametrize("direction", ["unfolding", "folding"])
+@pytest.mark.parametrize("option,value", [("--eps", "1/10"),
+                                          ("--pinch-tol", "1/2")])
+def test_decompose_options_are_the_library_values(tmp_path, capsys,
+                                                  direction, option, value):
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3", "--direction", direction)
+    window = "-9:0" if direction == "unfolding" else "0:9"
+    rc, default, _ = _run(capsys, ["decompose", seq_file,
+                                   f"--window={window}"])
+    assert rc == 0
+    rc, out, _ = _run(capsys, ["decompose", seq_file, f"--window={window}",
+                               option, value])
+    assert rc == 0
+    eps = Fraction(value) if option == "--eps" else Fraction(1, 1000)
+    pinch_tol = Fraction(value) if option == "--pinch-tol" else None
+    assert out == dumps_json(_library_decompose(seq_file, window, eps,
+                                                pinch_tol))
+    # the pinch tolerance only reaches the unfolding side's report
+    assert (out != default) == (option == "--eps"
+                                or direction == "unfolding")
+
+
+@pytest.mark.parametrize("option,value", [("--eps", "abc"),
+                                          ("--pinch-tol", "1/0"),
+                                          ("--eps", "1/0")])
+def test_decompose_bad_rationals_exit_2(tmp_path, capsys, option, value):
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", seq_file, "--window=-9:0", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not a rational: {value!r}" in captured.err

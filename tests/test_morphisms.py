@@ -362,3 +362,57 @@ def test_subgroup_core_matches_the_one_fold_loop(words):
     core = metric._subgroup_core(words)
     with patch.object(metric, "fold_decompose", _oracle_fold_decompose):
         assert metric._subgroup_core(words) == core
+
+
+def _oracle_stallings_factorize(f):
+    """The two-pass factorization: subdivision images as edge names, then
+    a second pass reading each name's index in the subdivided graph."""
+    G, H = f.domain, f.codomain
+    new_vertices = list(G.vertices)
+    new_edges = []
+    sub_emap = {}
+    simp_vmap = {v: f.vertex_map[v] for v in G.vertices}
+    simp_emap = {}
+    for j, eid in enumerate(G.edge_ids):
+        p = f._images[j]
+        if len(p) == 1:
+            new_edges.append((eid, G._einit[j], G._eterm[j]))
+            sub_emap[eid] = None
+            simp_emap[eid] = p
+            continue
+        chain = [G._einit[j]]
+        for k in range(1, len(p)):
+            w = f"{eid}.v{k}"
+            new_vertices.append(w)
+            chain.append(w)
+            simp_vmap[w] = H.init(p[k])
+        chain.append(G._eterm[j])
+        for k, seg in enumerate(p):
+            seg_id = f"{eid}.{k + 1}"
+            new_edges.append((seg_id, chain[k], chain[k + 1]))
+            simp_emap[seg_id] = (seg,)
+        sub_emap[eid] = tuple(f"{eid}.{k + 1}" for k in range(len(p)))
+    Gp = OrientedGraph(new_vertices, new_edges, _relaxed=True)
+    final_sub_emap = {}
+    for eid in G.edge_ids:
+        if sub_emap[eid] is None:
+            final_sub_emap[eid] = (Gp.edge_index(eid),)
+        else:
+            final_sub_emap[eid] = tuple(Gp.edge_index(s)
+                                        for s in sub_emap[eid])
+    subdivision = GraphMorphism(G, Gp, {v: v for v in G.vertices},
+                                final_sub_emap)
+    simplicial = GraphMorphism(Gp, H, simp_vmap, simp_emap)
+    return subdivision, simplicial
+
+
+@settings(max_examples=300, deadline=None)
+@given(build=_morphisms())
+def test_stallings_factorize_matches_the_two_pass_oracle(build):
+    f = build()
+    sub, simp = stallings_factorize(f)
+    want_sub, want_simp = _oracle_stallings_factorize(f)
+    assert sub.codomain == want_sub.codomain == simp.domain
+    assert sub == want_sub
+    assert simp == want_simp
+    assert compose(simp, sub) == f

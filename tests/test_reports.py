@@ -2,7 +2,9 @@
 replaced: the same bytes on every report, and the same error on an object
 it cannot write."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -13,9 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace.reports import _key, _past_limit, dumps_csv, dumps_json, \
-    frac_str, to_jsonable
+from foldspace.reports import _key, dumps_csv, dumps_json, frac_str, \
+    to_jsonable
 from foldspace.walk import ExperimentConfig, run_walk
+
+
+def _past_limit(n):
+    """Whether ``str(n)`` is refused by the int-to-str digit limit."""
+    if n.bit_length() < 2000:   # 603 digits, under every allowed limit
+        return False
+    try:
+        str(n)
+    except ValueError:
+        return True
+    return False
 
 
 def old_to_jsonable(obj):
@@ -176,3 +189,48 @@ def test_csv_keeps_the_sign_of_an_infinity():
     assert dumps_csv(("level", "log_extreme"),
                      [(0, -math.inf), (1, math.inf), (2, 0.5)]) == \
         "level,log_extreme\n0,-inf\n1,inf\n2,0.5\n"
+
+
+def _old_csv_cell(x):
+    if isinstance(x, Fraction):
+        return frac_str(x)
+    if isinstance(x, float):
+        return str(x) if math.isinf(x) else x
+    if isinstance(x, int) and not isinstance(x, bool) and _past_limit(x):
+        return hex(x)
+    return x
+
+
+def _old_dumps_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_old_csv_cell(x) for x in row])
+    return buf.getvalue()
+
+
+# 4300 and 4301 decimal digits, either sign: the two sides of the default
+# int-to-str digit limit
+_AT_LIMIT = [s * n for n in (10 ** 4299, 10 ** 4300 - 1, 10 ** 4300,
+                             10 ** 4300 + 1) for s in (1, -1)]
+_AT_LIMIT_NUMBERS = (_AT_LIMIT + [Fraction(n, 7) for n in _AT_LIMIT]
+                     + [Fraction(7, n) for n in _AT_LIMIT]
+                     + [Fraction(n, 10 ** 4300 + 3) for n in _AT_LIMIT])
+
+
+def test_numbers_at_the_digit_limit_keep_their_bytes():
+    """One conversion per number, hex when it is refused: the JSON and CSV
+    bytes that a digit test before each conversion gave, on both sides of
+    the limit."""
+    for x in _AT_LIMIT_NUMBERS:
+        report = {"x": x, "row": [x, 1, True], "q": Fraction(1, 3)}
+        assert dumps_json(report) == old_dumps_json(report)
+        rows = [(x, True), (1, x), (-2, 0.5)]
+        assert dumps_csv(("x", "y"), rows) == _old_dumps_csv(("x", "y"),
+                                                             rows)
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)() == 4300:
+        ok, big = 10 ** 4300 - 1, 10 ** 4300
+        assert dumps_csv(("x",), [(ok,), (-ok,), (big,), (-big,)]) == (
+            f"x\n{ok}\n-{ok}\n{hex(big)}\n{hex(-big)}\n")
+        assert json.loads(dumps_json([ok, -big])) == [ok, hex(-big)]
