@@ -6,6 +6,7 @@ the tabular subcommands.
 """
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,20 @@ def _fraction_arg(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+def _tolerance_arg(text):
+    """A cone tolerance: a finite nonnegative float.  NaN, an infinity or
+    a negative value gives no meaningful verdict, so it is refused (exit
+    2), as ``_fraction_arg`` refuses a bad rational."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan          # refused below, with the same message
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"not a finite nonnegative tolerance: {text!r}")
+    return tol
 
 
 def _parse_window(text):
@@ -270,7 +285,7 @@ def _build_parser():
     p = sub.add_parser("cone", help="nested cone diameters and verdict")
     p.add_argument("sequence")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-8)
     common(p)
     p.set_defaults(func=_cmd_cone)
 

@@ -11,14 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import neg
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
 from .graphs import MarkedGraph, OrientedGraph
 from .linalg import frac_log
 from .morphisms import GraphMorphism, fold_decompose
-from .paths import (canonical_cycle, cyclic_reduced_length, reverse_path,
-                    tighten)
+from .paths import (_join_reduced, canonical_cycle, cyclic_reduced_length,
+                    reverse_path)
 from .sequences import orbit, orbit_at
 
 
@@ -417,15 +418,32 @@ def ff_progress_diagnostic(seq, levels=None):
 
 def _edge_images(seq, i, gap):
     """Tight images of the oriented edges of the graph at internal index i
-    under the composite of the next ``gap`` steps, by oriented edge."""
-    images = [(e,) for e in range(1, seq._step(i).domain.n_edges + 1)]
-    for step in map(seq._step, range(i, i + gap)):
-        images = [tighten(step.apply_to_path(p)) for p in images]
-    table = {}
-    for e, p in enumerate(images, start=1):
-        table[e] = p
-        table[-e] = reverse_path(p)
-    return table
+    under the composite of the next ``gap`` steps, by oriented edge.
+
+    Built right to left from the identity on the far graph: the image of
+    an edge under a step f followed by a composite F is the tight join of
+    the F-images of the letters of f(e), so each step joins whole table
+    entries.  Only positive edges are kept between steps; a reversed entry
+    is formed when a step image first reads it."""
+    table = [(e,) for e in
+             range(1, seq._step(i + gap - 1).codomain.n_edges + 1)]
+    for step in map(seq._step, range(i + gap - 1, i - 1, -1)):
+        rev = {}
+
+        def piece(x):
+            if x > 0:
+                return table[x - 1]
+            if x not in rev:
+                rev[x] = tuple(map(neg, reversed(table[-x - 1])))
+            return rev[x]
+
+        table = [_join_reduced(map(piece, step.edge_image(e)))
+                 for e in range(1, step.domain.n_edges + 1)]
+    images = {}
+    for e, p in enumerate(table, start=1):
+        images[e] = p
+        images[-e] = tuple(map(neg, reversed(p)))
+    return images
 
 
 @dataclass(frozen=True)
@@ -456,11 +474,18 @@ def linearity_and_speed(seq):
     images tighten(F(e_j)), which are built once per sample for the E
     edges, and since each image is already tight, that concatenation only
     cancels at the junctions between images and at the seam
-    (``cyclic_reduced_length``).  The lengths, and so the report, are
-    those of carrying each loop step by step.
+    (``cyclic_reduced_length``).  The same rule builds the edge images,
+    right to left: F = G f with f the gap's first step, so tighten(F(e))
+    is the tight join of the G-images of the letters of f(e), starting
+    from the identity on the far graph (``_edge_images``); each step joins
+    whole table entries and pays only for the letters cancelled at their
+    junctions.  The lengths, and so the report, are those of carrying each
+    loop step by step.
 
-    The step entries are read once per run of one step object; entry i
-    (internal index) lies in the first half when i < n_steps // 2.
+    Each graph's candidate loops are enumerated once per call, however
+    many samples start on it.  The step entries are read once per run of
+    one step object; entry i (internal index) lies in the first half when
+    i < n_steps // 2.
     """
     half = seq.n_steps // 2
     early = late = 0
@@ -474,6 +499,7 @@ def linearity_and_speed(seq):
     levels = seq.levels
     samples = []
     speed = 0.0
+    loops = {}              # id of a graph -> its candidate loops
     for gap in _SAMPLE_GAPS:
         if gap > seq.n_steps:
             continue
@@ -484,8 +510,10 @@ def linearity_and_speed(seq):
             g_from = seq.graph_at(lf)
             g_to = seq.graph_at(lf + gap)
             images = _edge_images(seq, seq._internal(lf), gap)
+            if id(g_from) not in loops:
+                loops[id(g_from)] = candidates(g_from)
             d_best = None
-            for cand in candidates(g_from):
+            for cand in loops[id(g_from)]:
                 n = cyclic_reduced_length([images[e] for e in cand.path])
                 if not n:
                     raise MalformedPathError(

@@ -107,6 +107,25 @@ def cyclic_reduced_length(pieces):
     return n
 
 
+def _join_reduced(pieces):
+    """``tighten`` of the concatenation of reduced pieces.
+
+    A reduced piece cancels only against the top of what is joined so far,
+    so each junction costs its cancelled letters plus one ``extend``, not
+    a pass over the letters of the pieces.
+    """
+    out = []
+    for p in pieces:
+        k, m = 0, min(len(out), len(p))
+        while k < m and out[-1 - k] == -p[k]:
+            k += 1
+        if k:
+            del out[-k:]
+            p = p[k:]
+        out.extend(p)
+    return tuple(out)
+
+
 def concat_reduced(*paths):
     """Concatenate and tighten."""
     joined = []

@@ -16,8 +16,11 @@ C | g(T) (its image turns and its action on turns), so a run's sets form an
 harvests its language from them.
 
 Exact transport is run-aware: ``FoldingSequence._carry`` moves a block of
-vectors across a run of k identical steps as one product with M^k, formed
-by repeated squaring, so it costs O(log k) matrix products instead of k.
+vectors across a run of k identical steps as one product with M^k, so it
+costs O(log k) matrix products instead of k.  Each distinct power is formed
+once per carry, by repeated squaring, and reused by every later stretch of
+the same step object and length, as evenly spaced cone depths and level
+windows cut long runs into stretches of one or two lengths.
 Measure tracks are lazy: they keep checkpoint vectors and carry from the
 nearest one on demand, so an analysis that reads a window deep in the
 sequence pays for its window and for O(log k) products per run on the way,
@@ -294,12 +297,17 @@ class FoldingSequence:
 
         Between stops, each stretch of one repeated step object (a
         ``step_runs`` entry clipped to the range) of k steps is one product
-        with M^k, formed by repeated squaring of the kept incidence matrix:
-        O(log k) products instead of k.  With w vectors and n edges, a
-        single product costs w n^2 and each product in M^k costs n^3, so a
-        short stretch, where (k - 1) w is at most n times the number of
-        products in M^k, is k single products with the kept matrix, as a
-        stretch of one step is.
+        with M^k, formed by repeated squaring of the incidence matrix:
+        O(log k) products instead of k.  Each distinct (step object, k) is
+        formed once per call and reused by every later stretch of k steps
+        of that object; evenly spaced stops cut a long run into stretches
+        of one or two lengths, so most stretches form no power.  Products
+        are exact, so reuse changes no result, and the powers are dropped
+        with the call.  With w vectors and n edges, a single product costs
+        w n^2 and each product in M^k costs n^3, so a short stretch, where
+        (k - 1) w is at most n times the number of products in M^k, is k
+        single products with the incidence matrix, as a stretch of one
+        step is.
 
         Before each stretch's product, the bits an entry can reach are
         bounded: those of the block's largest entry (numerator and
@@ -314,6 +322,7 @@ class FoldingSequence:
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for row in vectors for x in row)
         done = 0
+        powers = {}             # (id of step object, k) -> M^k
         for cut in cuts:
             while done < cut:
                 i = steps[done]
@@ -330,7 +339,10 @@ class FoldingSequence:
                 M, reps = f.incidence_matrix(), k
                 if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
                         * len(M):
-                    M, reps = mat_pow(M, k), 1
+                    key = (id(f), k)
+                    if key not in powers:
+                        powers[key] = mat_pow(M, k)
+                    M, reps = powers[key], 1
                 for _ in range(reps):
                     vectors = mat_mul(vectors, M) if kind == "length" \
                         else mat_mul(M, vectors)

@@ -43,7 +43,7 @@ from foldspace.sequences import (FoldingSequence,
                                  length_track_from_terminal,
                                  simplicial_length_measure)
 
-from conftest import marked, rose_morphism
+from conftest import barbell_graph, marked, rose_morphism
 
 
 # -- graph files ----------------------------------------------------------
@@ -826,6 +826,104 @@ def test_fold_parser_fuzz_exits_with_a_documented_code(canned_fold_files,
         assert err.startswith(("error: ", "budget: ", "io error: "))
 
 
+# -- distance parser fuzz ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def canned_graph_files(tmp_path_factory):
+    """The lines of the canned Fibonacci and rank-3 alternating-block graph
+    files, and of two-vertex theta and barbell graphs with rational lengths
+    and a spanning tree, by file name."""
+    out = tmp_path_factory.mktemp("canned_graphs")
+    with redirect_stdout(io.StringIO()):
+        assert main(["gen", "fibonacci", "--out-dir", str(out)]) == 0
+        assert main(["gen", "alternating_block", "--rank", "3",
+                     "--out-dir", str(out)]) == 0
+    theta = theta_graph()
+    write_graph(MarkedGraph(theta, {"e1": Fraction(3, 2), "e2": 1,
+                                    "e3": Fraction(1, 3)},
+                            Marking(theta, ("e3",))), out / "theta.graph")
+    barbell = barbell_graph()
+    write_graph(MarkedGraph(barbell, {"p": 2, "q": Fraction(5, 4),
+                                      "s": Fraction(1, 2)},
+                            Marking(barbell, ("s",))), out / "barbell.graph")
+    return {p.name: p.read_text().splitlines()
+            for p in sorted(out.glob("*.graph"))}
+
+
+_ENDPOINTS = ("*", "u", "v", "w", "", "-", "e1", "a")
+
+
+def _mutate_graph(data, lines):
+    """One drawn edit of a graph file's lines: drop, duplicate or swap
+    lines, corrupt a token, or move an edge's endpoint (to another vertex,
+    an unknown one or a token that names no vertex)."""
+    op = data.draw(st.sampled_from(("drop", "dup", "swap", "token",
+                                    "endpoint")))
+    if not lines:
+        return
+    if op == "endpoint":
+        start = lines.index("EDGES") + 1 if "EDGES" in lines else 0
+        edges = [k for k in range(start, len(lines))
+                 if len(lines[k].split()) == 3]
+        if edges:
+            k = data.draw(st.sampled_from(edges))
+            tokens = lines[k].split()
+            tokens[data.draw(st.integers(1, 2))] = data.draw(
+                st.sampled_from(_ENDPOINTS))
+            lines[k] = " ".join(tokens)
+        return
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if op == "drop":
+        del lines[i]
+    elif op == "dup":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split() or [""]
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = data.draw(st.one_of(
+            st.sampled_from(_FUZZ_TOKENS + _ENDPOINTS),
+            st.text(alphabet="abcuvx*-/019#", max_size=4)))
+        lines[i] = " ".join(tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distance_parser_fuzz_exits_with_a_documented_code(
+        canned_graph_files, data):
+    names = sorted(canned_graph_files)
+    pair = [list(canned_graph_files[data.draw(st.sampled_from(names))])
+            for _ in range(2)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate_graph(data, pair[data.draw(st.integers(0, 1))])
+    bruteforce = data.draw(st.sampled_from((None, "0", "4", "6")))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, lines in enumerate(pair):
+            path = os.path.join(tmp, f"g{k}.graph")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            paths.append(path)
+        argv = ["distance", *paths]
+        if bruteforce is not None:
+            argv += ["--bruteforce", bruteforce]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    # any other exception would escape main as a traceback
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        report = json.loads(out.getvalue())
+        assert set(report) >= {"forward", "backward", "symmetric"}
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "budget: ",
+                                          "io error: "))
+
+
 # -- the sequence writer ----------------------------------------------------
 
 
@@ -962,6 +1060,40 @@ def test_cone_tol_is_the_library_tolerance(tmp_path, capsys, direction):
                               "verdict": ergodicity_verdict(cone, tol=0.01)})
     assert out != default
     assert json.loads(out)["verdict"]["kind"] == "unique"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _TOL_DIGESTS[direction]
+
+
+# the --tol 0.01 reports above, taken while --tol was a bare float
+_TOL_DIGESTS = {
+    "unfolding":
+        "c541681780c5f2b3d2f6a1a4d7bcc6143fa45f2d12f89795eefcc433aedf75da",
+    "folding":
+        "e32e7690eb131d3f098ac449d13f956f8f6e85aa686c4303533b92cabd800a23",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "-1", "-1e-9", "inf",
+                                   "-inf", "Infinity", "abc", ""])
+def test_cone_bad_tolerances_exit_2(tmp_path, capsys, value):
+    """NaN, an infinity or a negative tolerance is refused before any work,
+    as a bad rational is."""
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["cone", seq_file, "--depth", "8", f"--tol={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"not a finite nonnegative tolerance: {value!r}" in captured.err
+
+
+def test_cone_zero_tolerance_is_allowed(tmp_path, capsys):
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12")
+    rc, out, _ = _run(capsys, ["cone", seq_file, "--depth", "8",
+                               "--tol", "0"])
+    assert rc == 0
+    assert json.loads(out)["cone"]["tol"] == 0.0
 
 
 def _library_decompose(seq_file, window_text, eps, pinch_tol):
