@@ -172,6 +172,10 @@ def _cmd_lamination(args):
 
 def _cmd_decompose(args):
     seq = parse_sequence(args.sequence)
+    if args.pinch_tol is not None and seq.direction == "folding":
+        # the moduli window that reads it exists on unfolding sequences only
+        raise FormatError("--pinch-tol applies to unfolding sequences only; "
+                          f"{args.sequence} is a folding sequence")
     n0, n1 = _parse_window(args.window)
     window = seq._levels_between(n0, n1)
     if len(window) < 4:
@@ -247,7 +251,7 @@ def _cmd_progress(args):
 def _cmd_walk(args):
     config = ExperimentConfig(seed=args.seed, steps=args.steps)
     record = run_walk(config)
-    rows = list(enumerate(record.displacement))
+    rows = enumerate(record.displacement)   # read once, by the CSV writer
     return {"walk": record}, (("step", "displacement"), rows)
 
 
@@ -302,7 +306,8 @@ def _build_parser():
     p.add_argument("sequence")
     p.add_argument("--window", required=True, help="n0:n1 (use --window=)")
     p.add_argument("--eps", type=_fraction_arg, default=Fraction(1, 1000))
-    p.add_argument("--pinch-tol", type=_fraction_arg, default=None)
+    p.add_argument("--pinch-tol", type=_fraction_arg, default=None,
+                   help="moduli-window pinch tolerance (unfolding only)")
     p.add_argument("--seeds", help="comma-separated seed edges, one "
                                    "measure per edge")
     common(p)

@@ -14,6 +14,20 @@ dataclasses become their fields, dict keys ``_key`` strings, sets lists
 sorted by ``str``, non-finite floats the strings ``"inf"``, ``"-inf"`` and
 ``"nan"``, and fractions ``frac_str`` strings.
 
+Lists of plain numbers are written at C speed, with the same bytes.  A list
+or tuple is a run when its items are all exact ``float``s, each finite, or
+all exact ``int``s; a run is written with one ``map(repr, ...)``.  A list or
+tuple of nonempty lists or tuples whose items together form a run (a walk
+report's 2001 float pairs) is written with one ``%``-format per row, built
+once per row length; ``'%r' % x`` is ``float.__repr__`` or ``int.__repr__``
+for these exact types.  Only exact types and finite floats qualify, because
+only their ``repr`` is their JSON text: ``bool`` writes ``true``, a
+subclass of ``int`` or ``float`` may have its own ``repr``, and a
+non-finite float becomes a string.  These, mixed lists and an int past the
+digit limit (whose ``ValueError`` the conversion raises) take the per-item
+path.  The first item's type decides whether a list is scanned at all, so
+a list of fractions, dicts or strings pays one type check.
+
 Python refuses to write an int of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) in decimal, and conversion to hex has no
 such limit.  So an exact number with a part past that limit is written in
@@ -29,6 +43,7 @@ limit itself is left as the interpreter has it.
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -36,6 +51,10 @@ from fractions import Fraction
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
+_isfinite = math.isfinite
+_flat = itertools.chain.from_iterable
+_NUMBERS = (float, int)
+_SEQUENCES = (list, tuple)
 
 
 def frac_str(q):
@@ -91,6 +110,41 @@ def _scalar(obj):
     return None
 
 
+def _run(items, kind):
+    """The texts of ``items`` if each has the exact type ``kind`` (``float``
+    or ``int``), each float is finite and each int within the digit limit;
+    None otherwise."""
+    if set(map(type, items)) != {kind} \
+            or kind is float and not all(map(_isfinite, items)):
+        return None
+    try:
+        return list(map(kind.__repr__, items))
+    except ValueError:          # past the int-to-str digit limit
+        return None
+
+
+def _rows(rows, inner):
+    """The texts of ``rows``, nonempty lists or tuples whose items together
+    form a run (see ``_run``), with one ``%``-format per row length; None
+    otherwise.  The first and last items are checked before any scan."""
+    first, last = rows[0], rows[-1]
+    kind = type(first[0]) if first else None
+    if kind not in _NUMBERS or type(last) not in _SEQUENCES or not last \
+            or type(last[-1]) is not kind:
+        return None
+    if not set(map(type, rows)) <= {list, tuple} or not all(rows) \
+            or set(map(type, _flat(rows))) != {kind} \
+            or kind is float and not all(map(_isfinite, _flat(rows))):
+        return None
+    deeper = inner + "  "
+    formats = {n: "[" + deeper + ("," + deeper).join(["%r"] * n) + inner
+               + "]" for n in set(map(len, rows))}
+    try:
+        return [formats[len(row)] % tuple(row) for row in rows]
+    except ValueError:          # an int past the int-to-str digit limit
+        return None
+
+
 def _container(obj, pad):
     """JSON text of a dataclass, dict, set or sequence whose first line
     starts at the indent ``pad`` (a newline and the indent).  Children are
@@ -105,11 +159,21 @@ def _container(obj, pad):
         texts = [f"{_encode_str(k)}: {v}" for k, v in sorted(items.items())]
         brackets = "{}"
     else:
-        if isinstance(obj, (set, frozenset)):
+        texts = None
+        if type(obj) in _SEQUENCES:
+            # the first item's type decides whether a scan is worth it
+            kind = type(obj[0]) if obj else None
+            if kind in _NUMBERS:
+                if type(obj[-1]) is kind:
+                    texts = _run(obj, kind)
+            elif kind in _SEQUENCES:
+                texts = _rows(obj, inner)
+        elif isinstance(obj, (set, frozenset)):
             obj = sorted(obj, key=str)
         elif not isinstance(obj, (list, tuple, range)):
             raise TypeError(f"cannot serialize {type(obj).__name__}")
-        texts = [_scalar(x) or _container(x, inner) for x in obj]
+        if texts is None:
+            texts = [_scalar(x) or _container(x, inner) for x in obj]
         brackets = "[]"
     if not texts:
         return brackets

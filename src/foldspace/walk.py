@@ -21,6 +21,7 @@ work is done.
 
 import random
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -34,6 +35,7 @@ from .morphisms import GraphMorphism
 # included; time grows with the square of the steps, and a longer walk is
 # refused (exit code 3).
 MAX_STEPS = 100_000
+_DRAWS = 2 ** 53            # random() returns k/2^53, 0 <= k < 2^53
 
 
 def default_generators():
@@ -105,13 +107,19 @@ def _row(C, ts, zero):
     return tuple(map(sum, zip(*[C[t] for t in ts]))) if ts else zero
 
 
-def _pick(a, b, cumulative):
-    """Index of the first cumulative weight p/q above u = a/b, the last one
-    if none is."""
-    for i, (p, q) in enumerate(cumulative):
-        if a * q < p * b:
-            return i
-    return len(cumulative) - 1
+def _thresholds(weights):
+    """Float bounds for ``bisect_right``: the draw u picks the first
+    generator whose cumulative weight p/q is above u.  ``random()`` returns
+    k/2^53, and u < p/q holds exactly when k < ceil(p 2^53/q), so the bound
+    is ceil(p 2^53/q)/2^53, an integer of at most 2^53 scaled by a power
+    of two and hence an exact float."""
+    bounds = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        bounds.append(-(-acc.numerator * _DRAWS // acc.denominator)
+                      / _DRAWS)
+    return bounds
 
 
 def run_walk(config):
@@ -130,11 +138,8 @@ def run_walk(config):
                for e in f.edge_image(j + 1)):
             raise FormatError("walk generators must be positive maps")
     rng = random.Random(config.seed)
-    cumulative = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        cumulative.append((acc.numerator, acc.denominator))
+    bounds = _thresholds(weights)
+    last = len(bounds) - 1
     n = g.n_edges
     zero = (0,) * n
     C = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -143,11 +148,10 @@ def run_walk(config):
     lengths = [tuple(1.0 / n for _ in g.edge_ids)]
     plans = [_row_plan(f) for f in gens]
     for _ in range(config.steps):
-        a, b = rng.random().as_integer_ratio()
-        pick = _pick(a, b, cumulative)
+        pick = min(bisect_right(bounds, rng.random()), last)
         choices.append(pick)
         C = [_row(C, ts, zero) for ts in plans[pick]]
-        lam = [sum(col) for col in zip(*C)]
+        lam = list(map(sum, zip(*C)))
         displacement.append(frac_log(max(lam)))
         vol = sum(lam)
         lengths.append(tuple(x / vol for x in lam))

@@ -552,6 +552,23 @@ def test_decompose_report_bytes(tmp_path, direction, seeds):
 WALK_SEED7_DIGEST = (
     "44a93166581a5299dc08f8df2262147caade6b049d057ede3daeb44343499312")
 
+# ``walk --seed 1 --steps 2000``: the displacement rows as CSV, and the
+# JSON report (the CI digest), both taken when ``_cmd_walk`` listed the
+# rows and the writer wrote every float pair item by item
+WALK_SEED1_DIGESTS = {
+    "csv": "82d505569e136a370e0837f0b79e0741666836b63bf216e6eb9ed0c9c9eec6f7",
+    "json": "0bf82f3666cf938512f8634ca1afcd956ef36a6ed6fdc203c248ad37d444e454",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(WALK_SEED1_DIGESTS))
+def test_walk_report_bytes(capsys, fmt):
+    rc, out, _ = _run(capsys, ["walk", "--seed", "1", "--steps", "2000",
+                               "--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        WALK_SEED1_DIGESTS[fmt]
+
 
 def test_parser_built_once(monkeypatch, capsys):
     built = []
@@ -1124,22 +1141,52 @@ def _library_decompose(seq_file, window_text, eps, pinch_tol):
                                           ("--pinch-tol", "1/2")])
 def test_decompose_options_are_the_library_values(tmp_path, capsys,
                                                   direction, option, value):
+    """Each option reaches the report as the library value; a pinch
+    tolerance on a folding sequence, which has no moduli window to read
+    it, is refused (exit 2) rather than ignored."""
     seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
                     "--schedule", "3,3,3", "--direction", direction)
     window = "-9:0" if direction == "unfolding" else "0:9"
     rc, default, _ = _run(capsys, ["decompose", seq_file,
                                    f"--window={window}"])
     assert rc == 0
-    rc, out, _ = _run(capsys, ["decompose", seq_file, f"--window={window}",
-                               option, value])
+    rc, out, err = _run(capsys, ["decompose", seq_file,
+                                 f"--window={window}", option, value])
+    if option == "--pinch-tol" and direction == "folding":
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --pinch-tol applies to unfolding")
+        return
     assert rc == 0
     eps = Fraction(value) if option == "--eps" else Fraction(1, 1000)
     pinch_tol = Fraction(value) if option == "--pinch-tol" else None
     assert out == dumps_json(_library_decompose(seq_file, window, eps,
                                                 pinch_tol))
-    # the pinch tolerance only reaches the unfolding side's report
-    assert (out != default) == (option == "--eps"
-                                or direction == "unfolding")
+    assert out != default
+    if option == "--pinch-tol":
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            UNFOLDING_PINCH_TOL_DIGEST
+
+
+# ``decompose --window=-9:0 --pinch-tol 1/2`` on the rank-4 unfolding blocks
+# (schedule 3,3,3), taken before the option was refused on folding input
+UNFOLDING_PINCH_TOL_DIGEST = (
+    "460ecd35d09a2cac3c229ef954f20f93b3eca1302812cd480e5feab41b400453")
+
+
+@pytest.mark.parametrize("value", ["1/2", "0", "1/2000"])
+def test_decompose_pinch_tol_on_a_folding_sequence_exits_2(tmp_path, capsys,
+                                                           value):
+    """``--pinch-tol`` names the option in a typed error on a folding
+    sequence (Fibonacci here), whatever the value, and writes nothing."""
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12", "--direction",
+                    "folding")
+    rc, out, err = _run(capsys, ["decompose", seq_file, "--window=0:6",
+                                 "--pinch-tol", value])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: --pinch-tol applies to unfolding sequences "
+                   f"only; {seq_file} is a folding sequence\n")
+    rc, out, _ = _run(capsys, ["decompose", seq_file, "--window=0:6"])
+    assert rc == 0 and json.loads(out)["decomposition"]
 
 
 @pytest.mark.parametrize("option,value", [("--eps", "abc"),

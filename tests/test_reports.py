@@ -136,6 +136,133 @@ _bad_reports = st.recursive(st.one_of(_scalars, _unsupported), _children,
                             max_leaves=30)
 
 
+class _Int(int):
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+class _Float(float):
+    def __repr__(self):
+        return f"_Float({float(self)})"
+
+
+# the shapes the writer's run and row paths take, and their near misses
+_plain_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                     1.7976931348623157e308, 0.1, 1e16, 1e-7]))
+_plain_ints = st.one_of(st.integers(), st.integers(-3, 3))
+# ints past the digit limit, drawn by index as ``_edge_ints`` are
+_past_limit_ints = st.sampled_from([2, 3, 8, 9]).map(_edge_int)
+_seq_type = st.sampled_from([list, tuple])
+
+
+@st.composite
+def _with_one(draw, items, extra):
+    """``items`` with one ``extra`` at its start, middle or end."""
+    items = list(draw(items))
+    at = draw(st.sampled_from([0, len(items) // 2, len(items)]))
+    items.insert(at, draw(extra))
+    return items
+
+
+_float_runs = st.one_of(
+    st.lists(_plain_floats, min_size=1, max_size=8),
+    _with_one(st.lists(_plain_floats, max_size=6),
+              st.sampled_from([math.inf, -math.inf, math.nan])))
+_int_runs = st.one_of(
+    st.lists(_plain_ints, min_size=1, max_size=8),
+    _with_one(st.lists(_plain_ints, max_size=6),
+              _past_limit_ints))
+_other_runs = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=6),
+    st.lists(_plain_ints.map(_Int), min_size=1, max_size=6),
+    st.lists(_plain_floats.map(_Float), min_size=1, max_size=6),
+    _with_one(st.lists(_plain_ints, min_size=1, max_size=5),
+              st.one_of(st.booleans(), _plain_ints.map(_Int),
+                        _plain_floats, _plain_floats.map(_Float),
+                        st.fractions(), st.none())),
+    _with_one(st.lists(_plain_floats, min_size=1, max_size=5),
+              st.one_of(st.booleans(), _plain_ints,
+                        _plain_floats.map(_Float), st.fractions())))
+_runs = st.one_of(_float_runs, _int_runs, _other_runs)
+
+
+@st.composite
+def _rows_of(draw, runs):
+    """Rows drawn from ``runs``: pairs, or ragged lengths with an empty
+    row now and then, each row and the whole a list or a tuple."""
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        runs = runs.filter(lambda r: len(r) >= width).map(
+            lambda r: r[:width])
+    rows = draw(st.lists(runs, min_size=1, max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    return [draw(_seq_type)(row) for row in rows]
+
+
+# rows of one plain kind with one near-miss row among them: the first and
+# last items alone cannot tell these from rows that form a run
+_rows_with_an_odd_one = st.one_of(
+    _with_one(st.lists(st.lists(_plain_floats, min_size=1, max_size=3),
+                       min_size=2, max_size=4), _other_runs),
+    _with_one(st.lists(st.lists(_plain_ints, min_size=1, max_size=3),
+                       min_size=2, max_size=4), st.one_of(_float_runs,
+                                                          _int_runs,
+                                                          _other_runs)))
+
+_number_shapes = st.one_of(
+    _runs,
+    _rows_with_an_odd_one,
+    _rows_of(st.lists(_plain_floats, min_size=1, max_size=4)),
+    _rows_of(st.lists(_plain_ints, min_size=1, max_size=4)),
+    _rows_of(_float_runs),
+    _rows_of(_int_runs),
+    _rows_of(_runs),
+    _rows_of(st.lists(st.one_of(_plain_floats, _plain_ints), min_size=1,
+                      max_size=3)))
+
+
+@st.composite
+def _placed(draw, shapes):
+    """A drawn shape as a list or a tuple, at a drawn depth."""
+    obj = draw(_seq_type)(draw(shapes))
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from([
+            lambda x: {"key": x, "other": 1},
+            lambda x: [x, "s"], lambda x: (x,), lambda x: Pair(x)]))(obj)
+    return obj
+
+
+@settings(max_examples=600, deadline=None)
+@given(obj=_placed(_number_shapes))
+def test_runs_and_rows_match_json_dumps(obj):
+    """Runs of plain floats or ints and rows of them, and the near misses
+    that must be written item by item: a non-finite float, an int past
+    the digit limit, bools, subclasses with their own ``__repr__``, mixed
+    types, an empty row."""
+    text = _outcome(dumps_json, obj)
+    assert text == _outcome(old_dumps_json, obj)
+    assert isinstance(text, str)
+
+
+@pytest.mark.parametrize("obj", [
+    [-0.0, 5e-324, 1e308], [1.0, math.nan], (math.inf, 2.0), [1, 10 ** 5000],
+    [10 ** 5000, 1], [True, False], [_Int(3), _Int(4)], [_Float(0.5)],
+    [1, True, 2], (1, _Int(2), 3), [0.5, _Float(1.0), 2.0], [1, 2.0, 3],
+    [[1.0, 2.0], [3.0, 4.0]], ((1.0, 2.0), [3.0]), [(1, 2), (3,), (4, 5, 6)],
+    [[1.0], []], [[], [1.0]], [[1.0, 2], [3, 4.0]], [[1, 2], [3, 10 ** 5000]],
+    [[1.0, math.inf]], [[True, False]], [[_Int(1), _Int(2)]],
+    [[1.0, 2.0], [True, False], [3.0]], [[1, 2], [_Int(3)], [4]],
+    [(0.5,), (_Float(0.25),), (1.5,)], [[1.0], [math.nan], [2.0]],
+    [[1], [2.0], [3]], [[1, 2], [10 ** 5000], [3]],
+    {"lengths": ((0.5, 0.5), (0.25, 0.75)), "choices": (0, 1, 1)},
+])
+def test_run_and_row_cases_match_json_dumps(obj):
+    assert dumps_json(obj) == old_dumps_json(obj)
+
+
 @settings(max_examples=400, deadline=None)
 @given(obj=_reports)
 def test_writer_matches_json_dumps(obj):

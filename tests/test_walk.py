@@ -5,7 +5,9 @@ import dataclasses
 import math
 import random
 import statistics
+import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from foldspace.walk import (
     ExperimentConfig,
     WalkRecord,
     _generator_key,
-    _pick,
+    _thresholds,
     default_generators,
     run_walk,
 )
@@ -267,26 +269,118 @@ def test_walks_past_500_bits_match_the_fraction_loop(pool, steps):
             field.name
 
 
-class TestPick:
-    HALVES = [(1, 2), (1, 1)]       # cumulative (1, 1) weights
+# -- the generator pick: float thresholds against the exact comparison ------
 
+
+def _pick(a, b, cumulative):
+    """Index of the first cumulative weight p/q above u = a/b, the last one
+    if none is: the cross-multiplying pick that the float thresholds
+    replaced."""
+    for i, (p, q) in enumerate(cumulative):
+        if a * q < p * b:
+            return i
+    return len(cumulative) - 1
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+def _cumulative(weights):
+    """The cumulative weights p/q, as (p, q) pairs and as Fractions."""
+    acc, pairs, fractions = Fraction(0), [], []
+    for w in _normalized(weights):
+        acc += w
+        pairs.append((acc.numerator, acc.denominator))
+        fractions.append(acc)
+    return pairs, fractions
+
+
+# rank-3 generators in the order ``ExperimentConfig.resolved`` sorts them,
+# so weights given in this order are the weights the walk uses
+_SORTED_RANK3 = sorted(_RANK3, key=_generator_key)
+
+
+def _threshold_pick(u, weights):
+    """The generator ``run_walk`` picks for the draw u: ``random.Random`` is
+    replaced by one that draws u, then 0 (a walk takes at least 2 steps)."""
+    config = ExperimentConfig(seed=0, steps=2, weights=weights,
+                              generators=tuple(_SORTED_RANK3[:len(weights)]))
+    draws = iter([u, 0.0])
+    scripted = types.SimpleNamespace(
+        Random=lambda seed: types.SimpleNamespace(random=draws.__next__))
+    with mock.patch.object(walk, "random", scripted):
+        return run_walk(config).choices[0]
+
+
+_DRAWS = 2 ** 53
+_WEIGHTS = [(1, 1), (1, 2), (1, 3), (2, 5, 7), (1, 1, 1, 1)]
+
+
+class TestPick:
     def test_draw_on_a_threshold_takes_the_next_generator(self):
-        assert _pick(*(0.5).as_integer_ratio(), self.HALVES) == 1
+        assert _threshold_pick(0.5, (1, 1)) == 1
 
     def test_draw_just_below_a_threshold_takes_that_generator(self):
-        below = math.nextafter(0.5, 0)
-        assert _pick(*below.as_integer_ratio(), self.HALVES) == 0
+        assert _threshold_pick(math.nextafter(0.5, 0), (1, 1)) == 0
 
     @pytest.mark.parametrize("u", [0.0, 2 ** -53, 0.25, 1 / 3, 0.5,
                                    0.75, 1 - 2 ** -53])
     @pytest.mark.parametrize("weights", [(1, 1), (1, 3), (2, 5, 7)])
     def test_pick_agrees_with_fraction_thresholds(self, u, weights):
-        total = sum(weights)
-        acc, fractions, pairs = Fraction(0), [], []
-        for w in weights:
-            acc += Fraction(w, total)
-            fractions.append(acc)
-            pairs.append((acc.numerator, acc.denominator))
+        _, fractions = _cumulative(weights)
         expected = next((i for i, c in enumerate(fractions) if u < c),
                         len(weights) - 1)
-        assert _pick(*u.as_integer_ratio(), pairs) == expected
+        assert _threshold_pick(u, weights) == expected
+
+    @pytest.mark.parametrize("weights", _WEIGHTS)
+    def test_bounds_are_the_least_draws_at_or_past_each_threshold(
+            self, weights):
+        _, fractions = _cumulative(weights)
+        bounds = _thresholds(_normalized(weights))
+        for bound, c in zip(bounds, fractions):
+            k = math.ceil(c * _DRAWS)
+            assert Fraction(bound) == Fraction(k, _DRAWS)
+            assert Fraction(k - 1, _DRAWS) < c <= Fraction(bound)
+        assert bounds[-1] == 1.0
+
+    @pytest.mark.parametrize("weights", _WEIGHTS)
+    def test_draws_on_and_below_every_threshold(self, weights):
+        """On each bound and one ulp of the draw grid below it, the last
+        draw k/2^53 under the threshold: non-dyadic thresholds such as 1/3
+        and 1/7 lie strictly between two draws.  (A float off the grid,
+        such as the one just below the bound of 1/7, is never drawn, and
+        the bounds need not order it against the threshold.)"""
+        pairs, fractions = _cumulative(weights)
+        for i, bound in enumerate(_thresholds(_normalized(weights))):
+            k = math.ceil(fractions[i] * _DRAWS)
+            below = (k - 1) / _DRAWS
+            assert _threshold_pick(below, weights) == i
+            assert _pick(*below.as_integer_ratio(), pairs) == i
+            if bound < 1:
+                assert _threshold_pick(bound, weights) > i
+                assert _threshold_pick(bound, weights) == _pick(
+                    *bound.as_integer_ratio(), pairs)
+
+
+@st.composite
+def _draws_and_weights(draw):
+    weights = draw(st.lists(st.integers(1, 10 ** 6), min_size=1,
+                            max_size=6))
+    _, fractions = _cumulative(weights)
+    near = [math.ceil(c * _DRAWS) + d for c in fractions for d in (-1, 0)]
+    k = draw(st.one_of(st.integers(0, _DRAWS - 1),
+                       st.sampled_from([k for k in near
+                                        if 0 <= k < _DRAWS])))
+    return k, weights
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_draws_and_weights())
+def test_threshold_pick_matches_the_exact_comparison(case):
+    """Every draw k/2^53 that ``random()`` can return, against the
+    cross-multiplied comparison with each cumulative weight."""
+    k, weights = case
+    pairs, _ = _cumulative(weights)
+    assert _threshold_pick(k / _DRAWS, weights) == _pick(k, _DRAWS, pairs)
