@@ -18,7 +18,11 @@ from .decomposition import (moduli_window, recurrence_check,
 from .errors import BudgetExceededError, FoldspaceError, FormatError
 from .examples import gen_example
 from .io_formats import parse_graph, parse_sequence
-from .lamination import allowed_words, complexity_profile, minimal_components
+from .lamination import _language
+# unused here, but kept as module globals: the traced benchmark run
+# (perfbench/traced.py) wraps each ``cli`` global it names in a span
+from .lamination import (allowed_words, complexity_profile,  # noqa: F401
+                         minimal_components)
 from .linalg import frac_log
 from .metric import (ff_progress_diagnostic, linearity_and_speed,
                      lipschitz_bruteforce, lipschitz_distance, thickness)
@@ -50,6 +54,17 @@ def _tolerance_arg(text):
     return tol
 
 
+def _threshold_arg(text):
+    """A decomposition threshold: a nonnegative rational.  A negative one
+    makes every threshold negative, so the gate would pass vacuously; it is
+    refused (exit 2), as ``_tolerance_arg`` refuses a negative tolerance."""
+    eps = _fraction_arg(text)
+    if eps < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative rational: {text!r}")
+    return eps
+
+
 def _parse_window(text):
     parts = text.split(":")
     if len(parts) != 2:
@@ -77,6 +92,8 @@ def _parse_levels(text, seq):
     stride = nums[2] if len(nums) == 3 else 1
     if stride < 1:
         raise FormatError("stride must be >= 1")
+    if nums[1] < nums[0]:
+        raise FormatError("levels must satisfy n0 <= n1")
     return list(range(nums[0], nums[1] + 1, stride))
 
 
@@ -150,14 +167,13 @@ def _cmd_cone(args):
 
 def _cmd_lamination(args):
     seq = parse_sequence(args.sequence)
-    lang = allowed_words(seq, args.depth, args.length, source=args.source)
-    g0 = seq.graph_at(seq.levels[-1])
     depths = sorted({max(1, args.depth // 4), max(1, args.depth // 2),
                      args.depth})
-    profile = complexity_profile(seq, depths, args.length,
-                                 source=args.source)
-    comps = minimal_components(seq, args.depth, args.length,
-                               source=args.source)
+    # one walk serves the words, the complexity table and the components
+    lang, profile, comps = _language(seq, args.depth, args.length,
+                                     args.source, depths=depths,
+                                     components=True)
+    g0 = seq.graph_at(seq.levels[-1])
     report = {
         "depth": args.depth,
         "L": args.length,
@@ -305,7 +321,7 @@ def _build_parser():
     p = sub.add_parser("decompose", help="transverse decomposition")
     p.add_argument("sequence")
     p.add_argument("--window", required=True, help="n0:n1 (use --window=)")
-    p.add_argument("--eps", type=_fraction_arg, default=Fraction(1, 1000))
+    p.add_argument("--eps", type=_threshold_arg, default=Fraction(1, 1000))
     p.add_argument("--pinch-tol", type=_fraction_arg, default=None,
                    help="moduli-window pinch tolerance (unfolding only)")
     p.add_argument("--seeds", help="comma-separated seed edges, one "

@@ -15,16 +15,16 @@ Languages are computed by junction recursion over the morphism chain, which
 is a straight-line program for every composite image: each edge image keeps
 its maximal strings (its distinct length-M windows, or the whole image when
 it is shorter) and its first and last M-1 edges, and a level adds only the
-windows crossing the junctions of its step images.  Each public call walks
-the chain once, with M the longest length it needs: the words of a shorter
-length are the prefixes and suffixes of the next longer ones plus the
-maximal strings of exactly that length, and the paths enumerated for M
-serve every shorter length (see ``_harvest_paths``).  ``complexity_profile``
-records both of the depths it compares in its one walk.  A walk costs
+windows crossing the junctions of its step images.  A ``lamination`` job
+walks the chain once (``_language``), at M = L + 1, recording the depth and
+the half depth it compares: the words of a shorter length are the prefixes
+and suffixes of the next longer ones plus the maximal strings of exactly
+that length, and the paths enumerated for M serve every shorter length (see
+``_harvest_paths``).  Each public function walks once too.  A walk costs
 O(depth * edges * M^2) plus the unions of the string sets (at most |B_M|
 strings an edge), and the shorter lengths cost O(sum of |B_l| * l), not the
 image length: on the 40-step Fibonacci chain, ``lamination --depth 33
---length 200`` runs in about 1.5 s, where a walk per (depth, length) took
+--length 200`` runs in about 1 s, where a walk per (depth, length) took
 about 25 s (2 vCPUs, Python 3.11).  Cylinder weights count occurrences by
 the same recursion, so no analysis expands a composite image.  The 10M-edge
 expansion budget still bounds the harvest depth (a ``BudgetExceededError``,
@@ -35,9 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import log
+from operator import mul
 
-from .errors import (BudgetExceededError, DirectionError, FormatError,
-                     InvalidTrackError, MalformedPathError, ShallowDepthError)
+from .errors import (BudgetExceededError, DirectionError, FoldspaceError,
+                     FormatError, InvalidTrackError, MalformedPathError,
+                     ShallowDepthError)
 from .paths import _turn, require_reduced, reverse_path
 from .sequences import EXPANSION_BUDGET, check_expansion
 
@@ -299,6 +301,81 @@ def _flip_count(words):
     return (len(words) + own) // 2
 
 
+def _language(seq, depth, L, source="taken", require_depth=True,
+              budget=_BUDGET, *, depths=None, components=False):
+    """The language at (depth, L) and, when asked, its complexity profile
+    over ``depths`` (sorted, ``depth`` last) and its minimal components,
+    from one walk and one ``_by_length`` pass at ``depth``.
+
+    The checks at (depth, L) run first, then, with ``components``, those at
+    (depth, L + 1), whose paths serve every length.  The walk also records
+    the half depth (the second deepest), which the scan of
+    ``complexity_profile`` compares count by count.  A refused (depth,
+    L + 1) harvest raises after that scan, whose deep counts then come from
+    the paths for L.  Returns the ``LanguageApprox``, the profile and the
+    components report, each None when not asked for.
+    """
+    half = depths[-2] if depths and len(depths) >= 2 else None
+    paths = _checked_paths(seq, depth, L, source, require_depth, budget)
+    M, refused = L, None
+    if components:
+        try:
+            paths = _checked_paths(seq, depth, L + 1, source, require_depth,
+                                   budget)
+            M = L + 1
+        except FoldspaceError as exc:
+            if half is None:
+                raise
+            refused = exc
+    levels = [-depth]
+    if half is not None and 1 <= half <= seq.n_steps:
+        levels.append(-half)
+    tables = _walk(seq, levels, M)
+    by_length = _by_length(paths, *tables[-depth], M)
+    longer = next(by_length)[1] if M > L else None
+    _, words = next(by_length)
+    lang = LanguageApprox(depth=depth, L=L,
+                          words=frozenset(map(_flip_canonical, words)),
+                          source=source)
+    profile = None
+    if depths is not None:
+        counts = dict(sorted((l, _flip_count(w))
+                             for l, w in chain([(L, words)], by_length)))
+        stable = True
+        if half is not None:
+            # each block of lengths reads the paths of its longest
+            other = {}
+            for l in range(1, L + 1):
+                paths = _checked_paths(seq, half, l, source, require_depth,
+                                       budget)
+                if l not in other:
+                    k = min(2 * l, L)
+                    try:
+                        paths = _harvest_paths(
+                            seq.graph_at(-half),
+                            _allowed_turns(seq, -half, source),
+                            seq.image_lengths(-half), k, budget)
+                    except BudgetExceededError:
+                        k = l   # past the budget a block has one length
+                    other = {m: _flip_count(w)
+                             for m, w in _by_length(paths, *tables[-half], k)}
+                if other[l] != counts[l]:
+                    stable = False
+                    break
+        series = tuple(log(counts[l]) / l if counts[l] else 0.0
+                       for l in range(1, L + 1))
+        tail = series[L // 2:]
+        profile = ComplexityProfile(
+            depths=tuple(depths), L_max=L, counts=counts,
+            entropy=series[-1], entropy_series=series,
+            subexponential=all(a >= b for a, b in zip(tail, tail[1:])),
+            stable=stable)
+    if refused is not None:
+        raise refused
+    comps = _components(seq, depth, L, longer, words) if components else None
+    return lang, profile, comps
+
+
 def allowed_words(seq, depth, L, *, source="taken", require_depth=True,
                   budget=_BUDGET):
     """Length-L words of the right-end graph occurring in depth-m images.
@@ -307,11 +384,7 @@ def allowed_words(seq, depth, L, *, source="taken", require_depth=True,
     allowed turns; words are stored up to flip (a word and its reverse
     count once).
     """
-    paths = _checked_paths(seq, depth, L, source, require_depth, budget)
-    _, words = next(_by_length(paths, *_walk(seq, [-depth], L)[-depth], L))
-    return LanguageApprox(depth=depth, L=L,
-                          words=frozenset(map(_flip_canonical, words)),
-                          source=source)
+    return _language(seq, depth, L, source, require_depth, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -331,9 +404,9 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
 
     ``stable`` reports whether the two deepest depths agree on every count;
     ``subexponential`` whether log|B_L|/L is nonincreasing over trailing L.
-    One walk gives both depths every length (see ``_walk``).  Each (depth,
-    L) still runs the checks of its own harvest, in the order of a scan
-    over L at the deepest depth and then at the second deepest, which
+    One walk gives both depths every length (see ``_language``).  Each
+    (depth, L) still runs the checks of its own harvest, in the order of a
+    scan over L at the deepest depth and then at the second deepest, which
     stops at the first count that differs; that scan derives its counts in
     blocks of lengths that double, so a scan that stops early derives no
     long words (a large language at a shallow depth can have many).
@@ -343,46 +416,10 @@ def complexity_profile(seq, depths, L_max, *, source="taken",
     depths = sorted(set(depths))
     if not depths:
         raise ValueError("no depths supplied")
-    deepest = depths[-1]
-    for L in range(1, L_max + 1):
-        paths = _checked_paths(seq, deepest, L, source, require_depth,
-                               _BUDGET)
-    half = depths[-2] if len(depths) >= 2 else None
-    levels = [-deepest]
-    if half is not None and 1 <= half <= seq.n_steps:
-        levels.append(-half)
-    tables = _walk(seq, levels, L_max)
-    counts = dict(sorted((l, _flip_count(w)) for l, w
-                         in _by_length(paths, *tables[-deepest], L_max)))
-    stable = True
-    if half is not None:
-        # each block of lengths reads the paths of its longest
-        other = {}
-        for L in range(1, L_max + 1):
-            paths = _checked_paths(seq, half, L, source, require_depth,
-                                   _BUDGET)
-            if L not in other:
-                k = min(2 * L, L_max)
-                try:
-                    paths = _harvest_paths(
-                        seq.graph_at(-half),
-                        _allowed_turns(seq, -half, source),
-                        seq.image_lengths(-half), k, _BUDGET)
-                except BudgetExceededError:
-                    k = L       # past the budget a block has one length
-                other = {l: _flip_count(w)
-                         for l, w in _by_length(paths, *tables[-half], k)}
-            if other[L] != counts[L]:
-                stable = False
-                break
-    series = tuple(log(counts[L]) / L if counts[L] else 0.0
-                   for L in range(1, L_max + 1))
-    tail = series[L_max // 2:]
-    subexp = all(a >= b for a, b in zip(tail, tail[1:]))
-    return ComplexityProfile(depths=tuple(depths), L_max=L_max,
-                             counts=counts, entropy=series[-1],
-                             entropy_series=series, subexponential=subexp,
-                             stable=stable)
+    for L in range(1, L_max):
+        _checked_paths(seq, depths[-1], L, source, require_depth, _BUDGET)
+    return _language(seq, depths[-1], L_max, source, require_depth, _BUDGET,
+                     depths=depths)[1]
 
 
 # -- cylinder weights ----------------------------------------------------
@@ -426,8 +463,7 @@ def cylinder_weight(seq, current_track, gamma, level):
     require_reduced(gamma, what="cylinder word")
     seq.graph_at(seq.levels[-1]).check_path(gamma)
     mu = current_track.at(level)
-    return sum((Fraction(m) * h for m, h in zip(mu, _hits(seq, level, gamma))),
-               Fraction(0))
+    return Fraction(sum(map(mul, mu, _hits(seq, level, gamma))))
 
 
 def flip_cylinder_weight(seq, current_track, gamma, level):
@@ -473,14 +509,12 @@ def _tarjan_scc(nodes, edges):
     low = {}
     onstack = set()
     cstack = []
-    counter = [0]
     comps = []
     for root in nodes:
         if root in index:
             continue
         work = [(root, iter(edges.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         cstack.append(root)
         onstack.add(root)
         while work:
@@ -488,8 +522,7 @@ def _tarjan_scc(nodes, edges):
             advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                    index[nxt] = low[nxt] = len(index)
                     cstack.append(nxt)
                     onstack.add(nxt)
                     work.append((nxt, iter(edges.get(nxt, ()))))
@@ -531,38 +564,26 @@ def minimal_components(seq, depth, L, *, source="taken", require_depth=True):
     Words of length L are nodes; each (L+1)-word contributes the edge
     prefix -> suffix.  Sink strongly connected components approximate
     minimal sublaminations; flipped pairs count once.  The count is checked
-    against the 3N-3 bound.
+    against the 3N-3 bound.  The checks at L run first; the paths for
+    L + 1 serve both lengths (see ``_language``).
     """
-    # the checks at L run first; the paths for L + 1 serve both lengths
-    _checked_paths(seq, depth, L, source, require_depth, _BUDGET)
-    paths = _checked_paths(seq, depth, L + 1, source, require_depth, _BUDGET)
-    by_length = _by_length(paths, *_walk(seq, [-depth], L + 1)[-depth],
-                           L + 1)
-    (_, longer), (_, words) = next(by_length), next(by_length)
+    return _language(seq, depth, L, source, require_depth, _BUDGET,
+                     components=True)[2]
+
+
+def _components(seq, depth, L, longer, words):
+    """The ``MinimalComponentsReport`` of the words at L + 1 and L."""
     edges = {}
     for u in longer:
         a, b = u[:L], u[1:]
         if a in words and b in words:
             edges.setdefault(a, []).append(b)
-    comps = _tarjan_scc(sorted(words), edges)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for w in comp:
-            comp_of[w] = ci
-    sinks = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[v] == ci for w in comp
-               for v in edges.get(w, ())):
-            sinks.append(frozenset(comp))
-    orbits = set()
-    for comp in sinks:
-        flipped = frozenset(reverse_path(w) for w in comp)
-        key = min(tuple(sorted(comp)), tuple(sorted(flipped)))
-        orbits.add(key)
-    N = seq.graph_at(seq.levels[-1]).betti()
-    bound = 3 * N - 3
-    count = len(orbits)
+    sinks = [c for c in map(frozenset, _tarjan_scc(sorted(words), edges))
+             if all(v in c for w in c for v in edges.get(w, ()))]
+    count = len({min(tuple(sorted(c)), tuple(sorted(map(reverse_path, c))))
+                 for c in sinks})
+    bound = 3 * seq.graph_at(seq.levels[-1]).betti() - 3
     return MinimalComponentsReport(count=count,
-                                   sizes=tuple(sorted(len(c) for c in sinks)),
+                                   sizes=tuple(sorted(map(len, sinks))),
                                    bound=bound, bound_ok=count <= bound,
                                    depth=depth, L=L)

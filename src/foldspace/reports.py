@@ -17,16 +17,17 @@ sorted by ``str``, non-finite floats the strings ``"inf"``, ``"-inf"`` and
 Lists of plain numbers are written at C speed, with the same bytes.  A list
 or tuple is a run when its items are all exact ``float``s, each finite, or
 all exact ``int``s; a run is written with one ``map(repr, ...)``.  A list or
-tuple of nonempty lists or tuples whose items together form a run (a walk
-report's 2001 float pairs) is written with one ``%``-format per row, built
-once per row length; ``'%r' % x`` is ``float.__repr__`` or ``int.__repr__``
-for these exact types.  Only exact types and finite floats qualify, because
+tuple of nonempty lists or tuples of exact ints and finite floats, mixed
+freely (a walk report's 2001 float pairs, a cone report's (depth,
+diameter) rows), is written with one ``%``-format per row, built once per
+row length; ``'%r' % x`` is ``float.__repr__`` or ``int.__repr__`` for
+these exact types.  Only exact types and finite floats qualify, because
 only their ``repr`` is their JSON text: ``bool`` writes ``true``, a
 subclass of ``int`` or ``float`` may have its own ``repr``, and a
-non-finite float becomes a string.  These, mixed lists and an int past the
-digit limit (whose ``ValueError`` the conversion raises) take the per-item
-path.  The first item's type decides whether a list is scanned at all, so
-a list of fractions, dicts or strings pays one type check.
+non-finite float becomes a string.  These, mixed flat lists and an int
+past the digit limit (whose ``ValueError`` the conversion raises) take the
+per-item path.  The first item's type decides whether a list is scanned at
+all, so a list of fractions, dicts or strings pays one type check.
 
 Python refuses to write an int of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) in decimal, and conversion to hex has no
@@ -124,18 +125,29 @@ def _run(items, kind):
 
 
 def _rows(rows, inner):
-    """The texts of ``rows``, nonempty lists or tuples whose items together
-    form a run (see ``_run``), with one ``%``-format per row length; None
-    otherwise.  The first and last items are checked before any scan."""
+    """The texts of ``rows``, nonempty lists or tuples of exact ints and
+    finite floats, mixed freely, with one ``%``-format per row length; None
+    otherwise.  The ends of the first and last rows are checked before any
+    scan, so a cone's profile of infinite diameters costs no scan."""
     first, last = rows[0], rows[-1]
-    kind = type(first[0]) if first else None
-    if kind not in _NUMBERS or type(last) not in _SEQUENCES or not last \
-            or type(last[-1]) is not kind:
+    if not first or type(last) not in _SEQUENCES or not last:
         return None
-    if not set(map(type, rows)) <= {list, tuple} or not all(rows) \
-            or set(map(type, _flat(rows))) != {kind} \
-            or kind is float and not all(map(_isfinite, _flat(rows))):
+    ends = (first[0], first[-1], last[0], last[-1])
+    if not set(map(type, ends)) <= {float, int} \
+            or not all(_isfinite(x) for x in ends if type(x) is float):
         return None
+    if not set(map(type, rows)) <= {list, tuple} or not all(rows):
+        return None
+    kinds = set(map(type, _flat(rows)))
+    if not kinds <= {float, int}:
+        return None
+    if float in kinds:
+        # ``math.isfinite`` overflows on a large int, so a mixed row's
+        # floats are picked out first
+        floats = _flat(rows) if int not in kinds else (
+            x for x in _flat(rows) if type(x) is float)
+        if not all(map(_isfinite, floats)):
+            return None
     deeper = inner + "  "
     formats = {n: "[" + deeper + ("," + deeper).join(["%r"] * n) + inner
                + "]" for n in set(map(len, rows))}

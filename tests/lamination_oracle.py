@@ -7,6 +7,9 @@ every length at two depths, ``minimal_components`` two lengths.  The tests
 compare the three public functions (results, and errors by type and
 message) against these, and patch ``_windows`` with the expansion-based
 sliding oracle.
+
+``three_call_lamination`` is the ``lamination`` subcommand as it was before
+one driver served it: three public calls, each walking the chain.
 """
 
 from math import log
@@ -146,3 +149,25 @@ def minimal_components(seq, depth, L, *, source="taken", require_depth=True):
                                    sizes=tuple(sorted(len(c) for c in sinks)),
                                    bound=bound, bound_ok=count <= bound,
                                    depth=depth, L=L)
+
+
+def three_call_lamination(lib, seq, depth, L, source):
+    """The ``lamination`` report and CSV data from ``lib``'s
+    ``allowed_words``, ``complexity_profile`` and ``minimal_components``,
+    called in that order (``lib`` is ``foldspace.lamination`` or this
+    module)."""
+    lang = lib.allowed_words(seq, depth, L, source=source)
+    g0 = seq.graph_at(seq.levels[-1])
+    depths = sorted({max(1, depth // 4), max(1, depth // 2), depth})
+    profile = lib.complexity_profile(seq, depths, L, source=source)
+    comps = lib.minimal_components(seq, depth, L, source=source)
+    report = {
+        "depth": depth,
+        "L": L,
+        "count": lang.count,
+        "words": sorted(" ".join(g0.tokens(w)) for w in lang.words),
+        "complexity": profile,
+        "minimal_components": comps,
+    }
+    rows = [(L, profile.counts[L]) for L in sorted(profile.counts)]
+    return report, (("L", "count"), rows)

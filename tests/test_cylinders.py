@@ -127,3 +127,27 @@ def test_expansion_refuses_bad_edges():
         with pytest.raises(MalformedPathError, match="bad oriented edge"):
             seq.expansion(2, oriented)
     assert seq.expansion(2, -2) == reverse_path(seq.expansion(2, 2))
+
+
+def _per_term_weight(seq, current_track, gamma, level):
+    """The former sum: one ``Fraction`` per edge, started at
+    ``Fraction(0)``."""
+    hits = lamination._hits(seq, level, tuple(gamma))
+    return sum((Fraction(m) * h for m, h in zip(current_track.at(level),
+                                                 hits)), Fraction(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=_folding_chains(), data=st.data())
+def test_one_fraction_per_weight_is_the_per_term_sum(chain, data):
+    # the drawn track has int entries; a second one has Fraction entries
+    seq, mu = chain
+    n = seq.graph_at(0).n_edges
+    seed = data.draw(st.lists(st.fractions(0, 5, max_denominator=7),
+                              min_size=n, max_size=n), label="seed")
+    gamma = data.draw(_words(n), label="gamma")
+    for track in (mu, current_track_from_initial(seq, seed)):
+        for level in seq.levels:
+            got = cylinder_weight(seq, track, gamma, level)
+            want = _per_term_weight(seq, track, gamma, level)
+            assert got == want and type(got) is type(want) is Fraction

@@ -1202,3 +1202,53 @@ def test_decompose_bad_rationals_exit_2(tmp_path, capsys, option, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"not a rational: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("levels", ["5:2", "0:-1", "3:1:2"])
+def test_progress_reversed_levels_exit_2(tmp_path, capsys, levels):
+    """``--levels n0:n1`` with n1 < n0 names no level; it is refused, as
+    ``--window`` refuses n1 <= n0, where it wrote an empty report."""
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12", "--direction",
+                    "folding")
+    rc, out, err = _run(capsys, ["progress", seq_file, "--levels", levels])
+    assert (rc, out) == (2, "")
+    assert err == "error: levels must satisfy n0 <= n1\n"
+
+
+def test_progress_one_level_and_stride_messages(tmp_path, capsys):
+    seq_file = _gen(tmp_path, "fibonacci", "--steps", "12", "--direction",
+                    "folding")
+    rc, out, _ = _run(capsys, ["progress", seq_file, "--levels", "3:3"])
+    assert rc == 0
+    assert json.loads(out)["progress"]["levels"] == [3]
+    # a bad stride is still named first on a reversed range
+    rc, out, err = _run(capsys, ["progress", seq_file, "--levels", "5:2:0"])
+    assert (rc, out, err) == (2, "", "error: stride must be >= 1\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("-1", "not a nonnegative rational: '-1'"),
+    ("-1/3", "not a nonnegative rational: '-1/3'"),
+    ("x", "not a rational: 'x'")])
+def test_decompose_negative_eps_exits_2(tmp_path, capsys, value, message):
+    """A negative threshold makes the gate vacuous; it is refused before
+    any work, as a negative ``cone --tol`` is."""
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", seq_file, "--window=-9:0", f"--eps={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"argument --eps: {message}\n")
+
+
+def test_decompose_zero_eps_is_allowed(tmp_path, capsys):
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3")
+    rc, out, _ = _run(capsys, ["decompose", seq_file, "--window=-9:0",
+                               "--eps", "0"])
+    assert rc == 0
+    assert out == dumps_json(_library_decompose(seq_file, "-9:0",
+                                                Fraction(0), None))

@@ -1,8 +1,11 @@
 """One junction walk per lamination call against the per-length harvest it
 replaced (``lamination_oracle``): the three public functions must give the
 same results, and raise the same errors, by type and message, in the same
-order of checks."""
+order of checks.  A ``lamination`` job makes one call of the driver behind
+them, ``lamination._language``, which must give what the three calls give.
+"""
 
+from argparse import Namespace
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -11,7 +14,9 @@ from hypothesis import strategies as st
 from foldspace import (FoldingSequence, FoldspaceError, GraphMorphism,
                        allowed_words, complexity_profile, identity_morphism,
                        minimal_components, rose)
-from foldspace import lamination
+from foldspace import cli, lamination
+from foldspace.io_formats import write_sequence
+from foldspace.reports import dumps_json
 
 import lamination_oracle
 from test_lamination import _unfolding_chains
@@ -107,3 +112,91 @@ def test_self_reverse_words_count_once():
         for L in (2, 3):
             _agree(complexity_profile, seq, depths, L, source="legal",
                    require_depth=False)
+
+
+def _three_calls(lib, seq, depth, L, ladder, **kwargs):
+    return (lib.allowed_words(seq, depth, L, **kwargs),
+            lib.complexity_profile(seq, ladder, L, **kwargs),
+            lib.minimal_components(seq, depth, L, **kwargs))
+
+
+def _job(cmd, seq, depth, L, source):
+    """The report bytes and CSV rows of a ``lamination`` job on ``seq``."""
+    with patch.object(cli, "parse_sequence", lambda _: seq):
+        report, (header, rows) = cmd(seq, depth, L, source)
+    return dumps_json(report), header, list(rows)
+
+
+def _driver_job(seq, depth, L, source):
+    return cli._cmd_lamination(Namespace(sequence="chain", depth=depth,
+                                         length=L, source=source))
+
+
+def _three_call_job(seq, depth, L, source):
+    return lamination_oracle.three_call_lamination(lamination, seq, depth, L,
+                                                   source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=_chains(), data=st.data())
+def test_one_driver_call_matches_the_three_public_calls(seq, data):
+    # depths and lengths just outside their ranges compare the errors,
+    # and a refused (depth, L + 1) harvest comes after the half-depth scan
+    depth = data.draw(st.integers(-1, seq.n_steps + 1), label="depth")
+    source = data.draw(st.sampled_from(("taken", "legal")), label="source")
+    L = data.draw(st.integers(0, 8 if source == "taken" else 4), label="L")
+    require_depth = data.draw(st.booleans(), label="require_depth")
+    kwargs = {"source": source, "require_depth": require_depth}
+    ladder = sorted({max(1, depth // 4), max(1, depth // 2), depth})
+    got = _outcome(lamination._language, seq, depth, L, source,
+                   require_depth, depths=ladder, components=True)
+    assert got == _outcome(_three_calls, lamination, seq, depth, L, ladder,
+                           **kwargs)
+    assert got == _outcome(_three_calls, lamination_oracle, seq, depth, L,
+                           ladder, **kwargs)
+    # the subcommand: the same bytes, or the same error, as three calls
+    assert _outcome(_job, _driver_job, seq, depth, L, source) == \
+        _outcome(_job, _three_call_job, seq, depth, L, source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=_chains(), data=st.data())
+def test_one_driver_call_matches_under_a_small_path_budget(seq, data):
+    # a budget that refuses some harvests, the (depth, L + 1) one among
+    # them: its refusal must come where the three calls raise it
+    budget = data.draw(st.integers(4, 300), label="budget")
+    depth = data.draw(st.integers(1, seq.n_steps), label="depth")
+    source = data.draw(st.sampled_from(("taken", "legal")), label="source")
+    L = data.draw(st.integers(1, 8), label="L")
+    ladder = sorted({max(1, depth // 4), max(1, depth // 2), depth})
+    kwargs = {"source": source, "require_depth": False}
+
+    def three_calls():
+        return (allowed_words(seq, depth, L, budget=budget, **kwargs),
+                complexity_profile(seq, ladder, L, **kwargs),
+                minimal_components(seq, depth, L, **kwargs))
+
+    with patch.object(lamination, "_BUDGET", budget):
+        assert _outcome(lamination._language, seq, depth, L, source, False,
+                        budget, depths=ladder, components=True) == \
+            _outcome(three_calls)
+
+
+def test_a_lamination_job_walks_once(fib_unfold20, tmp_path, capsys):
+    seq_file = write_sequence(fib_unfold20, tmp_path, "fib20")
+    calls = []
+    walk = lamination._walk
+
+    def counting(seq, levels, M):
+        calls.append((list(levels), M))
+        return walk(seq, levels, M)
+
+    capsys.readouterr()
+    with patch.object(lamination, "_walk", counting):
+        assert cli.main(["lamination", seq_file, "--depth", "15",
+                         "--length", "8"]) == 0
+    # one walk at M = L + 1 records the depth and the half depth
+    assert calls == [([-15, -7], 9)]
+    report = capsys.readouterr().out
+    assert report == dumps_json(lamination_oracle.three_call_lamination(
+        lamination_oracle, fib_unfold20, 15, 8, "taken")[0])

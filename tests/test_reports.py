@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace.reports import _key, dumps_csv, dumps_json, frac_str, \
-    to_jsonable
+from foldspace.reports import _key, _rows, dumps_csv, dumps_json, \
+    frac_str, to_jsonable
 from foldspace.walk import ExperimentConfig, run_walk
 
 
@@ -361,3 +361,36 @@ def test_numbers_at_the_digit_limit_keep_their_bytes():
         assert dumps_csv(("x",), [(ok,), (-ok,), (big,), (-big,)]) == (
             f"x\n{ok}\n-{ok}\n{hex(big)}\n{hex(-big)}\n")
         assert json.loads(dumps_json([ok, -big])) == [ok, hex(-big)]
+
+
+# rows of exact ints and finite floats mixed freely, as the cone reports'
+# (depth, diameter) rows are, each a list or a tuple
+_mixed_rows = st.lists(
+    st.tuples(_seq_type, st.lists(st.one_of(_plain_floats, _plain_ints),
+                                  min_size=1, max_size=3))
+    .map(lambda drawn: drawn[0](drawn[1])),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=600, deadline=None)
+@given(rows=_mixed_rows, odd=st.one_of(
+    st.none(), st.booleans(), _past_limit_ints, _plain_ints.map(_Int),
+    _plain_floats.map(_Float), st.fractions(),
+    st.sampled_from([math.inf, -math.inf, math.nan])), data=st.data())
+def test_mixed_int_and_float_rows_match_json_dumps(rows, odd, data):
+    """Mixed rows take the row path; one near miss anywhere among them (a
+    bool, an int past the digit limit, a subclass, a fraction or a
+    non-finite float) sends them item by item, with the same bytes."""
+    if odd is None:
+        assert _rows(rows, "\n") is not None
+    else:
+        row = data.draw(st.integers(0, len(rows) - 1), label="row")
+        items = list(rows[row])
+        items.insert(data.draw(st.integers(0, len(items)), label="at"), odd)
+        rows[row] = items
+        assert _rows(rows, "\n") is None
+    want = json.dumps(old_to_jsonable(rows), sort_keys=True, indent=2) + "\n"
+    assert dumps_json(rows) == want
+    assert dumps_json({"cone": Pair(rows, 0.5)}) == old_dumps_json(
+        {"cone": Pair(rows, 0.5)})
+
