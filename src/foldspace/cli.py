@@ -55,9 +55,9 @@ def _tolerance_arg(text):
 
 
 def _threshold_arg(text):
-    """A decomposition threshold: a nonnegative rational.  A negative one
-    makes every threshold negative, so the gate would pass vacuously; it is
-    refused (exit 2), as ``_tolerance_arg`` refuses a negative tolerance."""
+    """A decomposition threshold or pinch tolerance: a nonnegative rational.
+    A negative one makes the threshold gate vacuous, or pinches no edge; it
+    is refused (exit 2), as ``_tolerance_arg`` refuses a negative tolerance."""
     eps = _fraction_arg(text)
     if eps < 0:
         raise argparse.ArgumentTypeError(
@@ -65,14 +65,20 @@ def _threshold_arg(text):
     return eps
 
 
-def _parse_window(text):
+def _bounds(text, name, form, counts):
+    """The integers of ``text`` split at colons, ``counts`` of them, for
+    the option ``name`` written as ``form``."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise FormatError(f"window must be n0:n1, got {text!r}")
+    if len(parts) not in counts:
+        raise FormatError(f"{name} must be {form}, got {text!r}")
     try:
-        n0, n1 = int(parts[0]), int(parts[1])
+        return [int(p) for p in parts]
     except ValueError as exc:
-        raise FormatError(f"window bounds must be integers: {text!r}") from exc
+        raise FormatError(f"{name} bounds must be integers: {text!r}") from exc
+
+
+def _parse_window(text):
+    n0, n1 = _bounds(text, "window", "n0:n1", (2,))
     if n1 <= n0:
         raise FormatError("window must satisfy n0 < n1")
     return n0, n1
@@ -82,19 +88,19 @@ def _parse_levels(text, seq):
     if text is None:
         stride = max(1, seq.n_steps // 200)
         return seq.levels[:-1][::stride]
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise FormatError(f"levels must be n0:n1[:stride], got {text!r}")
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise FormatError(f"levels bounds must be integers: {text!r}") from exc
+    nums = _bounds(text, "levels", "n0:n1[:stride]", (2, 3))
     stride = nums[2] if len(nums) == 3 else 1
     if stride < 1:
         raise FormatError("stride must be >= 1")
     if nums[1] < nums[0]:
         raise FormatError("levels must satisfy n0 <= n1")
-    return list(range(nums[0], nums[1] + 1, stride))
+    levels = range(nums[0], nums[1] + 1, stride)
+    # ``_internal`` refuses the first requested level outside the sequence
+    seq._internal(levels[0])
+    last = seq.levels[-1]
+    if levels[-1] > last:
+        seq._internal(levels[len(range(levels[0], last + 1, stride))])
+    return levels
 
 
 # -- subcommands ---------------------------------------------------------
@@ -104,18 +110,15 @@ def _cmd_gen(args):
     kwargs = {"direction": args.direction}
     if args.name == "fibonacci":
         kwargs["steps"] = args.steps
-    elif args.name == "alternating_block":
+    else:                   # the parser admits only these two names
         kwargs["rank"] = args.rank
-        if args.schedule:
+        if args.schedule is not None:
             try:
-                kwargs["schedule"] = tuple(
-                    int(x) for x in args.schedule.split(","))
-            except ValueError as exc:
-                raise FormatError(
-                    f"bad schedule {args.schedule!r}") from exc
-    else:
-        raise FormatError(f"cannot generate {args.name!r} from the "
-                          "command line")
+                kwargs["schedule"] = tuple(map(int, args.schedule.split(",")))
+            except ValueError:
+                kwargs["schedule"] = (0,)   # refused below, as is a 0
+            if min(kwargs["schedule"]) < 1:
+                raise FormatError(f"bad schedule {args.schedule!r}")
     ex = gen_example(args.name, **kwargs)
     path = ex.write(args.out_dir)
     return {"sequence_file": path, "notes": ex.notes}, None
@@ -139,8 +142,8 @@ def _cmd_fold(args):
         "decay_flags": decay["flags"],
     }
     if args.window:
-        n0, n1 = _parse_window(args.window)
-        report["reduced_window"] = is_reduced_window(seq, (n0, n1))
+        report["reduced_window"] = is_reduced_window(
+            seq, _parse_window(args.window))
     return report, (("level", "log_extreme"), _log_maxima(track, levels))
 
 
@@ -192,8 +195,7 @@ def _cmd_decompose(args):
         # the moduli window that reads it exists on unfolding sequences only
         raise FormatError("--pinch-tol applies to unfolding sequences only; "
                           f"{args.sequence} is a folding sequence")
-    n0, n1 = _parse_window(args.window)
-    window = seq._levels_between(n0, n1)
+    window = seq._window(*_parse_window(args.window))
     if len(window) < 4:
         raise FormatError("window covers fewer than 4 levels")
     deep_graph = seq.graph_at(seq.levels[0] if seq.direction == "unfolding"
@@ -322,7 +324,7 @@ def _build_parser():
     p.add_argument("sequence")
     p.add_argument("--window", required=True, help="n0:n1 (use --window=)")
     p.add_argument("--eps", type=_threshold_arg, default=Fraction(1, 1000))
-    p.add_argument("--pinch-tol", type=_fraction_arg, default=None,
+    p.add_argument("--pinch-tol", type=_threshold_arg, default=None,
                    help="moduli-window pinch tolerance (unfolding only)")
     p.add_argument("--seeds", help="comma-separated seed edges, one "
                                    "measure per edge")
@@ -363,6 +365,10 @@ def main(argv=None):
     if _PARSER is None:
         _PARSER = _build_parser()
     args = _PARSER.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:         # argparse reads ``--name=--`` as no value
+            _PARSER.error(f"argument --{name.replace('_', '-')}: expected "
+                          "one argument")
     try:
         report, csv_data = args.func(args)
         if args.format == "csv":

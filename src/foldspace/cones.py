@@ -15,6 +15,7 @@ from .errors import DirectionError, SequenceError
 from .linalg import frac_log, identity, log_ratio
 
 INF = float("inf")
+SAMPLE_DEPTHS = 64     # evenly spaced depths sampled in a deeper cone
 
 
 def _cross(x, y):
@@ -176,11 +177,12 @@ def _normalize_l1(col):
     return tuple(Fraction(x) / s for x in col)
 
 
-def _sample_depths(depth, boundaries, limit=64):
-    if depth <= limit:
+def _sample_depths(depth, boundaries):
+    if depth <= SAMPLE_DEPTHS:
         depths = set(range(1, depth + 1))
     else:
-        depths = {1 + (k * (depth - 1)) // (limit - 1) for k in range(limit)}
+        depths = {1 + (k * (depth - 1)) // (SAMPLE_DEPTHS - 1)
+                  for k in range(SAMPLE_DEPTHS)}
         depths.add(depth)
         depths |= {d for d in boundaries if 1 <= d <= depth}
     return sorted(depths)

@@ -34,12 +34,7 @@ def moduli_window(seq, length_track, indices, pinch_tol=None):
     indices = list(indices)
     if len(indices) < 2:
         raise SequenceError("a moduli window needs at least two indices")
-    graphs = [seq.graph_at(n) for n in indices]
-    g = graphs[0]
-    if any(h != g for h in graphs[1:]):
-        raise GraphStructureError(
-            "window graphs differ; supply explicit identifications by "
-            "re-indexing the sequence")
+    g = _window_graph(seq, indices)
     if pinch_tol is None:
         pinch_tol = Fraction(1, 1000 * g.n_edges)
     pinch_tol = Fraction(pinch_tol)

@@ -266,11 +266,10 @@ class Marking:
                 "basis symbols must be x_1..x_N, each used once")
         self.rank = len(nontree)
         self._letter_of_edge = {}
-        for e, s in self.basis_map.items():
-            self._letter_of_edge[graph.edge_index(e)] = s
         self._edge_of_letter = {}
         for e, s in self.basis_map.items():
             idx = graph.edge_index(e)
+            self._letter_of_edge[idx] = s
             self._edge_of_letter[s] = idx
             self._edge_of_letter[-s] = -idx
         self._geodesics = {}

@@ -30,7 +30,7 @@ def _logical_lines(text):
             yield line
 
 
-def _sectionize(text, headers):
+def _sectionize(text, headers, required):
     sections = {}
     current = None
     for line in _logical_lines(text):
@@ -43,6 +43,9 @@ def _sectionize(text, headers):
             raise FormatError(f"content before any section header: {line!r}")
         else:
             sections[current].append(line.split())
+    for name in required:
+        if name not in sections:
+            raise FormatError(f"missing section {name}")
     return sections
 
 
@@ -64,10 +67,7 @@ def _frac_token(q):
 
 
 def parse_graph_text(text):
-    sections = _sectionize(text, _GRAPH_SECTIONS)
-    for required in ("VERTICES", "EDGES"):
-        if required not in sections:
-            raise FormatError(f"missing section {required}")
+    sections = _sectionize(text, _GRAPH_SECTIONS, ("VERTICES", "EDGES"))
     vertices = [v for line in sections["VERTICES"] for v in line]
     edges = []
     for line in sections["EDGES"]:
@@ -200,10 +200,8 @@ def _graph_at(path, graphs):
 
 
 def _parse_morphism_text(text, base_dir, graphs):
-    sections = _sectionize(text, ("DOMAIN", "CODOMAIN", "MORPHISM"))
-    for required in ("DOMAIN", "CODOMAIN", "MORPHISM"):
-        if required not in sections:
-            raise FormatError(f"missing section {required}")
+    headers = ("DOMAIN", "CODOMAIN", "MORPHISM")
+    sections = _sectionize(text, headers, headers)
     paths = {}
     for key in ("DOMAIN", "CODOMAIN"):
         lines = sections[key]
@@ -264,10 +262,8 @@ def parse_sequence(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
-    sections = _sectionize(text, ("DIRECTION", "STEPS", "BLOCKS"))
-    for required in ("DIRECTION", "STEPS"):
-        if required not in sections:
-            raise FormatError(f"missing section {required}")
+    sections = _sectionize(text, ("DIRECTION", "STEPS", "BLOCKS"),
+                           ("DIRECTION", "STEPS"))
     dirlines = sections["DIRECTION"]
     if len(dirlines) != 1 or len(dirlines[0]) != 1 \
             or dirlines[0][0] not in ("folding", "unfolding"):

@@ -22,6 +22,14 @@ from .paths import (_join_reduced, canonical_cycle, cyclic_reduced_length,
                     reverse_path)
 from .sequences import orbit, orbit_at
 
+# the largest ranks ``candidates`` and ``factor_projection`` enumerate
+MAX_CANDIDATE_RANK = 5
+MAX_FACTOR_RANK = 6
+# A progress report of this many levels on the 10^6-step Fibonacci folding
+# chain takes about 3.6 s and writes about 19 MB (whole process, 2-vCPU
+# host); a longer one is refused (exit code 3) before any level is read.
+MAX_LEVELS = 400_000
+
 
 # -- candidates ----------------------------------------------------------
 
@@ -76,14 +84,14 @@ def _arcs_between(g, vs1, vs2):
     return arcs
 
 
-def candidates(graph, *, max_betti=5):
+def candidates(graph):
     """Candidate loops: embedded circles, figure-eights (circles meeting in
     one vertex, both relative orientations) and barbells (disjoint circles
     joined by an embedded arc, both orientations)."""
     g = _graph_of(graph)
-    if g.betti() > max_betti:
+    if g.betti() > MAX_CANDIDATE_RANK:
         raise BudgetExceededError(
-            f"candidate enumeration capped at rank {max_betti}, "
+            f"candidate enumeration capped at rank {MAX_CANDIDATE_RANK}, "
             f"got {g.betti()}")
     circles = _embedded_circles(g)
     seen = {}
@@ -405,7 +413,11 @@ def ff_progress_diagnostic(seq, levels=None):
     if seq.direction != "folding":
         raise DirectionError("progress diagnostic runs on folding sequences")
     if levels is None:
-        levels = list(range(0, seq.n_steps))
+        levels = range(seq.n_steps)
+    if len(levels) > MAX_LEVELS:
+        raise BudgetExceededError(
+            f"a progress report of {len(levels)} levels is past the limit "
+            f"of {MAX_LEVELS} levels (metric.MAX_LEVELS)")
     rows = [non_filling_witness(seq, n) for n in levels]
     return ProgressReport(levels=tuple(levels),
                           horizons=tuple(r.horizon for r in rows),
@@ -622,7 +634,7 @@ class FactorReport:
     by_subgraph: dict         # frozenset(edge names) -> core string
 
 
-def factor_projection(marked, *, max_rank=6):
+def factor_projection(marked):
     """Distinct proper free factors carried by connected subgraphs.
 
     Each proper connected subgraph of positive rank determines a conjugacy
@@ -630,9 +642,9 @@ def factor_projection(marked, *, max_rank=6):
     core of a basis read through the marking.
     """
     g = marked.graph
-    if g.betti() > max_rank:
+    if g.betti() > MAX_FACTOR_RANK:
         raise BudgetExceededError(
-            f"subgraph enumeration capped at rank {max_rank}")
+            f"subgraph enumeration capped at rank {MAX_FACTOR_RANK}")
     names = list(g.edge_ids)
     by_subgraph = {}
     for mask in range(1, (1 << len(names)) - 1):

@@ -87,9 +87,6 @@ class GraphMorphism:
         p = self._images[abs(oriented) - 1]
         return p if oriented > 0 else reverse_path(p)
 
-    def vertex_image(self, vertex):
-        return self.vertex_map[vertex]
-
     def apply_to_path(self, path):
         """Concatenated edge images, with no free reduction."""
         out = []

@@ -15,19 +15,18 @@ sorted by ``str``, non-finite floats the strings ``"inf"``, ``"-inf"`` and
 ``"nan"``, and fractions ``frac_str`` strings.
 
 Lists of plain numbers are written at C speed, with the same bytes.  A list
-or tuple is a run when its items are all exact ``float``s, each finite, or
-all exact ``int``s; a run is written with one ``map(repr, ...)``.  A list or
-tuple of nonempty lists or tuples of exact ints and finite floats, mixed
-freely (a walk report's 2001 float pairs, a cone report's (depth,
-diameter) rows), is written with one ``%``-format per row, built once per
-row length; ``'%r' % x`` is ``float.__repr__`` or ``int.__repr__`` for
-these exact types.  Only exact types and finite floats qualify, because
-only their ``repr`` is their JSON text: ``bool`` writes ``true``, a
-subclass of ``int`` or ``float`` may have its own ``repr``, and a
-non-finite float becomes a string.  These, mixed flat lists and an int
-past the digit limit (whose ``ValueError`` the conversion raises) take the
-per-item path.  The first item's type decides whether a list is scanned at
-all, so a list of fractions, dicts or strings pays one type check.
+or tuple of nonempty lists or tuples of exact ints and finite floats, mixed
+freely (a walk report's 2001 float pairs, a cone report's (depth, diameter)
+rows), is written with one ``%``-format per row, built once per row length,
+and a flat list or tuple of them whose first and last items have one type
+is written as one such row at its own indent; ``'%r' % x`` is
+``float.__repr__`` or ``int.__repr__`` for these exact types.  Only exact
+types and finite floats qualify, because only their ``repr`` is their JSON
+text: ``bool`` writes ``true``, a subclass of ``int`` or ``float`` may have
+its own ``repr``, and a non-finite float becomes a string.  These, and an
+int past the digit limit (whose ``ValueError`` the conversion raises), take
+the per-item path.  The first item's type decides whether a list is scanned
+at all, so a list of fractions, dicts or strings pays one type check.
 
 Python refuses to write an int of more than ``sys.get_int_max_str_digits()``
 decimal digits (4300 by default) in decimal, and conversion to hex has no
@@ -111,19 +110,6 @@ def _scalar(obj):
     return None
 
 
-def _run(items, kind):
-    """The texts of ``items`` if each has the exact type ``kind`` (``float``
-    or ``int``), each float is finite and each int within the digit limit;
-    None otherwise."""
-    if set(map(type, items)) != {kind} \
-            or kind is float and not all(map(_isfinite, items)):
-        return None
-    try:
-        return list(map(kind.__repr__, items))
-    except ValueError:          # past the int-to-str digit limit
-        return None
-
-
 def _rows(rows, inner):
     """The texts of ``rows``, nonempty lists or tuples of exact ints and
     finite floats, mixed freely, with one ``%``-format per row length; None
@@ -177,7 +163,10 @@ def _container(obj, pad):
             kind = type(obj[0]) if obj else None
             if kind in _NUMBERS:
                 if type(obj[-1]) is kind:
-                    texts = _run(obj, kind)
+                    # a flat list is one row at its own indent
+                    row = _rows([obj], pad)
+                    if row is not None:
+                        return row[0]
             elif kind in _SEQUENCES:
                 texts = _rows(obj, inner)
         elif isinstance(obj, (set, frozenset)):

@@ -43,14 +43,16 @@ EXPANSION_BUDGET = 10_000_000
 # bits an exact entry may reach in one carry; the Fibonacci power M^k has
 # about 0.69 k bits and takes about 0.6 s to form at k = 10^6, 20 s at 10^7
 CARRY_BIT_BUDGET = 2_000_000
+# the most edges a graph may have for ``is_reduced_window`` to search it
+MAX_WINDOW_EDGES = 15
 
 
-def check_expansion(total, budget=EXPANSION_BUDGET):
+def check_expansion(total):
     """Refuse a composite image of ``total`` edges beyond the budget."""
-    if total > budget:
+    if total > EXPANSION_BUDGET:
         raise BudgetExceededError(
             f"composite image of length {total} exceeds the expansion "
-            f"budget {budget}")
+            f"budget {EXPANSION_BUDGET}")
 
 
 def orbit(advance, state, length):
@@ -169,6 +171,15 @@ class FoldingSequence:
         levels = self.levels
         return levels[max(0, n0 - levels.start):max(0, n1 - levels.start + 1)]
 
+    def _window(self, n0, n1):
+        """The levels n0..n1, as a slice of ``levels``; a window of fewer
+        than two levels, or not inside the stored ones, is refused."""
+        levels = self._levels_between(n0, n1)
+        if len(levels) < 2 or levels[0] != n0 or levels[-1] != n1:
+            raise SequenceError(
+                f"window {(n0, n1)} outside the sequence range")
+        return levels
+
     def _internal(self, level):
         T = self.n_steps
         i = level if self.direction == "folding" else level + T
@@ -190,10 +201,7 @@ class FoldingSequence:
         return self._step(i)
 
     def matrix_at(self, level):
-        i = self._internal(level)
-        if i >= self.n_steps:
-            raise SequenceError(f"no step starts at level {level}")
-        return self._matrix(i)
+        return self.step_at(level).incidence_matrix()
 
     def _matrix(self, i):
         return self._step(i).incidence_matrix()
@@ -349,12 +357,12 @@ class FoldingSequence:
                 done += k
             yield done, vectors
 
-    def expansion(self, level, oriented, *, budget=EXPANSION_BUDGET):
+    def expansion(self, level, oriented):
         """Composite image of an oriented edge in the right-end graph, not
-        kept; raises when it would exceed ``budget`` edges."""
+        kept; raises when it would exceed ``EXPANSION_BUDGET`` edges."""
         i = self._internal(level)
         self.graph_at(level).check_path((oriented,))
-        check_expansion(self.image_lengths(level)[abs(oriented) - 1], budget)
+        check_expansion(self.image_lengths(level)[abs(oriented) - 1])
         path = (oriented,)
         for f in map(self._step, range(i, self.n_steps)):
             path = f.apply_to_path(path)
@@ -625,7 +633,7 @@ def decay_check(seq, length_track=None, current_track=None):
 # -- reducedness windows -------------------------------------------------
 
 
-def is_reduced_window(seq, window, *, max_edges=15):
+def is_reduced_window(seq, window):
     """Search a window for a stabilized subgraph chain.
 
     A witness is a chain of proper nonempty edge subsets mapped bijectively,
@@ -641,12 +649,10 @@ def is_reduced_window(seq, window, *, max_edges=15):
     walked through the window once, E x window work in place of 2^E subsets.
     """
     n0, n1 = window
-    levels = seq._levels_between(n0, n1)
-    if len(levels) < 2 or levels[0] != n0 or levels[-1] != n1:
-        raise SequenceError(f"window {window} outside the sequence range")
+    levels = seq._window(n0, n1)
     g0 = seq.graph_at(n0)
     E = g0.n_edges
-    if E > max_edges:
+    if E > MAX_WINDOW_EDGES:
         raise BudgetExceededError(
             f"subgraph enumeration over {E} edges exceeds the budget")
     # with one edge, no subset is proper and nonempty

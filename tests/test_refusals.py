@@ -1,0 +1,268 @@
+"""Requests the command line refuses before any work: decomposition windows
+outside the stored levels, progress levels outside them or past
+``metric.MAX_LEVELS``, negative pinch tolerances and block schedules with
+an entry below 1.  Each exits with its documented code and message."""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foldspace import metric
+from foldspace.cli import main
+from foldspace.errors import SequenceError
+from foldspace.io_formats import parse_sequence
+
+HUGE = 10 ** 13
+
+
+def _gen(tmp_path, *args):
+    assert main(["gen", *args, "--out-dir", str(tmp_path)]) == 0
+    return next(str(p) for p in tmp_path.iterdir()
+                if p.name.endswith(".sequence"))
+
+
+def _huge(tmp_path, direction="folding"):
+    """A Fibonacci chain of 10^13 steps, as one run."""
+    path = _gen(tmp_path, "fibonacci", "--steps", "1", "--direction",
+                direction)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("fibonacci_step0.morphism\n",
+                              f"fibonacci_step0.morphism x{HUGE}\n"))
+    return path
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:        # argparse refusals
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def chains(tmp_path_factory):
+    """The canned 40-step Fibonacci unfolding chain, a 12-step folding
+    one, and the rank-4 unfolding blocks with schedule 3,3,3."""
+    out = tmp_path_factory.mktemp("chains")
+    paths = {}
+    for key, args in (("fib40", ("fibonacci",)),
+                      ("fib12", ("fibonacci", "--steps", "12",
+                                 "--direction", "folding")),
+                      ("alt4", ("alternating_block", "--rank", "4",
+                                "--schedule", "3,3,3"))):
+        (out / key).mkdir()
+        with redirect_stdout(io.StringIO()):
+            paths[key] = _gen(out / key, *args)
+    return paths
+
+
+# -- decomposition windows -------------------------------------------------
+
+
+@pytest.mark.parametrize("window", ["-100:0", "-5:5", "-41:-30", "0:1"])
+def test_decompose_window_outside_the_levels_exits_2(chains, window):
+    """A window is refused as ``fold --window`` refuses it, where it was
+    cut down to the stored levels (-100:0 reported -40..0, -5:5 -5..0)."""
+    rc, out, err = _run(["decompose", chains["fib40"], f"--window={window}"])
+    n0, n1 = map(int, window.split(":"))
+    assert (rc, out) == (2, "")
+    assert err == f"error: window {(n0, n1)} outside the sequence range\n"
+    assert _run(["fold", chains["fib40"], f"--window={window}"]) == \
+        (rc, out, err)
+
+
+def test_decompose_window_inside_the_levels_still_runs(chains):
+    rc, out, _ = _run(["decompose", chains["fib40"], "--window=-40:0"])
+    assert rc == 0
+    assert json.loads(out)["decomposition"]["window"] == list(range(-40, 1))
+
+
+def test_decompose_window_past_a_10_13_step_chain_exits_2(tmp_path):
+    """The window check reads two levels of the slice, so it refuses at
+    once where listing the clipped window ran out of memory."""
+    rc, out, err = _run(["decompose", _huge(tmp_path),
+                         f"--window=0:{2 * HUGE}"])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: window (0, {2 * HUGE}) outside the sequence "
+                   "range\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n0=st.integers(-50, 5), n1=st.integers(-50, 5))
+def test_decompose_window_fuzz(chains, n0, n1):
+    """Every window exits 0 or 2; a refused one names the window as the
+    reducedness search does, and an accepted one reports exactly it."""
+    path = chains["fib40"]
+    rc, out, err = _run(["decompose", path, f"--window={n0}:{n1}"])
+    if n1 <= n0:
+        assert (rc, err) == (2, "error: window must satisfy n0 < n1\n")
+    elif n0 < -40 or n1 > 0:
+        assert (rc, err) == (
+            2, f"error: window {(n0, n1)} outside the sequence range\n")
+    elif n1 - n0 < 3:
+        assert (rc, err) == (2, "error: window covers fewer than 4 levels\n")
+    else:
+        assert rc == 0
+        assert json.loads(out)["decomposition"]["window"] == \
+            list(range(n0, n1 + 1))
+        return
+    assert out == ""
+
+
+# -- progress levels -------------------------------------------------------
+
+
+def _first_outside(seq, levels):
+    """The message the levels gave when they were read one by one."""
+    for level in levels:
+        try:
+            seq._internal(level)
+        except SequenceError as exc:
+            return f"error: {exc}\n"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n0=st.integers(-4, 16), n1=st.integers(-4, 40),
+       stride=st.one_of(st.none(), st.integers(-1, 9)))
+def test_progress_levels_fuzz(chains, n0, n1, stride):
+    """Every request exits 0 or 2; an out-of-range one names the first
+    requested level outside the sequence, as the report read level by
+    level did, and an accepted one reports exactly the requested levels."""
+    path = chains["fib12"]
+    text = f"{n0}:{n1}" if stride is None else f"{n0}:{n1}:{stride}"
+    rc, out, err = _run(["progress", path, f"--levels={text}"])
+    step = 1 if stride is None else stride
+    if step < 1:
+        assert (rc, err) == (2, "error: stride must be >= 1\n")
+    elif n1 < n0:
+        assert (rc, err) == (2, "error: levels must satisfy n0 <= n1\n")
+    else:
+        levels = list(range(n0, n1 + 1, step))
+        outside = _first_outside(parse_sequence(path), levels)
+        if outside is None:
+            assert rc == 0
+            assert json.loads(out)["progress"]["levels"] == levels
+            return
+        assert (rc, err) == (2, outside)
+    assert out == ""
+
+
+@pytest.mark.parametrize("text,level", [("-3:5", -3), ("13:14", 13),
+                                        ("0:30:7", 14), ("10:99:2", 14)])
+def test_progress_levels_outside_name_the_first_one(chains, text, level):
+    rc, out, err = _run(["progress", chains["fib12"], f"--levels={text}"])
+    assert (rc, out, err) == (2, "", f"error: level {level} outside the "
+                                     "sequence\n")
+
+
+def test_progress_levels_past_a_10_13_step_chain(tmp_path):
+    """Levels stay a range: past the stored ones exits 2, and inside them
+    past ``metric.MAX_LEVELS`` exits 3, both before any level is read,
+    where listing them ran out of memory."""
+    path = _huge(tmp_path)
+    rc, out, err = _run(["progress", path, "--levels", f"0:{2 * HUGE}"])
+    assert (rc, out, err) == (2, "", f"error: level {HUGE + 1} outside the "
+                                     "sequence\n")
+    rc, out, err = _run(["progress", path, "--levels", f"0:{HUGE}"])
+    assert (rc, out) == (3, "")
+    assert err == (f"budget: a progress report of {HUGE + 1} levels is past "
+                   f"the limit of {metric.MAX_LEVELS} levels "
+                   "(metric.MAX_LEVELS)\n")
+
+
+def test_progress_level_limit_is_inclusive(chains, monkeypatch):
+    monkeypatch.setattr(metric, "MAX_LEVELS", 5)
+    rc, out, _ = _run(["progress", chains["fib12"], "--levels", "0:8:2"])
+    assert rc == 0 and json.loads(out)["progress"]["levels"] == [0, 2, 4,
+                                                                 6, 8]
+    rc, out, err = _run(["progress", chains["fib12"], "--levels", "0:5"])
+    assert (rc, out) == (3, "")
+    assert "metric.MAX_LEVELS" in err
+
+
+# -- decomposition pinch tolerance -----------------------------------------
+
+
+@pytest.mark.parametrize("value", ["-1", "-1/2"])
+def test_decompose_negative_pinch_tol_exits_2(chains, value):
+    """A negative tolerance pinches no edge; it is refused before any
+    work, as a negative ``--eps`` is."""
+    rc, out, err = _run(["decompose", chains["alt4"], "--window=-9:0",
+                         f"--pinch-tol={value}"])
+    assert (rc, out) == (2, "")
+    assert err.endswith(
+        f"argument --pinch-tol: not a nonnegative rational: {value!r}\n")
+
+
+def test_decompose_zero_pinch_tol_is_allowed(chains):
+    rc, out, _ = _run(["decompose", chains["alt4"], "--window=-9:0",
+                       "--pinch-tol", "0"])
+    assert rc == 0
+    assert json.loads(out)["pinched"] == []
+
+
+# -- block schedules -------------------------------------------------------
+
+
+@pytest.mark.parametrize("schedule", ["-3,2", "", "0", "3,0,3", "2,x", ","])
+def test_gen_bad_schedule_exits_2(tmp_path, schedule):
+    rc, out, err = _run(["gen", "alternating_block", f"--schedule={schedule}",
+                         "--out-dir", str(tmp_path)])
+    assert (rc, out, err) == (2, "", f"error: bad schedule {schedule!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=st.text("0123-, ", max_size=6))
+def test_gen_schedule_fuzz(schedule):
+    """A schedule of integers, each at least 1, writes a chain of their sum
+    in steps; anything else exits 2 and writes nothing."""
+    try:
+        lengths = [int(x) for x in schedule.split(",")]
+    except ValueError:
+        lengths = None
+    with tempfile.TemporaryDirectory() as out_dir:
+        rc, out, err = _run(["gen", "alternating_block",
+                             f"--schedule={schedule}", "--out-dir", out_dir])
+        if schedule == "--":
+            assert (rc, out) == (2, "")
+            assert err.endswith("argument --schedule: expected one "
+                                "argument\n")
+            return
+        if lengths is None or min(lengths) < 1:
+            assert (rc, out, err) == (
+                2, "", f"error: bad schedule {schedule!r}\n")
+            assert os.listdir(out_dir) == []
+            return
+        assert rc == 0
+        seq = parse_sequence(json.loads(out)["sequence_file"])
+        assert seq.n_steps == sum(lengths)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("--schedule", ["gen", "alternating_block", "--out-dir", "{tmp}"]),
+    ("--window", ["fold", "{fib12}"]),
+    ("--window", ["decompose", "{fib12}"]),
+    ("--seeds", ["decompose", "{fib12}", "--window=0:6"]),
+    ("--levels", ["progress", "{fib12}"]),
+    ("--tol", ["cone", "{fib12}", "--depth=3"]),
+    ("--out", ["walk", "--seed=1"])])
+def test_option_value_of_two_dashes_exits_2(chains, tmp_path, name, argv):
+    """argparse reads ``--name=--`` as an empty list, not a string; it is
+    refused as a missing value, where it ended in a traceback or was
+    ignored."""
+    argv = [a.format(tmp=tmp_path, **chains) for a in argv] + [f"{name}=--"]
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: argument {name}: expected one argument\n")

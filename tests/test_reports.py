@@ -394,3 +394,35 @@ def test_mixed_int_and_float_rows_match_json_dumps(rows, odd, data):
     assert dumps_json({"cone": Pair(rows, 0.5)}) == old_dumps_json(
         {"cone": Pair(rows, 0.5)})
 
+
+
+# flat lists of plain numbers and their near misses: ints at and one past
+# the digit limit (drawn by index, as ``_edge_ints`` are), bools and
+# non-finite floats
+_AT_AND_PAST_LIMIT = [10 ** (_LIMIT - 1), -10 ** (_LIMIT - 1), 10 ** _LIMIT,
+                      -10 ** _LIMIT]
+_flat_items = st.one_of(
+    _plain_ints, _plain_floats, st.booleans(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(0, 3).map(_AT_AND_PAST_LIMIT.__getitem__))
+_flat_lists = st.one_of(
+    st.lists(_plain_ints, min_size=1, max_size=8),
+    st.lists(_plain_floats, min_size=1, max_size=8),
+    st.lists(st.one_of(_plain_ints, _plain_floats), min_size=1, max_size=8),
+    st.lists(_flat_items, min_size=1, max_size=8))
+
+
+@settings(max_examples=600, deadline=None)
+@given(items=_flat_lists, kind=_seq_type, other=_flat_lists,
+       nested=st.booleans())
+def test_flat_number_lists_match_json_dumps(items, kind, other, nested):
+    """A flat list is written as one row at its own indent, or item by
+    item; either way with the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``, bare and as a row among rows."""
+    obj = kind(items)
+    if nested:
+        obj = [other, obj]
+    want = json.dumps(old_to_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    assert dumps_json(obj) == want
+    assert dumps_json({"x": obj}) == json.dumps(
+        {"x": old_to_jsonable(obj)}, indent=2, sort_keys=True) + "\n"
