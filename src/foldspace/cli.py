@@ -16,7 +16,7 @@ from .decomposition import (moduli_window, recurrence_check,
                             transverse_decomposition_folding,
                             transverse_decomposition_unfolding)
 from .errors import BudgetExceededError, FoldspaceError, FormatError
-from .examples import gen_example
+from .examples import _block_schedule, gen_example
 from .io_formats import parse_graph, parse_sequence
 from .lamination import _language
 # unused here, but kept as module globals: the traced benchmark run
@@ -107,6 +107,8 @@ def _parse_levels(text, seq):
 
 
 def _cmd_gen(args):
+    if args.format == "csv":    # refused before any file is written
+        raise FormatError("gen has no CSV form")
     kwargs = {"direction": args.direction}
     if args.name == "fibonacci":
         kwargs["steps"] = args.steps
@@ -114,11 +116,10 @@ def _cmd_gen(args):
         kwargs["rank"] = args.rank
         if args.schedule is not None:
             try:
-                kwargs["schedule"] = tuple(map(int, args.schedule.split(",")))
-            except ValueError:
-                kwargs["schedule"] = (0,)   # refused below, as is a 0
-            if min(kwargs["schedule"]) < 1:
-                raise FormatError(f"bad schedule {args.schedule!r}")
+                kwargs["schedule"] = _block_schedule(
+                    map(int, args.schedule.split(",")))
+            except (ValueError, FormatError) as exc:
+                raise FormatError(f"bad schedule {args.schedule!r}") from exc
     ex = gen_example(args.name, **kwargs)
     path = ex.write(args.out_dir)
     return {"sequence_file": path, "notes": ex.notes}, None
@@ -372,9 +373,6 @@ def main(argv=None):
     try:
         report, csv_data = args.func(args)
         if args.format == "csv":
-            if csv_data is None:
-                raise FormatError(
-                    f"{args.command} has no CSV form")
             text = dumps_csv(*csv_data)
         else:
             text = dumps_json(report)

@@ -50,6 +50,14 @@ def gen_fibonacci(steps=40, direction="unfolding"):
 _DEFAULT_SCHEDULE = (4, 16, 64, 256, 1024, 4096)
 
 
+def _block_schedule(lengths):
+    """The block lengths as a tuple: one or more, each at least 1."""
+    schedule = tuple(lengths)
+    if not schedule or min(schedule) < 1:
+        raise FormatError(f"bad block schedule {schedule}")
+    return schedule
+
+
 def gen_alternating_block(schedule=_DEFAULT_SCHEDULE, rank=4,
                           direction="unfolding"):
     """Alternate two expanding pairs with geometrically growing block
@@ -59,6 +67,7 @@ def gen_alternating_block(schedule=_DEFAULT_SCHEDULE, rank=4,
     length/current classes.  rank 3: the third edge feeds on whichever
     pair is active, coupling the blocks.
     """
+    schedule = _block_schedule(schedule)
     if rank == 4:
         g = rose("abcd")
         stepA = _rose_step(g, {"a": "a b", "b": "a", "c": "c", "d": "d"})
@@ -71,12 +80,12 @@ def gen_alternating_block(schedule=_DEFAULT_SCHEDULE, rank=4,
         raise FormatError("alternating blocks come at rank 3 or 4")
     runs = [(stepB if i % 2 else stepA, length)
             for i, length in enumerate(schedule)]
-    boundaries = list(accumulate(max(0, length) for _, length in runs))
+    boundaries = list(accumulate(schedule))
     seq = FoldingSequence.from_runs(runs, direction,
                                     block_boundaries=boundaries)
     return GeneratedExample(name=f"alternating{rank}", sequence=seq,
                             notes={"rank": rank,
-                                   "schedule": tuple(schedule),
+                                   "schedule": schedule,
                                    "boundaries": tuple(boundaries),
                                    "direction": direction})
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatchError, GraphStructureError,
                      MalformedPathError)
-from .paths import cyclic_tighten, require_reduced, tighten
+from .paths import (_cyclic_core, _join_reduced, cyclic_tighten,
+                    require_reduced, tighten)
 
 
 class OrientedGraph:
@@ -292,17 +293,9 @@ class Marking:
     def word_of_path(self, path):
         """Read the basis letters crossed by a path (tree edges are silent);
         freely reduced."""
-        word = []
-        for e in path:
-            letter = self._letter_of_edge.get(abs(e))
-            if letter is None:
-                continue
-            letter = letter if e > 0 else -letter
-            if word and word[-1] == -letter:
-                word.pop()
-            else:
-                word.append(letter)
-        return tuple(word)
+        letters = self._letter_of_edge
+        return tighten(letters[e] if e > 0 else -letters[-e]
+                       for e in path if abs(e) in letters)
 
     def word_of_loop(self, path):
         """Conjugacy-class word of a closed path: read letters, cyclically
@@ -330,10 +323,7 @@ class Marking:
     def loop_of_word(self, word):
         """Closed edge path at the basepoint realizing a word (freely reduced
         as a path, not cyclically)."""
-        path = []
-        for letter in word:
-            path.extend(self.letter_loop(letter))
-        return tighten(path)
+        return _join_reduced(map(self.letter_loop, word))
 
     def __eq__(self, other):
         if not isinstance(other, Marking):
@@ -410,7 +400,7 @@ class MarkedGraph:
         return self.length_of_path(self.geodesic_loop(word))
 
     def geodesic_loop(self, word):
-        return cyclic_tighten(self.marking.loop_of_word(word))
+        return _cyclic_core(self.marking.loop_of_word(word))
 
     def __eq__(self, other):
         if not isinstance(other, MarkedGraph):

@@ -11,15 +11,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import neg
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
 from .graphs import MarkedGraph, OrientedGraph
 from .linalg import frac_log
 from .morphisms import GraphMorphism, fold_decompose
-from .paths import (_join_reduced, canonical_cycle, cyclic_reduced_length,
-                    reverse_path)
+from .paths import _cyclic_core, _join_reduced, canonical_cycle, reverse_path
 from .sequences import orbit, orbit_at
 
 # the largest ranks ``candidates`` and ``factor_projection`` enumerate
@@ -446,7 +444,7 @@ def _edge_images(seq, i, gap):
             if x > 0:
                 return table[x - 1]
             if x not in rev:
-                rev[x] = tuple(map(neg, reversed(table[-x - 1])))
+                rev[x] = reverse_path(table[-x - 1])
             return rev[x]
 
         table = [_join_reduced(map(piece, step.edge_image(e)))
@@ -454,7 +452,7 @@ def _edge_images(seq, i, gap):
     images = {}
     for e, p in enumerate(table, start=1):
         images[e] = p
-        images[-e] = tuple(map(neg, reversed(p)))
+        images[-e] = reverse_path(p)
     return images
 
 
@@ -485,14 +483,14 @@ def linearity_and_speed(seq):
     tighten(F(e_1 ... e_k)) is the tight concatenation of the tight edge
     images tighten(F(e_j)), which are built once per sample for the E
     edges, and since each image is already tight, that concatenation only
-    cancels at the junctions between images and at the seam
-    (``cyclic_reduced_length``).  The same rule builds the edge images,
-    right to left: F = G f with f the gap's first step, so tighten(F(e))
-    is the tight join of the G-images of the letters of f(e), starting
-    from the identity on the far graph (``_edge_images``); each step joins
-    whole table entries and pays only for the letters cancelled at their
-    junctions.  The lengths, and so the report, are those of carrying each
-    loop step by step.
+    cancels at the junctions between images (``paths._join_reduced``) and
+    then at the seam (``paths._cyclic_core``).  The same join builds the
+    edge images, right to left: F = G f with f the gap's first step, so
+    tighten(F(e)) is the tight join of the G-images of the letters of
+    f(e), starting from the identity on the far graph (``_edge_images``);
+    each step joins whole table entries and pays only for the letters
+    cancelled at their junctions.  The lengths, and so the report, are
+    those of carrying each loop step by step.
 
     Each graph's candidate loops are enumerated once per call, however
     many samples start on it.  The step entries are read once per run of
@@ -526,7 +524,8 @@ def linearity_and_speed(seq):
                 loops[id(g_from)] = candidates(g_from)
             d_best = None
             for cand in loops[id(g_from)]:
-                n = cyclic_reduced_length([images[e] for e in cand.path])
+                n = len(_cyclic_core(_join_reduced(
+                    [images[e] for e in cand.path])))
                 if not n:
                     raise MalformedPathError(
                         "essential loop collapsed in transport")

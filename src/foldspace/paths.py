@@ -8,11 +8,14 @@ turn (-a, b) where a is followed by b.  These helpers are graph-agnostic;
 composability checks live on OrientedGraph, which knows endpoints.
 """
 
+from itertools import takewhile
+from operator import add, neg, not_
+
 from .errors import MalformedPathError
 
 
 def reverse_path(path):
-    return tuple(-e for e in reversed(path))
+    return tuple(map(neg, reversed(path)))
 
 
 def _turn(x, y):
@@ -50,76 +53,34 @@ def tighten(path):
 
 def cyclic_tighten(path):
     """Freely reduce as a cyclic word (reduce, then cancel around the seam)."""
-    out = list(tighten(path))
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return tuple(out)
+    return _cyclic_core(tighten(path))
 
 
-def cyclic_reduced_length(pieces):
-    """``len(cyclic_tighten(concatenation of pieces))`` for reduced pieces,
-    without forming the concatenation.
+def _cancelled(x, y):
+    """How many first letters of y cancel the last letters of x: the run of
+    zero sums x[-1-i] + y[i], counted at C speed."""
+    return len(list(takewhile(not_, map(add, reversed(x), y))))
 
-    A reduced piece cancels only at its junctions, so a stack of slices
-    (piece, lo, hi), whose concatenation is the reduced prefix, meets each
-    new piece at its top; the seam is then cancelled from both ends.  The
-    cost grows with the number of pieces plus the cancellation, not with
-    the pieces' lengths.  Empty pieces are skipped; 0 means the loop
-    collapses.
-    """
-    stack = []
-    n = 0
-    for p in pieces:
-        lo, hi = 0, len(p)
-        while lo < hi and stack:
-            q, qlo, qhi = stack[-1]
-            m = min(hi - lo, qhi - qlo)
-            k = 0
-            while k < m and q[qhi - 1 - k] == -p[lo + k]:
-                k += 1
-            lo += k
-            n -= k
-            if k < qhi - qlo:
-                if k:
-                    stack[-1] = (q, qlo, qhi - k)
-                break
-            stack.pop()
-        if lo < hi:
-            stack.append((p, lo, hi))
-            n += hi - lo
-    if n < 2:
-        return n
-    a, b = 0, len(stack) - 1
-    qa, i, ahi = stack[a]
-    qb, blo, j = stack[b]
-    while n >= 2:
-        if i == ahi:
-            a += 1
-            qa, i, ahi = stack[a]
-        if j == blo:
-            b -= 1
-            qb, blo, j = stack[b]
-        if qa[i] != -qb[j - 1]:
-            break
-        i += 1
-        j -= 1
-        n -= 2
-    return n
+
+def _cyclic_core(word):
+    """Cyclic reduction of a reduced word: drop the first k letters and the
+    last k, where the first k cancel the last k around the seam (the count
+    stops by itself at the middle, since a reduced word has no x x^-1)."""
+    k = _cancelled(word, word) if word and word[0] == -word[-1] else 0
+    return word[k:len(word) - k]
 
 
 def _join_reduced(pieces):
     """``tighten`` of the concatenation of reduced pieces.
 
     A reduced piece cancels only against the top of what is joined so far,
-    so each junction costs its cancelled letters plus one ``extend``, not
-    a pass over the letters of the pieces.
+    so each junction costs its cancelled letters, counted at C speed, plus
+    one ``extend``, not a pass over the letters of the pieces.
     """
     out = []
     for p in pieces:
-        k, m = 0, min(len(out), len(p))
-        while k < m and out[-1 - k] == -p[k]:
-            k += 1
-        if k:
+        if out and p and out[-1] == -p[0]:
+            k = _cancelled(out, p)
             del out[-k:]
             p = p[k:]
         out.extend(p)

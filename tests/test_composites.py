@@ -207,6 +207,18 @@ def test_join_cases():
     assert _join_reduced([(1, 2), (-2, -1, 3)]) == (3,)
 
 
+def test_join_cancels_every_length():
+    """Cancellations of every length up to 70 letters, ending inside a
+    piece, with the piece, or with everything joined before it."""
+    for n in range(71):
+        a = tuple(1 + i % 2 for i in range(n))
+        for c in range(n + 1):
+            back = reverse_path(a[n - c:])
+            assert _join_reduced([a, back + (3,)]) == a[:n - c] + (3,)
+            assert _join_reduced([(4,) + a, back]) == (4,) + a[:n - c]
+            assert _join_reduced([a, back]) == a[:n - c]
+
+
 # -- one power per (step, k) -------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Hilbert projective geometry and nested-cone reports."""
 
+import json
 from fractions import Fraction
 from math import log
 
@@ -13,6 +14,10 @@ from foldspace import (DirectionError, cluster_generators, current_cone,
 from foldspace.cones import INF, _cross, _proportional, extreme_ray_indices
 from foldspace.linalg import frac_log
 from foldspace import gen_alternating_block
+from foldspace.cli import main
+from foldspace.examples import _rose_step
+from foldspace.graphs import rose
+from foldspace.sequences import FoldingSequence
 
 
 # -- Hilbert distance ----------------------------------------------------
@@ -217,3 +222,43 @@ def test_cone_depth_bounds(fib_unfold20):
     cone = current_cone(fib_unfold20, 0)
     assert cone.depth == 0
     assert cone.diameter == INF          # standard cone: split supports
+
+
+# -- verdict branches ------------------------------------------------------
+
+
+def test_depth_one_profile_is_too_short(tmp_path):
+    """``cone --depth 1`` on the canned Fibonacci chain has one profile
+    entry, so the verdict cannot judge contraction."""
+    assert main(["gen", "fibonacci", "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "cone.json"
+    assert main(["cone", str(tmp_path / "fibonacci.sequence"), "--depth",
+                 "1", "--out", str(out)]) == 0
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["kind"] == "undecided"
+    assert verdict["detail"] == "profile too short to judge contraction"
+
+
+@pytest.mark.parametrize("direction,build", [("folding", length_cone),
+                                             ("unfolding", current_cone)])
+def test_coupled_constant_blocks_read_as_multiple(direction, build):
+    """The coupled rank-4 chain with constant blocks of 8: A = (a->ab,
+    b->a) and B = (c->cd, d->c), with d->db after each A block and b->bd
+    after each B block, seven times (126 steps).  No proper subgraph is
+    invariant and the period is primitive, so the chain is uniquely
+    ergodic; the diameters fall too slowly for the float heuristic, whose
+    reading of ``multiple(4)`` this pins.  An exact certificate is
+    expected to contradict it."""
+    g = rose("abcd")
+    A = _rose_step(g, {"a": "a b", "b": "a", "c": "c", "d": "d"})
+    B = _rose_step(g, {"a": "a", "b": "b", "c": "c d", "d": "c"})
+    t1 = _rose_step(g, {"a": "a", "b": "b", "c": "c", "d": "d b"})
+    t2 = _rose_step(g, {"a": "a", "b": "b d", "c": "c", "d": "d"})
+    seq = FoldingSequence.from_runs([(A, 8), (t1, 1), (B, 8), (t2, 1)] * 7,
+                                    direction)
+    assert seq.n_steps == 126
+    cone = build(seq, 126)
+    verdict = ergodicity_verdict(cone)
+    assert str(verdict) == "multiple(4)"
+    assert verdict.detail == "no factor-2 contraction over the trailing depths"
+    assert cone.diameter == pytest.approx(3.0397, abs=1e-4)

@@ -1,7 +1,9 @@
 """Requests the command line refuses before any work: decomposition windows
 outside the stored levels, progress levels outside them or past
-``metric.MAX_LEVELS``, negative pinch tolerances and block schedules with
-an entry below 1.  Each exits with its documented code and message."""
+``metric.MAX_LEVELS``, malformed window and level bounds, negative pinch
+tolerances, block schedules with no entry or one below 1, and ``gen`` in
+CSV form.  Each exits with its documented code and message, and ``gen``
+writes no file."""
 
 import io
 import json
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import metric
+from foldspace import examples, metric
 from foldspace.cli import main
-from foldspace.errors import SequenceError
+from foldspace.errors import FormatError, SequenceError
 from foldspace.io_formats import parse_sequence
 
 HUGE = 10 ** 13
@@ -119,6 +121,29 @@ def test_decompose_window_fuzz(chains, n0, n1):
     assert out == ""
 
 
+# -- malformed bounds ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decompose", "{fib12}", "--window=5"],
+     "window must be n0:n1, got '5'"),
+    (["decompose", "{fib12}", "--window=1:2:3"],
+     "window must be n0:n1, got '1:2:3'"),
+    (["decompose", "{fib12}", "--window=a:b"],
+     "window bounds must be integers: 'a:b'"),
+    (["progress", "{fib12}", "--levels", "1"],
+     "levels must be n0:n1[:stride], got '1'"),
+    (["progress", "{fib12}", "--levels", "1:2:3:4"],
+     "levels must be n0:n1[:stride], got '1:2:3:4'"),
+    (["progress", "{fib12}", "--levels", "x:2"],
+     "levels bounds must be integers: 'x:2'")])
+def test_malformed_bounds_exit_2(chains, argv, message):
+    """A window or level range with the wrong number of bounds, or a bound
+    that is not an integer, is refused before any level is read."""
+    rc, out, err = _run([a.format(**chains) for a in argv])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 # -- progress levels -------------------------------------------------------
 
 
@@ -220,6 +245,26 @@ def test_gen_bad_schedule_exits_2(tmp_path, schedule):
     rc, out, err = _run(["gen", "alternating_block", f"--schedule={schedule}",
                          "--out-dir", str(tmp_path)])
     assert (rc, out, err) == (2, "", f"error: bad schedule {schedule!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("schedule", [(), (-3, 2), (0,), (3, 0, 3)])
+def test_library_refuses_a_bad_schedule_before_building(monkeypatch,
+                                                        schedule):
+    """The library refuses what the command line refuses, before it builds
+    a graph or a step."""
+    def build(*args, **kwargs):
+        raise AssertionError("built a chain for a bad schedule")
+    monkeypatch.setattr(examples, "rose", build)
+    with pytest.raises(FormatError, match="block schedule"):
+        examples.gen_alternating_block(schedule=schedule)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "alternating_block"])
+def test_gen_csv_is_refused_before_any_file(tmp_path, name):
+    rc, out, err = _run(["gen", name, "--format", "csv",
+                         "--out-dir", str(tmp_path)])
+    assert (rc, out, err) == (2, "", "error: gen has no CSV form\n")
     assert os.listdir(tmp_path) == []
 
 

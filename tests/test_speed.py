@@ -1,6 +1,7 @@
-"""Linear speed from composite edge images: the junction-only length helper,
-the whole report against carrying each loop step by step, and the report
-bytes on the canned folding blocks."""
+"""Linear speed from composite edge images: the length of a join of reduced
+pieces against the old junction-only helper, the whole report against
+carrying each loop step by step, and the report bytes on the canned folding
+blocks."""
 
 import hashlib
 from fractions import Fraction
@@ -15,7 +16,7 @@ from foldspace.graphs import theta_graph
 from foldspace.linalg import frac_log
 from foldspace.metric import SpeedReport, candidates, linearity_and_speed
 from foldspace.morphisms import GraphMorphism, validate_change_of_marking
-from foldspace.paths import (cyclic_reduced_length, cyclic_tighten,
+from foldspace.paths import (_cyclic_core, _join_reduced, cyclic_tighten,
                              reverse_path, tighten)
 from foldspace.sequences import FoldingSequence
 
@@ -23,7 +24,65 @@ from conftest import barbell_graph
 from test_sequences import _chains
 
 
-# -- the length helper ----------------------------------------------------
+# -- the length of a join of reduced pieces ------------------------------
+
+
+def cyclic_reduced_length(pieces):
+    """Oracle: ``len(cyclic_tighten(concatenation of pieces))`` for reduced
+    pieces, without forming the concatenation.
+
+    A reduced piece cancels only at its junctions, so a stack of slices
+    (piece, lo, hi), whose concatenation is the reduced prefix, meets each
+    new piece at its top; the seam is then cancelled from both ends.  The
+    cost grows with the number of pieces plus the cancellation, not with
+    the pieces' lengths.  Empty pieces are skipped; 0 means the loop
+    collapses.  (The speed samples measured loops this way before they
+    joined the images with ``_join_reduced`` and cut the seam with
+    ``_cyclic_core``.)
+    """
+    stack = []
+    n = 0
+    for p in pieces:
+        lo, hi = 0, len(p)
+        while lo < hi and stack:
+            q, qlo, qhi = stack[-1]
+            m = min(hi - lo, qhi - qlo)
+            k = 0
+            while k < m and q[qhi - 1 - k] == -p[lo + k]:
+                k += 1
+            lo += k
+            n -= k
+            if k < qhi - qlo:
+                if k:
+                    stack[-1] = (q, qlo, qhi - k)
+                break
+            stack.pop()
+        if lo < hi:
+            stack.append((p, lo, hi))
+            n += hi - lo
+    if n < 2:
+        return n
+    a, b = 0, len(stack) - 1
+    qa, i, ahi = stack[a]
+    qb, blo, j = stack[b]
+    while n >= 2:
+        if i == ahi:
+            a += 1
+            qa, i, ahi = stack[a]
+        if j == blo:
+            b -= 1
+            qb, blo, j = stack[b]
+        if qa[i] != -qb[j - 1]:
+            break
+        i += 1
+        j -= 1
+        n -= 2
+    return n
+
+
+def _loop_length(pieces):
+    """The speed samples' length of a loop read as reduced pieces."""
+    return len(_cyclic_core(_join_reduced(pieces)))
 
 
 _letters = st.sampled_from((1, -1, 2, -2))
@@ -49,18 +108,27 @@ def _pieces(draw):
 @given(pieces=_pieces())
 def test_cyclic_reduced_length_matches_cyclic_tighten(pieces):
     joined = tuple(e for p in pieces for e in p)
-    assert cyclic_reduced_length(pieces) == len(cyclic_tighten(joined))
+    n = len(cyclic_tighten(joined))
+    assert _loop_length(pieces) == cyclic_reduced_length(pieces) == n
+
+
+_CASES = [
+    ([], 0),
+    ([(), ()], 0),
+    ([(1, 2), (), (-2, -1)], 0),
+    # the seam cancels across an empty piece
+    ([(1, 2), (), (3,), (-1,)], 2),
+    # a piece cancels two letters at a junction, then the seam one pair
+    ([(1, 2, 3), (-3, -2, 2), (-1,)], 1),
+    ([(1, 2, -1)], 1),
+]
 
 
 def test_cyclic_reduced_length_cases():
-    assert cyclic_reduced_length([]) == 0
-    assert cyclic_reduced_length([(), ()]) == 0
-    assert cyclic_reduced_length([(1, 2), (), (-2, -1)]) == 0
-    # the seam cancels across an empty piece
-    assert cyclic_reduced_length([(1, 2), (), (3,), (-1,)]) == 2
-    # a piece cancels two letters at a junction, then the seam one pair
-    assert cyclic_reduced_length([(1, 2, 3), (-3, -2, 2), (-1,)]) == 1
-    assert cyclic_reduced_length([(1, 2, -1)]) == 1
+    for pieces, n in _CASES:
+        joined = tuple(e for p in pieces for e in p)
+        assert _loop_length(pieces) == cyclic_reduced_length(pieces) == n
+        assert len(cyclic_tighten(joined)) == n
 
 
 # -- the whole report against carrying each loop ----------------------------
