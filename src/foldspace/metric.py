@@ -8,6 +8,7 @@ for cross-validation on small graphs.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -334,35 +335,67 @@ def _apply_support(step, support):
     return frozenset(out)
 
 
+def _fill_orbit(seq, r, support):
+    """``(hit, trail, cycle)``: the support's ``orbit`` across run r and
+    the first index on it of full support (None when there is none), kept
+    per run and support."""
+    key = (r, support)
+    if key not in seq._fill_memo:
+        _, length, step = seq.step_runs[r]
+        trail, cycle = orbit(partial(_apply_support, step), support, length)
+        full = frozenset(step.domain.edge_ids)
+        seq._fill_memo[key] = (
+            trail.index(full) if full in trail else None, trail, cycle)
+    return seq._fill_memo[key]
+
+
+def _fill_rest(seq, r, support):
+    """Steps from the start of run r until the support fills, or None when
+    it stays proper through the final level.  Kept per run and support:
+    the walk stops at the first run whose answer is known, and the runs it
+    crossed are filled in backwards."""
+    memo, runs = seq._fill_rest, seq.step_runs
+    crossed = []
+    while r < len(runs) and (r, support) not in memo:
+        hit, trail, cycle = _fill_orbit(seq, r, support)
+        if hit is not None:
+            memo[r, support] = hit
+            break
+        crossed.append((r, support))
+        support = orbit_at(trail, cycle, runs[r][1])
+        r += 1
+    rest = memo.get((r, support))       # None past the last run
+    for r, support in reversed(crossed):
+        rest = memo[r, support] = None if rest is None \
+            else runs[r][1] + rest
+    return rest
+
+
 def fills(seq, level, support):
     """Least m >= 0 such that pushing the support forward m steps covers
     every edge, or None if it stays proper through the final level.
 
     Full support is absorbing: change-of-marking steps are surjective on
     edges, so once everything is covered it stays covered.  Across a run
-    the support follows its ``orbit``, kept per run and starting support,
-    so the cost does not grow with the run length.
+    the support follows its ``orbit``, and the rest of the chain from a
+    run's start is kept per run and support, so over every level and edge
+    of a report the cost is O(levels x edges + runs x supports).
     """
     i = seq._internal(level)
     g = seq.graph_at(level)
     support = frozenset(support)
     for name in support:
         g.edge_index(name)
-    offset = 0
-    for (start, length, step), k in seq._runs_between(i, seq.n_steps):
-        key = (start, support)
-        if key not in seq._fill_memo:
-            trail, cycle = orbit(partial(_apply_support, step), support,
-                                 length)
-            full = frozenset(step.domain.edge_ids)
-            seq._fill_memo[key] = (
-                trail.index(full) if full in trail else None, trail, cycle)
-        hit, trail, cycle = seq._fill_memo[key]
-        if hit is not None and hit <= k:
-            return offset + hit
-        support = orbit_at(trail, cycle, k)
-        offset += k
-    return None
+    if i == seq.n_steps:
+        return None
+    r = bisect_right(seq._run_starts, i) - 1
+    start, length, _ = seq.step_runs[r]
+    k = start + length - i          # steps of run r from this level on
+    hit, trail, cycle = _fill_orbit(seq, r, support)
+    if hit is not None and hit <= k:
+        return hit
+    rest = _fill_rest(seq, r + 1, orbit_at(trail, cycle, k))
+    return None if rest is None else k + rest
 
 
 @dataclass(frozen=True)

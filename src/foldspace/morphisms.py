@@ -5,7 +5,11 @@ reduced (possibly empty) edge path; orientation reversal is respected.  The
 central validation here is the change-of-marking test: factor through a
 subdivision into a simplicial map (Stallings), fold until no two edges at a
 common vertex have the same image, and check that what remains is an
-isomorphism onto the codomain.
+isomorphism onto the codomain.  One union-find kernel, ``_fold``, makes
+every fold, on integer arrays: the test feeds it the subdivided segments
+straight from the edge images, and ``fold_decompose`` a simplicial
+morphism's own edges.  A check, and ``fold_decompose`` by default, is
+refused when its folds reach ``MAX_FOLDS``.
 """
 
 from dataclasses import dataclass
@@ -15,6 +19,10 @@ from .errors import (BudgetExceededError, MalformedMorphismError,
                      NotChangeOfMarkingError)
 from .graphs import OrientedGraph
 from .paths import is_reduced, path_turns, reverse_path, tighten
+
+# a change-of-marking check, or fold_decompose by default, that reaches
+# this many folds is refused (BudgetExceededError)
+MAX_FOLDS = 100000
 
 
 def _kept(method):
@@ -171,18 +179,39 @@ class GraphMorphism:
     @_kept
     def _marking_failure(self):
         """Why this is not a change of marking, or None when it is (see
-        ``validate_change_of_marking``)."""
+        ``validate_change_of_marking``).
+
+        The edge images are cut into segments, one per letter, on integer
+        vertex ids (the domain's vertices, then one new point per inner
+        junction of an image), and ``_fold`` folds the segments; no graph
+        or morphism is built.  The fold ends in an isomorphism when it
+        keeps as many segments as the codomain has edges, with distinct
+        images, and as many vertex classes as the codomain has vertices:
+        a simplicial map that is a bijection on edges is onto on the
+        vertices of a codomain with no isolated vertex, so it is a
+        bijection there too."""
         G, H = self.domain, self.codomain
         if G.betti() != H.betti():
             return f"first Betti numbers differ: {G.betti()} vs {H.betti()}"
         if self.has_collapsed_edges():
             return "a change of marking cannot collapse edges"
-        decomp = fold_decompose(stallings_factorize(self)[1])
-        if decomp.is_isomorphism():
+        index = {v: i for i, v in enumerate(G.vertices)}
+        n = len(index)
+        init, term, image = [], [], []
+        for a, b, p in zip(G._einit, G._eterm, self._images):
+            init.append(index[a])
+            init.extend(range(n, n + len(p) - 1))
+            term.extend(range(n, n + len(p) - 1))
+            term.append(index[b])
+            image.extend(p)
+            n += len(p) - 1
+        root, dropped, _ = _fold(n, init, term, image, range(n), MAX_FOLDS)
+        kept = [abs(x) for j, x in enumerate(image, 1) if j not in dropped]
+        if (len(kept) == H.n_edges == len(set(kept))
+                and sum(v == r for v, r in enumerate(root)) == H.n_vertices):
             return None
         return ("folding terminates in a proper immersion onto "
-                f"{decomp.terminal.codomain.n_edges}-edge codomain "
-                f"(final graph has {decomp.terminal.domain.n_edges} "
+                f"{H.n_edges}-edge codomain (final graph has {len(kept)} "
                 "edges)")
 
     def __eq__(self, other):
@@ -227,12 +256,19 @@ def stallings_factorize(f):
 
     Each domain edge whose image has length L >= 2 is cut into L segments
     mapping to single edges.  Returns ``(subdivision, simplicial)`` with
-    ``compose(simplicial, subdivision)`` equal to ``f``.
+    ``compose(simplicial, subdivision)`` equal to ``f``.  Edge ``e``'s
+    points are named ``e.v1``, ``e.v2``, ... and its segments ``e.1``,
+    ``e.2``, ...; when a domain name contains ``.``, the separator is the
+    shortest run of dots that none contains, so no new name is a domain
+    name.
     """
     if f.has_collapsed_edges():
         raise MalformedMorphismError(
             "cannot factor a morphism with collapsed edges")
     G, H = f.domain, f.codomain
+    sep = "."
+    while any(sep in name for name in (*G.vertices, *G.edge_ids)):
+        sep += "."
     new_vertices = list(G.vertices)
     new_edges = []
     sub_emap = {}
@@ -247,13 +283,13 @@ def stallings_factorize(f):
             continue
         chain = [G._einit[j]]
         for k in range(1, len(p)):
-            w = f"{eid}.v{k}"
+            w = f"{eid}{sep}v{k}"
             new_vertices.append(w)
             chain.append(w)
             simp_vmap[w] = H.init(p[k])
         chain.append(G._eterm[j])
         for k, seg in enumerate(p):
-            seg_id = f"{eid}.{k + 1}"
+            seg_id = f"{eid}{sep}{k + 1}"
             new_edges.append((seg_id, chain[k], chain[k + 1]))
             simp_emap[seg_id] = (seg,)
         sub_emap[eid] = tuple(range(len(new_edges) - len(p) + 1,
@@ -262,6 +298,89 @@ def stallings_factorize(f):
     subdivision = GraphMorphism(G, Gp, {v: v for v in G.vertices}, sub_emap)
     simplicial = GraphMorphism(Gp, H, simp_vmap, simp_emap)
     return subdivision, simplicial
+
+
+def _fold(n, init, term, image, rank, max_folds):
+    """Fold a simplicial map on integer arrays until it is an immersion.
+
+    The domain has vertices ``0..n-1`` and segments ``1..m`` (oriented
+    ``+j`` and ``-j``), segment j running from ``init[j - 1]`` to
+    ``term[j - 1]`` onto the signed codomain edge ``image[j - 1]``;
+    ``rank[v]`` is any key that orders the vertices.
+
+    One union-find pass.  Each vertex class keeps its live outgoing
+    segments by image; segments attach vertex by vertex, in the order of
+    ``OrientedGraph._out``.  When two with one image meet they fold: the
+    one with the larger index is dropped, and the classes of their
+    terminal vertices go on a worklist to be merged.  A merged class keeps
+    the vertex of lower ``rank`` and takes in the other's segments, which
+    may fold in turn.  Folding is confluent, so the final classes do not
+    depend on the order of the folds, and by these survivor rules each
+    class ends at its least-ranked vertex.
+
+    Returns ``(root, dropped, pairs)``: each vertex's class representative,
+    the set of dropped segment indices, and the ``(keep, drop)`` pairs of
+    oriented segments in the order they fold.  A fold count that reaches
+    ``max_folds`` raises ``BudgetExceededError`` at once.
+    """
+    if max_folds <= 0:      # no fold count is below the budget
+        raise _over_budget(max_folds)
+    out = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(zip(init, term), 1):
+        out[a].append(j)
+        out[b].append(-j)
+    parent = list(range(n))
+    tables = [{} for _ in range(n)]     # class -> {image: live segment}
+    dropped = set()     # folded-away segments, skipped where still held
+    merges = []
+    pairs = []
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]     # path halving
+        return v
+
+    def attach(table, e):
+        if abs(e) in dropped:
+            return
+        img = image[e - 1] if e > 0 else -image[-e - 1]
+        held = table.get(img)
+        if held is None or abs(held) in dropped:
+            table[img] = e
+            return
+        keep, drop = (held, e) if abs(held) < abs(e) else (e, held)
+        dropped.add(abs(drop))
+        table[img] = keep
+        pairs.append((keep, drop))
+        if len(pairs) >= max_folds:
+            raise _over_budget(max_folds)
+        merges.append((term[keep - 1] if keep > 0 else init[-keep - 1],
+                       term[drop - 1] if drop > 0 else init[-drop - 1]))
+
+    for v in range(n):
+        table = tables[v]
+        for e in out[v]:
+            attach(table, e)
+    while merges:
+        u, w = map(find, merges.pop())
+        if u == w:
+            continue
+        if rank[w] < rank[u]:
+            u, w = w, u
+        parent[w] = u
+        small, big = tables[w], tables[u]
+        tables[w] = None
+        if len(small) > len(big):
+            small, big = big, small
+        tables[u] = big
+        for e in small.values():
+            attach(big, e)
+    return [find(v) for v in range(n)], dropped, pairs
+
+
+def _over_budget(max_folds):
+    return BudgetExceededError("fold decomposition did not terminate "
+                               f"within {max_folds} folds")
 
 
 @dataclass(frozen=True)
@@ -294,79 +413,40 @@ class FoldDecomposition:
                 and len(eimg) == t.domain.n_edges)
 
 
-def fold_decompose(f, *, max_folds=100000):
+def fold_decompose(f, *, max_folds=None):
     """Fold a simplicial morphism until no further fold is possible.
 
-    One union-find pass over the domain's vertices.  Each vertex class keeps
-    its live outgoing edges by image; when two with one image meet, they
-    fold: the one with the larger edge index is dropped, and the classes of
-    their terminal vertices go on a worklist to be merged.  A merged class
-    keeps the smaller vertex name and takes in the other's edges, which may
-    fold in turn.  Folding is confluent, so the final classes do not depend
-    on the order of the folds, and by these survivor rules each class ends
-    at its minimum: the terminal (built once, in the domain's order) and the
-    fold count are those of folding the least pair first, one fold at a
-    time.  An immersion is its own terminal.  A decomposition that needs
-    ``max_folds`` folds or more raises ``BudgetExceededError``.
+    ``_fold`` runs on the domain's own vertices and edges, ranked by name,
+    so a class keeps its least vertex name, and the terminal (built once,
+    in the domain's order) and the fold count are those of folding the
+    least pair first, one fold at a time.  An immersion is its own
+    terminal.  A decomposition that needs ``max_folds`` folds or more (by
+    default ``MAX_FOLDS``) raises ``BudgetExceededError``.
     """
     if not f.is_simplicial():
         raise MalformedMorphismError("fold decomposition needs a simplicial "
                                      "morphism; factor first")
     G = f.domain
-    parent = {v: v for v in G.vertices}
-    tables = {v: {} for v in G.vertices}   # class -> {image: live edge}
-    dropped = set()     # folded-away edge indices, skipped where still held
-    merges = []
-    steps = []
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]     # path halving
-        return v
-
-    def attach(table, e):
-        if abs(e) in dropped:
-            return
-        x = f._images[abs(e) - 1][0]
-        img = x if e > 0 else -x
-        held = table.get(img)
-        if held is None or abs(held) in dropped:
-            table[img] = e
-            return
-        keep, drop = (held, e) if abs(held) < abs(e) else (e, held)
-        dropped.add(abs(drop))
-        table[img] = keep
-        steps.append(FoldStep((G.token(keep), G.token(drop))))
-        merges.append((G.term(keep), G.term(drop)))
-
-    for v in G.vertices:
-        for e in G.out_edges(v):
-            attach(tables[v], e)
-    while merges:
-        u, w = sorted(map(find, merges.pop()))
-        if u == w:
-            continue
-        parent[w] = u
-        small, big = tables.pop(w), tables[u]
-        if len(small) > len(big):
-            small, big = big, small
-        tables[u] = big
-        for e in small.values():
-            attach(big, e)
-    if len(steps) >= max_folds:
-        raise BudgetExceededError("fold decomposition did not terminate "
-                                  f"within {max_folds} folds")
-    if not steps:
+    names = G.vertices
+    index = {v: i for i, v in enumerate(names)}
+    init = [index[v] for v in G._einit]
+    term = [index[v] for v in G._eterm]
+    root, dropped, pairs = _fold(
+        len(names), init, term, [p[0] for p in f._images], names,
+        MAX_FOLDS if max_folds is None else max_folds)
+    if not pairs:
         return FoldDecomposition((), f)
-    verts = [v for v in G.vertices if parent[v] == v]
+    steps = tuple(FoldStep((G.token(keep), G.token(drop)))
+                  for keep, drop in pairs)
+    verts = [names[v] for v, r in enumerate(root) if v == r]
     kept = [j for j in range(G.n_edges) if j + 1 not in dropped]
     folded = OrientedGraph(
-        verts, [(G.edge_ids[j], find(G._einit[j]), find(G._eterm[j]))
+        verts, [(G.edge_ids[j], names[root[init[j]]], names[root[term[j]]])
                 for j in kept], _relaxed=True)
     terminal = GraphMorphism(
         folded, f.codomain, {v: f.vertex_map[v] for v in verts},
         {G.edge_ids[j]: f._images[j] for j in kept})
-    return FoldDecomposition(tuple(steps), terminal)
+    return FoldDecomposition(steps, terminal)
 
 
 def validate_change_of_marking(f, *, raise_on_failure=False):

@@ -134,6 +134,7 @@ class FoldingSequence:
         self._hit_tables = {}       # lamination._hits: word -> per-level hits
         self._taken_orbits = None   # per run: orbit of its taken-turn sets
         self._fill_memo = {}        # metric.fills: (run, support) -> orbit
+        self._fill_rest = {}        # metric.fills: (run, support) -> rest
         self._image_track = None    # image_lengths, carried on demand
         if validate:
             self.validate()

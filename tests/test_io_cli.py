@@ -8,7 +8,6 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,8 @@ from foldspace.decomposition import (moduli_window, recurrence_check,
 from foldspace.errors import FormatError
 from foldspace.examples import (fibonacci_step, gen_alternating_block,
                                 gen_fibonacci)
-from foldspace.graphs import MarkedGraph, Marking, rose, theta_graph
+from foldspace.graphs import (MarkedGraph, Marking, OrientedGraph, rose,
+                             theta_graph)
 from foldspace.io_formats import (
     parse_graph,
     parse_graph_text,
@@ -707,11 +707,26 @@ def test_fold_budget_in_parse_exits_3(tmp_path, monkeypatch, capsys):
     path = write_sequence(FoldingSequence([fibonacci_step()], "folding"),
                           tmp_path, "fib1")
     # the Fibonacci step needs one fold; a budget of one refuses it
-    monkeypatch.setattr(morphisms, "fold_decompose",
-                        partial(morphisms.fold_decompose, max_folds=1))
+    monkeypatch.setattr(morphisms, "MAX_FOLDS", 1)
     assert main(["fold", path]) == 3
     assert capsys.readouterr().err == \
         "budget: fold decomposition did not terminate within 1 folds\n"
+
+
+def test_fold_on_names_like_subdivision_points(tmp_path, capsys):
+    """A theta graph with a vertex named a.v1, the name a subdivision point
+    of edge a once took: the step a -> a -b c is a change of marking, so
+    fold exits 0, as it does with the vertex renamed."""
+    for vertex in ("w", "a.v1"):
+        g = OrientedGraph(["u", vertex], [(e, "u", vertex) for e in "abc"])
+        step = GraphMorphism(g, g, {"u": "u", vertex: vertex},
+                             {"a": "a -b c", "b": "b", "c": "c"})
+        path = write_sequence(
+            FoldingSequence([step], "folding", validate=False),
+            tmp_path / vertex, "theta")
+        assert main(["fold", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["validated"] is True
 
 
 # -- lamination subcommand fuzz ------------------------------------------

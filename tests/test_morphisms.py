@@ -348,11 +348,127 @@ def test_fold_decompose_matches_the_one_fold_loop(build):
         a, b = (simp.domain.parse_oriented(t) for t in step.pair)
         assert a != b
         assert simp.edge_image(a)[0] == simp.edge_image(b)[0]
-    f, g = build(), build()
+
+
+# -- the factor-and-fold route of the change-of-marking check, kept as an
+# oracle
+
+
+def _oracle_marking_failure(f, max_folds=None):
+    """``_marking_failure`` through graphs and morphisms: the simplicial
+    half of the Stallings factorization, folded by ``fold_decompose``, and
+    the terminal's ``is_isomorphism``."""
+    G, H = f.domain, f.codomain
+    if G.betti() != H.betti():
+        return f"first Betti numbers differ: {G.betti()} vs {H.betti()}"
+    if f.has_collapsed_edges():
+        return "a change of marking cannot collapse edges"
+    decomp = fold_decompose(stallings_factorize(f)[1], max_folds=max_folds)
+    if decomp.is_isomorphism():
+        return None
+    return ("folding terminates in a proper immersion onto "
+            f"{decomp.terminal.codomain.n_edges}-edge codomain "
+            f"(final graph has {decomp.terminal.domain.n_edges} edges)")
+
+
+def _theta_loop(word):
+    """A word in x = e2 e1bar and y = e3 e1bar as a reduced loop at u."""
+    letters = {1: (2, -1), 2: (3, -1), -1: (1, -2), -2: (1, -3)}
+    return tighten([e for x in word for e in letters[x]])
+
+
+@st.composite
+def _checks(draw):
+    """Builder of a morphism from ``_morphisms``, of one onto the theta
+    graph (from the rank-2 rose, or from the theta graph fixing u and v),
+    or of one the check refuses: a theta graph with e1 collapsed onto the
+    rank-2 rose, roses of unequal rank, or a changed basis with one word
+    repeated (a, b -> g(a))."""
+    kind = draw(st.sampled_from(("morphism", "theta", "collapsed", "betti",
+                                 "repeated")), label="kind")
+    if kind == "morphism":
+        return draw(_morphisms())
+    if kind == "theta":
+        x, y = (draw(_basis(2), label="basis")
+                if draw(st.booleans(), label="marking") else
+                (draw(_word(2), label="x"), draw(_word(2), label="y")))
+        codomain = theta_graph()
+        if draw(st.booleans(), label="rose"):
+            domain, vertex_map = rose("ab"), {"*": "u"}
+            images = {"a": _theta_loop(x), "b": _theta_loop(y)}
+        else:
+            domain, vertex_map = codomain, {"u": "u", "v": "v"}
+            w = _theta_loop(draw(_word(2), label="w"))
+            images = {e: tighten(loop + w + (1,)) for e, loop in
+                      (("e1", ()), ("e2", _theta_loop(x)),
+                       ("e3", _theta_loop(y)))}
+        return lambda: GraphMorphism(domain, codomain, vertex_map, images)
+    if kind == "collapsed":
+        images = {"e1": (), "e2": draw(_word(2), label="x"),
+                  "e3": draw(_word(2), label="y")}
+        domain, codomain = theta_graph(), rose("ab")
+        return lambda: GraphMorphism(domain, codomain, {"u": "*", "v": "*"},
+                                     images)
+    if kind == "betti":
+        rank, other = draw(st.permutations(range(2, 5)), label="ranks")[:2]
+        words = [draw(_word(other), label=f"w{x}") for x in range(rank)]
+    else:
+        rank = other = draw(st.integers(2, 4), label="rank")
+        words = draw(_basis(rank), label="basis")
+        i, j = draw(st.permutations(range(rank)), label="pair")[:2]
+        words[j] = words[i]
+    domain, codomain = rose(_LETTERS[:rank]), rose(_LETTERS[:other])
+    images = dict(zip(_LETTERS, words))
+    return lambda: GraphMorphism(domain, codomain, {"*": "*"}, images)
+
+
+def _outcome(check):
+    try:
+        return check()
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(build=_checks())
+def test_marking_failure_matches_the_factor_and_fold_route(build):
+    f = build()
     reason = f._marking_failure()
-    with patch.object(morphisms, "fold_decompose", _oracle_fold_decompose):
-        assert g._marking_failure() == reason
+    assert reason == _oracle_marking_failure(build())
     assert validate_change_of_marking(f) == (reason is None)
+    folds = None
+    if f.domain.betti() == f.codomain.betti() and \
+            not f.has_collapsed_edges():
+        folds = len(fold_decompose(stallings_factorize(f)[1]).steps)
+    # the fold budget raises at its limit in both routes, not one fold off
+    for limit in (-1, 0, 1) if folds is None else \
+            (folds - 1, folds, folds + 1):
+        with patch.object(morphisms, "MAX_FOLDS", limit):
+            got = _outcome(build()._marking_failure)
+        assert got == _outcome(lambda: _oracle_marking_failure(build(),
+                                                               limit))
+        if folds is not None:
+            assert (got == ("budget", "fold decomposition did not "
+                            f"terminate within {limit} folds")) == \
+                (folds >= limit)
+
+
+@pytest.mark.parametrize("vertex, edge", [("v", "b"), ("a.v1", "b"),
+                                          ("a.v1", "a.1"), ("a..v1", "a.1")])
+def test_subdivision_names_avoid_the_domain_names(vertex, edge):
+    """A theta graph whose names look like subdivision points and segments
+    (a.v1, a.1): the step a -> a -b c validates whatever the names, and
+    the factorization's new names are none of the domain's."""
+    g = OrientedGraph(["u", vertex], [(e, "u", vertex)
+                                      for e in ("a", edge, "c")])
+    f = GraphMorphism(g, g, {"u": "u", vertex: vertex},
+                      {"a": f"a -{edge} c", edge: edge, "c": "c"})
+    assert validate_change_of_marking(f)
+    assert _oracle_marking_failure(f) is None
+    sub, simp = stallings_factorize(f)
+    assert compose(simp, sub) == f
+    assert len(sub.codomain.vertices) == 4
+    assert len(sub.codomain.edge_ids) == 5
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,15 +2,17 @@
 
 A sequence stores only its runs (``step_runs``).  The oracles below are the
 stepwise passes over a tuple of steps that the run code replaced: the
-run-length encoding, the taken-turn pass, the run walk of ``fills`` and the
-first-edge composite.  Hypothesis compares each with the run code on short
-runs over the ``_chains`` pools, on long runs over the ``_run_chains``
-steps, and on unvalidated chains that cancel.
+run-length encoding, the taken-turn pass, the run walks of ``fills`` (step
+by step, and by orbits across every later run) and the first-edge
+composite.  Hypothesis compares each with the run code on short runs over
+the ``_chains`` pools, on long runs over the ``_run_chains`` steps, and on
+unvalidated chains that cancel.
 """
 
 import json
 import math
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,28 @@ def old_fills(runs, i, support, memo):
                 return offset + hit
             support = end
             offset += length
+    return None
+
+
+def run_walk_fills(seq, level, support, memo):
+    """``fills`` walking every later run, each by the support's ``orbit``
+    across it, kept per run start and support in ``memo``."""
+    i = seq._internal(level)
+    support = frozenset(support)
+    offset = 0
+    for (start, length, step), k in seq._runs_between(i, seq.n_steps):
+        key = (start, support)
+        if key not in memo:
+            trail, cycle = orbit(partial(_apply_support, step), support,
+                                 length)
+            full = frozenset(step.domain.edge_ids)
+            memo[key] = (trail.index(full) if full in trail else None,
+                         trail, cycle)
+        hit, trail, cycle = memo[key]
+        if hit is not None and hit <= k:
+            return offset + hit
+        support = orbit_at(trail, cycle, k)
+        offset += k
     return None
 
 
@@ -229,17 +253,20 @@ def test_run_passes_match_the_step_loops(chain, data):
     levels = list(seq.levels)
     assert tuple(seq.taken_turns_at(n) for n in levels) == \
         old_propagate_taken(steps)
-    old_runs, memo = old_run_length_encode(steps), {}
-    for n in levels:
+    old_runs, memo, walk_memo = old_run_length_encode(steps), {}, {}
+    # any order of levels: the kept rest of the chain serves each one
+    for n in data.draw(st.permutations(levels), label="order"):
         i = seq._internal(n)
         for name in seq.graph_at(n).edge_ids:
-            assert fills(seq, n, (name,)) == \
-                old_fills(old_runs, i, (name,), memo)
+            got = fills(seq, n, (name,))
+            assert got == old_fills(old_runs, i, (name,), memo)
+            assert got == run_walk_fills(seq, n, (name,), walk_memo)
     n = data.draw(st.sampled_from(levels), label="level")
     names = seq.graph_at(n).edge_ids
     support = data.draw(st.sets(st.sampled_from(names)), label="support")
-    assert fills(seq, n, support) == \
-        old_fills(old_runs, seq._internal(n), support, memo)
+    got = fills(seq, n, support)
+    assert got == old_fills(old_runs, seq._internal(n), support, memo)
+    assert got == run_walk_fills(seq, n, support, walk_memo)
     for _ in range(3):
         a, b = sorted(data.draw(st.lists(st.sampled_from(levels),
                                          min_size=2, max_size=2),
