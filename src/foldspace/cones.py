@@ -13,20 +13,20 @@ from fractions import Fraction
 
 from .errors import DirectionError, SequenceError
 from .linalg import frac_log, identity, log_ratio
+from .sequences import orbit, orbit_at
 
 INF = float("inf")
 SAMPLE_DEPTHS = 64     # evenly spaced depths sampled in a deeper cone
 
 
-def _cross(x, y):
+def _support(x):
+    return [i for i, v in enumerate(x) if v != 0]
+
+
+def _extremes(x, y, sup):
     """The cross-ratio max_i x_i/y_i over min_i x_i/y_i on the common
-    support, as an unreduced pair (n, d) found by cross-multiplying; None
-    when the supports differ or are empty."""
-    if len(x) != len(y):
-        raise ValueError("vectors of different dimension")
-    sup = [i for i, v in enumerate(x) if v != 0]
-    if not sup or sup != [i for i, v in enumerate(y) if v != 0]:
-        return None
+    support ``sup`` of x and y, as an unreduced pair (n, d) found by
+    cross-multiplying."""
     hi = lo = sup[0]
     for i in sup[1:]:
         if x[i] * y[hi] > x[hi] * y[i]:
@@ -47,13 +47,23 @@ def hilbert_distance(x, y):
 
 def _widest(vectors):
     """Unreduced cross-ratio (n, d) of the widest pair of vectors: (1, 1)
-    for fewer than two, None when some pair has split supports."""
+    for fewer than two, None when some pair has split supports.
+
+    Dimensions and then supports are compared once for the whole set,
+    before any cross-multiplication, so a set with one split pair (or a
+    shared empty support) multiplies nothing, wherever that pair lies.
+    """
+    if len(vectors) < 2:
+        return 1, 1
+    if any(len(v) != len(vectors[0]) for v in vectors):
+        raise ValueError("vectors of different dimension")
+    sup = _support(vectors[0])
+    if not sup or any(_support(v) != sup for v in vectors[1:]):
+        return None
     worst = (1, 1)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            pair = _cross(vectors[i], vectors[j])
-            if pair is None:
-                return None
+            pair = _extremes(vectors[i], vectors[j], sup)
             if pair[0] * worst[1] > worst[0] * pair[1]:
                 worst = pair
     return worst
@@ -102,7 +112,7 @@ def cluster_generators(vectors, tol):
 def _proportional(x, y):
     """x = c*y for some c > 0, exactly, for nonnegative vectors: their
     cross-ratio is 1."""
-    pair = _cross(x, y)
+    pair = _widest((x, y))
     return pair is not None and pair[0] == pair[1]
 
 
@@ -193,7 +203,69 @@ def _generators(prod, kind):
     return list(zip(*prod)) if kind == "current" else list(map(tuple, prod))
 
 
+def _pattern_step(f, kind):
+    """The step's action on one support bitmask per generator: the OR of
+    the generators its incidence matrix M combines, read from the nonzero
+    entries of M's columns for a current cone (columns of P M) and of its
+    rows for a length cone (rows of M P)."""
+    M = f.incidence_matrix()
+    lines = zip(*M) if kind == "current" else M
+    sources = [[k for k, x in enumerate(line) if x] for line in lines]
+
+    def advance(masks):
+        out = []
+        for src in sources:
+            m = 0
+            for k in src:
+                m |= masks[k]
+            out.append(m)
+        return tuple(out)
+    return advance
+
+
+def _split_depths(seq, order, kind, want):
+    """The depths in ``want`` (sorted) at which the generators' supports
+    differ or are empty, so that their Hilbert diameter is ``INF``.
+
+    Every incidence matrix is nonnegative, so the zero pattern of a product
+    is the Boolean product of the patterns: one support bitmask per
+    generator follows the steps in carry order, and across a run the
+    bitmasks follow their ``orbit``, one call per distinct pattern however
+    long the run.  No product is formed."""
+    split = set()
+    if not want:
+        return split
+    lo, hi = sorted((order[0], order[-1]))
+    runs = list(seq._runs_between(lo, hi + 1))
+    if order.step < 0:
+        runs.reverse()
+    masks = tuple(1 << j for j in range(seq.graph_at(0).n_edges))
+    steps, done, w = {}, 0, 0
+    for (_, _, f), k in runs:
+        if id(f) not in steps:
+            steps[id(f)] = _pattern_step(f, kind)
+        trail, cycle = orbit(steps[id(f)], masks, k)
+        while w < len(want) and want[w] <= done + k:
+            at = orbit_at(trail, cycle, want[w] - done)
+            if len(at) > 1 and (not at[0] or any(m != at[0] for m in at)):
+                split.add(want[w])
+            w += 1
+        masks = orbit_at(trail, cycle, k)
+        done += k
+    return split
+
+
 def _build_cone(seq, depth, kind, tol):
+    """The truncated cone at ``depth``, with its diameter profile over the
+    sampled depths.
+
+    The sampled depths whose generators have split supports are found
+    from the zero patterns alone (``_split_depths``) and read ``INF``; the
+    exact product is carried, by run powers, only to the other sampled
+    depths and to ``depth`` itself, whose generators the report needs.
+    ``_widest`` compares all supports before any cross-multiplication, so
+    a split final depth costs no cross-ratio either.
+    """
     if depth < 0 or depth > seq.n_steps:
         raise SequenceError(
             f"depth {depth} outside the stored range 0..{seq.n_steps}")
@@ -207,17 +279,21 @@ def _build_cone(seq, depth, kind, tol):
         carry, order = "current", range(depth)
         bound_depths = set(seq.block_boundaries)
     want = _sample_depths(depth, bound_depths)
+    split = _split_depths(seq, order, kind, want)
     # level 0 is the right end of an unfolding and the left end of a folding
     ambient = seq.graph_at(0).n_edges
     prod = identity(ambient)
-    profile = []
-    # products are formed only at the sampled depths, which include depth
-    for step_count, prod in seq._carry(prod, carry, order, want):
-        profile.append((step_count, _log_width(_generators(prod, kind))))
+    widths = {}
+    stops = [d for d in want if d not in split]
+    for step_count, prod in seq._carry(prod, carry, order, stops):
+        if step_count < depth:
+            widths[step_count] = _log_width(_generators(prod, kind))
     cols = _generators(prod, kind)
     diameter, ratio = set_diameter(cols)
-    if not depth:
-        profile.append((0, diameter))
+    # log_ratio gives frac_log's float, so the last entry is the diameter
+    widths[depth] = diameter
+    profile = [(d, INF if d in split else widths[d]) for d in want] \
+        if depth else [(0, diameter)]
     generators = tuple(_normalize_l1(c) for c in cols)
     # the distances are projective: the integer columns give the same
     # clusters as the normalized generators, without their gcds

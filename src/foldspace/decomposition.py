@@ -15,7 +15,8 @@ from statistics import median
 from .errors import (GraphStructureError, InvalidTrackError, SequenceError)
 from .cones import hilbert_distance
 from .graphs import OrientedGraph
-from .sequences import frequency_current, simplicial_length_measure
+from .sequences import (_check_window_bits, frequency_current,
+                        simplicial_length_measure)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ def moduli_window(seq, length_track, indices, pinch_tol=None):
     if len(indices) < 2:
         raise SequenceError("a moduli window needs at least two indices")
     g = _window_graph(seq, indices)
+    _check_window_bits([length_track], indices[0], indices[-1])
     if pinch_tol is None:
         pinch_tol = Fraction(1, 1000 * g.n_edges)
     pinch_tol = Fraction(pinch_tol)
@@ -162,19 +164,22 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
     the frequency current is fixed, and the decay ratios l^j/l^i are kept.
     """
     folding = side == "folding"
-    window = list(window)
     if len(window) < 4:
         raise SequenceError("decomposition window too short")
-    fixed = frequency_current(seq) if folding \
-        else simplicial_length_measure(seq)
-    g = _window_graph(seq, window)
     kind = "length" if folding else "current"
-    windows = []            # each track's vectors over the window
     for track in tracks:
         if track.kind != kind or track.seq is not seq:
             raise InvalidTrackError(
                 f"{'components' if folding else 'currents'} must be "
                 f"{kind}-kind tracks on this sequence")
+    fixed = frequency_current(seq) if folding \
+        else simplicial_length_measure(seq)
+    # the window is levels n0..n1; its size is checked before any carry
+    _check_window_bits([*tracks, fixed], window[0], window[-1])
+    window = list(window)
+    g = _window_graph(seq, window)
+    windows = []            # each track's vectors over the window
+    for track in tracks:
         windows.append(track.at_levels(window))
         if folding and any(all(x == 0 for x in v) for v in windows[-1]):
             raise InvalidTrackError(

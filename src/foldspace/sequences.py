@@ -43,6 +43,10 @@ EXPANSION_BUDGET = 10_000_000
 # bits an exact entry may reach in one carry; the Fibonacci power M^k has
 # about 0.69 k bits and takes about 0.6 s to form at k = 10^6, 20 s at 10^7
 CARRY_BIT_BUDGET = 2_000_000
+# bits the exact vectors of one window read may keep in all, over its
+# levels, entries and tracks; a window of the 10^6-step Fibonacci chain
+# keeps about 2 * 10^6 bits per level and track
+WINDOW_BIT_BUDGET = 500_000_000
 # the most edges a graph may have for ``is_reduced_window`` to search it
 MAX_WINDOW_EDGES = 15
 
@@ -53,6 +57,64 @@ def check_expansion(total):
         raise BudgetExceededError(
             f"composite image of length {total} exceeds the expansion "
             f"budget {EXPANSION_BUDGET}")
+
+
+def _capped_sum(first, step, count, cap):
+    """The sum of min(first + step * j, cap) over j = 0..count-1."""
+    if count <= 0:
+        return 0
+    if first >= cap:
+        return cap * count
+    below = count if not step else min(count, (cap - first) // step + 1)
+    return (below * first + step * below * (below - 1) // 2
+            + (count - below) * cap)
+
+
+def _check_window_bits(tracks, n0, n1):
+    """Refuse, before any carry, a read of the levels n0..n1 of ``tracks``
+    whose kept vectors could pass ``WINDOW_BIT_BUDGET`` bits in all.
+
+    An entry is bounded as ``FoldingSequence._carry`` bounds it: the bits
+    of the seed's largest entry, plus ``growth_bits`` for each step from
+    the seed, and never more than ``CARRY_BIT_BUDGET``, past which the
+    carry refuses.  A level's vector keeps its edge count of such entries.
+    The sum over a run's levels is in closed form, so the cost is one pass
+    over the runs, however wide the window.  Tracks given level by level
+    already keep every vector, and are not counted.
+    """
+    total = 0
+    for track in tracks:
+        if not track._recurrent:
+            continue
+        seq, T = track.seq, track.seq.n_steps
+        a, b = sorted((seq._internal(n0), seq._internal(n1)))
+        current = track.kind == "current"
+        seed = track._known[0 if current else T]
+        # distances from the seed, in carry order, of the window's levels
+        lo, hi = (a, b) if current else (T - b, T - a)
+        bits = max(x.numerator.bit_length() + x.denominator.bit_length()
+                   for x in seed)
+        if lo == 0:
+            total += len(seed) * min(bits, CARRY_BIT_BUDGET)
+        runs = seq.step_runs if current else reversed(seq.step_runs)
+        done = 0
+        for _, length, f in runs:
+            if done >= hi:
+                break
+            g = f.growth_bits()
+            if done + length >= lo:
+                # the window's levels at distances done+1 .. done+length
+                first, last = max(lo, done + 1), min(hi, done + length)
+                n = (f.codomain if current else f.domain).n_edges
+                total += n * _capped_sum(bits + g * (first - done), g,
+                                         last - first + 1, CARRY_BIT_BUDGET)
+            bits += g * length
+            done += length
+    if total > WINDOW_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"the levels {n0}..{n1} could keep {total} bits of exact "
+            f"vectors, past the limit of {WINDOW_BIT_BUDGET} bits "
+            "(sequences.WINDOW_BIT_BUDGET)")
 
 
 def orbit(advance, state, length):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from foldspace import (DirectionError, cluster_generators, current_cone,
                        ergodicity_verdict, hilbert_distance, length_cone,
                        set_diameter)
-from foldspace.cones import INF, _cross, _proportional, extreme_ray_indices
+from foldspace.cones import INF, _proportional, extreme_ray_indices
 from foldspace.linalg import frac_log
 from foldspace import gen_alternating_block
 from foldspace.cli import main
@@ -53,6 +53,23 @@ def test_hilbert_distance_symmetry_and_triangle():
 def test_hilbert_distance_dimension_check():
     with pytest.raises(ValueError):
         hilbert_distance((1, 2), (1, 2, 3))
+
+
+def _cross(x, y):
+    """The cross-ratio of one pair, as its own routine: (n, d) on the
+    common support, None when the supports differ or are empty."""
+    if len(x) != len(y):
+        raise ValueError("vectors of different dimension")
+    sup = [i for i, v in enumerate(x) if v != 0]
+    if not sup or sup != [i for i, v in enumerate(y) if v != 0]:
+        return None
+    hi = lo = sup[0]
+    for i in sup[1:]:
+        if x[i] * y[hi] > x[hi] * y[i]:
+            hi = i
+        elif x[i] * y[lo] < x[lo] * y[i]:
+            lo = i
+    return x[hi] * y[lo], y[hi] * x[lo]
 
 
 def _old_hilbert_distance(x, y):

@@ -1,24 +1,34 @@
 """Requests the command line refuses before any work: decomposition windows
-outside the stored levels, progress levels outside them or past
-``metric.MAX_LEVELS``, malformed window and level bounds, negative pinch
-tolerances, block schedules with no entry or one below 1, and ``gen`` in
-CSV form.  Each exits with its documented code and message, and ``gen``
-writes no file."""
+outside the stored levels or past ``sequences.WINDOW_BIT_BUDGET``, progress
+levels outside them or past ``metric.MAX_LEVELS``, cone depths outside
+them, malformed window and level bounds, negative pinch tolerances, block
+schedules with no entry or one below 1, and ``gen`` in CSV form.  Each
+exits with its documented code and message, and ``gen`` writes no file."""
 
 import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import examples, metric
+from foldspace import (FoldingSequence, examples, gen_fibonacci, metric,
+                       sequences, simplicial_length_measure)
+from foldspace.decomposition import moduli_window, recurrence_check
 from foldspace.cli import main
-from foldspace.errors import FormatError, SequenceError
+from foldspace.errors import BudgetExceededError, FormatError, SequenceError
 from foldspace.io_formats import parse_sequence
+from foldspace.sequences import (CARRY_BIT_BUDGET, _capped_sum,
+                                 _check_window_bits,
+                                 current_track_from_initial,
+                                 length_track_from_terminal)
+
+from test_runs import _RUN_POOLS
 
 HUGE = 10 ** 13
 
@@ -119,6 +129,187 @@ def test_decompose_window_fuzz(chains, n0, n1):
             list(range(n0, n1 + 1))
         return
     assert out == ""
+
+
+# -- window bits -----------------------------------------------------------
+
+
+def _window_message(n0, n1, bits):
+    return (f"budget: the levels {n0}..{n1} could keep {bits} bits of exact "
+            "vectors, past the limit of 500000000 bits "
+            "(sequences.WINDOW_BIT_BUDGET)\n")
+
+
+@pytest.mark.parametrize("steps,direction,n0,n1,bits", [
+    (10 ** 6, "folding", 0, 20000, 40002160008),
+    (200000, "unfolding", -20000, 0, 8000560008)])
+def test_wide_decompose_window_is_refused_before_any_carry(
+        tmp_path, monkeypatch, steps, direction, n0, n1, bits):
+    """Each window level keeps exact vectors of about a bit per step from
+    the seed, so these windows ran out of memory (a MemoryError traceback
+    after 3.1 s under a 1 GiB cap); their bound is refused first."""
+    path = _gen(tmp_path, "fibonacci", "--steps", str(steps),
+                "--direction", direction)
+    carries = []
+    carry = FoldingSequence._carry
+
+    def recording(self, vectors, kind, steps_, stops=()):
+        carries.append(len(steps_))
+        return carry(self, vectors, kind, steps_, stops)
+
+    monkeypatch.setattr(FoldingSequence, "_carry", recording)
+    rc, out, err = _run(["decompose", path, f"--window={n0}:{n1}"])
+    assert (rc, out, carries) == (3, "", [])
+    assert err == _window_message(n0, n1, bits)
+
+
+def test_library_moduli_windows_are_bounded_before_any_carry(monkeypatch):
+    """``moduli_window`` and ``recurrence_check``, called on their own, read
+    the length track under the same bound: the deep end of a 200000-step
+    unfolding chain ran past a minute under a 1 GiB cap."""
+    seq = gen_fibonacci(steps=200000, direction="unfolding").sequence
+    lam = simplicial_length_measure(seq)
+    carries = []
+    monkeypatch.setattr(FoldingSequence, "_carry",
+                        lambda *args: carries.append(args))
+    window = range(-200000, -180000)
+    for call in (lambda: moduli_window(seq, lam, window),
+                 lambda: recurrence_check(seq, lam, [window])):
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+        assert str(info.value) == _window_message(
+            -200000, -180001, 7600100000)[len("budget: "):-1]
+    assert carries == []
+
+
+def test_narrow_window_of_a_deep_chain_still_runs(tmp_path):
+    path = _gen(tmp_path, "fibonacci", "--steps", str(10 ** 6),
+                "--direction", "folding")
+    rc, out, _ = _run(["decompose", path, "--window=0:12"])
+    assert rc == 0
+    assert json.loads(out)["decomposition"]["window"] == list(range(13))
+
+
+def test_window_bit_budget_is_inclusive(chains, monkeypatch):
+    """Levels 0..3 of the 12-step Fibonacci folding chain: the length
+    track is seeded with ones (2 bits) at level 12, so its entries can
+    reach 11..14 bits there, and the frequency current, seeded at level
+    0, 2..5 bits; two edges each, 128 bits in all."""
+    argv = ["decompose", chains["fib12"], "--window=0:3"]
+    monkeypatch.setattr(sequences, "WINDOW_BIT_BUDGET", 128)
+    assert _run(argv)[0] == 0
+    monkeypatch.setattr(sequences, "WINDOW_BIT_BUDGET", 127)
+    rc, out, err = _run(argv)
+    assert (rc, out) == (3, "")
+    assert err == _window_message(0, 3, 128).replace("500000000", "127")
+
+
+def test_decompose_window_across_a_10_13_step_chain_exits_3(tmp_path):
+    """Inside the chain, a window of 10^13 levels is refused by its bound
+    at once, where listing its levels ended in a MemoryError traceback.
+    Entries are bounded at ``CARRY_BIT_BUDGET``, as the carry refuses any
+    past it."""
+    start = time.perf_counter()
+    rc, out, err = _run(["decompose", _huge(tmp_path), f"--window=0:{HUGE}"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    assert err == _window_message(0, HUGE, 79999992000019999996)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=st.integers(0, 10 ** 7), step=st.integers(0, 5),
+       count=st.integers(-2, 60), cap=st.integers(0, 10 ** 7 + 300))
+def test_capped_sum_matches_the_terms(first, step, count, cap):
+    assert _capped_sum(first, step, count, cap) == sum(
+        min(first + step * j, cap) for j in range(max(count, 0)))
+
+
+def _bits(x):
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _stepwise_window_bits(tracks, n0, n1, cap):
+    """The window bound summed level by level: each level's edge count
+    times its entries' bound, carried one step at a time from the seed."""
+    total = 0
+    for track in tracks:
+        seq = track.seq
+        current = track.kind == "current"
+        steps = range(seq.n_steps) if current \
+            else range(seq.n_steps - 1, -1, -1)
+        seed = track._known[0 if current else seq.n_steps]
+        bits = max(map(_bits, seed))
+        kept = {0 if current else seq.n_steps: bits}
+        for i in steps:
+            bits += seq._step(i).growth_bits()
+            kept[i + 1 if current else i] = bits
+        for level in seq._levels_between(n0, n1):
+            j = seq._internal(level)
+            total += seq.graph_at(level).n_edges * min(kept[j], cap)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pool=st.sampled_from(_RUN_POOLS),
+       direction=st.sampled_from(("folding", "unfolding")))
+def test_window_bits_match_the_levels_one_by_one(data, pool, direction):
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                        st.integers(1, 40)),
+                              min_size=1, max_size=5), label="runs")
+    seq = FoldingSequence.from_runs(runs, direction)
+    levels = list(seq.levels)
+    n0, n1 = sorted(data.draw(st.lists(st.sampled_from(levels), min_size=2,
+                                       max_size=2), label="window"))
+    ends = (seq.graph_at(levels[0]).n_edges,
+            seq.graph_at(levels[-1]).n_edges)
+    scale = data.draw(st.sampled_from((1, 7, 2 ** 40)), label="scale")
+    tracks = [current_track_from_initial(seq, [scale] * ends[0]),
+              length_track_from_terminal(seq, [1] * ends[1])]
+    cap = data.draw(st.sampled_from((CARRY_BIT_BUDGET, 50)), label="cap")
+    with patch.object(sequences, "CARRY_BIT_BUDGET", cap), \
+            patch.object(sequences, "WINDOW_BIT_BUDGET", -1), \
+            pytest.raises(BudgetExceededError) as info:
+        _check_window_bits(tracks, n0, n1)
+    want = _stepwise_window_bits(tracks, n0, n1, cap)
+    assert f" could keep {want} bits " in str(info.value)
+
+
+# -- cone depths -----------------------------------------------------------
+
+
+_DEPTHS = st.one_of(
+    st.integers(-80, 80).map(str),
+    st.integers(10 ** 12, 10 ** 40).flatmap(
+        lambda n: st.sampled_from((str(n), str(-n)))),
+    st.text("0123456789+-_ .ex", max_size=6),
+    st.just("9" * 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_DEPTHS)
+def test_cone_depth_fuzz(chains, text):
+    """On the 40-step chain a depth in 0..40 exits 0 and reports that depth;
+    any other integer exits 2 naming the stored range, and text that is
+    not an integer (or one past Python's digit limit) is argparse's
+    refusal."""
+    rc, out, err = _run(["cone", chains["fib40"], f"--depth={text}"])
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = None
+    if text == "--":
+        assert (rc, out) == (2, "")
+        assert err.endswith("argument --depth: expected one argument\n")
+    elif depth is None:
+        assert (rc, out) == (2, "")
+        assert err.endswith(
+            f"argument --depth: invalid int value: {text!r}\n")
+    elif 0 <= depth <= 40:
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["cone"]["depth"] == depth
+    else:
+        assert (rc, out) == (2, "")
+        assert err == f"error: depth {depth} outside the stored range 0..40\n"
 
 
 # -- malformed bounds ------------------------------------------------------

@@ -456,6 +456,46 @@ def test_decompose_of_10_13_steps_exits_3_at_once(tmp_path, capsys,
         "(sequences.CARRY_BIT_BUDGET)\n")
 
 
+def test_cone_of_10_13_steps_exits_3_at_once(tmp_path, capsys):
+    """The zero patterns follow the run by its orbit, not step by step, and
+    the carry refuses its first stretch past the limit before any
+    product; depth 1 is split, so the first stretch ends at the second
+    sampled depth, as it did when depth 1 was carried too."""
+    path = _huge(tmp_path, "unfolding")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["cone", path, "--depth", "10000000000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: carrying 10000000000000 steps could reach 158730158733 "
+        "bits, past the limit of 2000000 bits "
+        "(sequences.CARRY_BIT_BUDGET)\n")
+
+
+@pytest.mark.parametrize("direction,bits", [("unfolding", 4000002),
+                                            ("folding", 4000010)])
+def test_split_cone_past_the_carry_budget_names_the_whole_run(
+        tmp_path, capsys, direction, bits):
+    """Rank-3 blocks of 4 and 4000000 steps: every sampled depth is split,
+    so the carry stops only at the final depth and refuses the 4000000-step
+    run as one stretch.  The refusal fires on the same chains as when the
+    carry stopped at every sampled depth, since the bound sums each step's
+    growth whatever the stops, but its figure names the whole run, where
+    it named the stretch to the next sampled depth (2031750 bits unfolding,
+    2031754 folding)."""
+    path = _gen(tmp_path, "alternating_block", "--rank", "3", "--schedule",
+                "4,4000000", "--direction", direction)
+    capsys.readouterr()
+    assert main(["cone", path, "--depth", "4000004"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget: carrying 4000004 steps could reach {bits} bits, past the "
+        "limit of 2000000 bits (sequences.CARRY_BIT_BUDGET)\n")
+
+
 def test_lamination_of_10_13_steps_exits_0(tmp_path, capsys):
     path = _huge(tmp_path, "unfolding")
     capsys.readouterr()
