@@ -11,8 +11,7 @@ import sys
 from fractions import Fraction
 
 from .cones import current_cone, ergodicity_verdict, length_cone
-from .decomposition import (moduli_window, recurrence_check,
-                            structural_sanity,
+from .decomposition import (recurrence_check, structural_sanity,
                             transverse_decomposition_folding,
                             transverse_decomposition_unfolding)
 from .errors import BudgetExceededError, FoldspaceError, FormatError
@@ -21,6 +20,7 @@ from .io_formats import parse_graph, parse_sequence
 from .lamination import _language
 # unused here, but kept as module globals: the traced benchmark run
 # (perfbench/traced.py) wraps each ``cli`` global it names in a span
+from .decomposition import moduli_window  # noqa: F401
 from .lamination import (allowed_words, complexity_profile,  # noqa: F401
                          minimal_components)
 from .linalg import frac_log
@@ -201,7 +201,7 @@ def _cmd_decompose(args):
         raise FormatError("window covers fewer than 4 levels")
     deep_graph = seq.graph_at(seq.levels[0] if seq.direction == "unfolding"
                               else seq.levels[-1])
-    if args.seeds:
+    if args.seeds is not None:
         names = args.seeds.split(",")
         unknown = [name for name in names if name not in deep_graph.edge_ids]
         if unknown:
@@ -215,20 +215,18 @@ def _cmd_decompose(args):
         tracks = [current_track_from_initial(seq, s) for s in seeds]
         decomp = transverse_decomposition_unfolding(
             seq, tracks, window, eps_rel=args.eps)
+        # the one moduli window of the job is the recurrence check's
+        rec = recurrence_check(seq, lam, [window], pinch_tol=args.pinch_tol)
+        pinched = rec.pinched_by_window[0][1]
+        report = {"decomposition": decomp, "pinched": list(pinched),
+                  "recurrence": rec,
+                  "sanity": structural_sanity(
+                      decomp, seq.graph_at(window[0]), pinched)}
     else:
-        lam = None
         tracks = [length_track_from_terminal(seq, s) for s in seeds]
         decomp = transverse_decomposition_folding(
             seq, tracks, window, eps_rel=args.eps)
-    report = {"decomposition": decomp}
-    if lam is not None:
-        mw = moduli_window(seq, lam, window, args.pinch_tol)
-        rec = recurrence_check(seq, lam, [window],
-                               pinch_tol=args.pinch_tol)
-        report["pinched"] = sorted(mw.pinched_edges)
-        report["recurrence"] = rec
-        report["sanity"] = structural_sanity(
-            decomp, mw.graph, mw.pinched_edges)
+        report = {"decomposition": decomp}
     rows = [(f"H{i}", " ".join(sorted(part)))
             for i, part in enumerate(decomp.parts)]
     rows.append(("undecided", " ".join(sorted(decomp.undecided))))

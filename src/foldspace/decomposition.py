@@ -70,7 +70,9 @@ class TransverseDecomposition:
     ``parts[0]`` is the remainder; ``undecided`` edges passed criteria for
     two measures (or passed one but failed a tail budget) and are excluded
     from every part.  ``confident`` requires no undecided edges and
-    nonempty H^i for i >= 1.
+    nonempty H^i for i >= 1.  ``issues`` lists structural violations that
+    ``structural_sanity`` reports first; it is empty for every
+    decomposition this module builds, since each edge gets one label.
     """
     side: str
     window: tuple
@@ -205,12 +207,11 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
                         for a, b in zip(num, den))
     stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
              for i in range(len(tables)) for j in range(g.n_edges)}
-    issues = _theory_issues(g, parts, undecided, confident)
     return TransverseDecomposition(side=side, window=tuple(window),
                                    parts=parts, undecided=undecided,
                                    confident=confident, statistics=stats,
                                    thresholds=thresholds, ratio_stats=ratios,
-                                   issues=issues)
+                                   issues=())
 
 
 def transverse_decomposition_unfolding(seq, currents, window, *,
@@ -232,23 +233,6 @@ def transverse_decomposition_folding(seq, length_components, window, *,
     decay-ratio report l^j/l^i per edge."""
     return _transverse_decomposition("folding", seq, length_components,
                                      window, eps_rel)
-
-
-def _theory_issues(graph, parts, undecided, confident):
-    """Surface violations of the structural corollaries for confident
-    verdicts (never silently hidden)."""
-    issues = []
-    if not confident:
-        return tuple(issues)
-    for i in range(1, len(parts)):
-        if not parts[i]:
-            issues.append(f"H^{i} empty in a confident decomposition")
-    seen = set()
-    for p in parts:
-        if seen & p:
-            issues.append("parts overlap")
-        seen |= p
-    return tuple(issues)
 
 
 # -- collapse ------------------------------------------------------------

@@ -338,14 +338,17 @@ def _apply_support(step, support):
 def _fill_orbit(seq, r, support):
     """``(hit, trail, cycle)``: the support's ``orbit`` across run r and
     the first index on it of full support (None when there is none), kept
-    per run and support."""
+    per run and support.  The starting support is read on the run's
+    domain, and every later state on its codomain."""
     key = (r, support)
     if key not in seq._fill_memo:
         _, length, step = seq.step_runs[r]
         trail, cycle = orbit(partial(_apply_support, step), support, length)
-        full = frozenset(step.domain.edge_ids)
-        seq._fill_memo[key] = (
-            trail.index(full) if full in trail else None, trail, cycle)
+        full = (frozenset(step.domain.edge_ids),
+                frozenset(step.codomain.edge_ids))
+        hit = next((j for j, state in enumerate(trail)
+                    if state == full[j > 0]), None)
+        seq._fill_memo[key] = (hit, trail, cycle)
     return seq._fill_memo[key]
 
 
@@ -373,7 +376,9 @@ def _fill_rest(seq, r, support):
 
 def fills(seq, level, support):
     """Least m >= 0 such that pushing the support forward m steps covers
-    every edge, or None if it stays proper through the final level.
+    every edge of the graph at level + m, or None if it stays proper
+    through the final level.  At the final level itself no step is left,
+    and the answer is None whatever the support.
 
     Full support is absorbing: change-of-marking steps are surjective on
     edges, so once everything is covered it stays covered.  Across a run

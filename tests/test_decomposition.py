@@ -4,6 +4,8 @@ evidence."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspace.decomposition import (
     CollapseResult,
@@ -20,6 +22,7 @@ from foldspace.errors import (
     InvalidTrackError,
     SequenceError,
 )
+from foldspace.examples import gen_alternating_block
 from foldspace.graphs import rose, theta_graph
 from foldspace.morphisms import GraphMorphism
 from foldspace.sequences import (
@@ -242,6 +245,43 @@ class TestFoldingDecomposition:
         mu = frequency_current(fib_fold15)
         with pytest.raises(InvalidTrackError):
             transverse_decomposition_folding(fib_fold15, [mu], range(0, 8))
+
+
+_SMALL_BLOCKS = {
+    (rank, direction): gen_alternating_block(
+        schedule=(3, 3, 3), rank=rank, direction=direction).sequence
+    for rank in (3, 4) for direction in ("unfolding", "folding")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(_SMALL_BLOCKS)), data=st.data())
+def test_built_decompositions_need_no_issue_check(key, data):
+    """Each edge gets one label, so the parts never overlap, and a
+    confident decomposition has every H^i (i >= 1) nonempty: a built
+    decomposition has nothing to report in ``issues``."""
+    seq = _SMALL_BLOCKS[key]
+    folding = seq.direction == "folding"
+    n0 = data.draw(st.integers(seq.levels[0], seq.levels[-1] - 3))
+    window = range(n0, data.draw(st.integers(n0 + 3, seq.levels[-1])) + 1)
+    g = seq.graph_at(seq.levels[-1] if folding else seq.levels[0])
+    seeds = data.draw(st.lists(st.sampled_from(g.edge_ids), min_size=1,
+                               max_size=g.n_edges, unique=True))
+    eps = data.draw(st.fractions(0, 1))
+    track = length_track_from_terminal if folding \
+        else current_track_from_initial
+    tracks = [track(seq, [int(e == name) for e in g.edge_ids])
+              for name in seeds]
+    build = transverse_decomposition_folding if folding \
+        else transverse_decomposition_unfolding
+    try:
+        decomp = build(seq, tracks, window, eps_rel=eps)
+    except InvalidTrackError:       # homothetic or vanishing tracks
+        return
+    assert decomp.issues == ()
+    labelled = [name for part in decomp.parts for name in part]
+    assert sorted(labelled + sorted(decomp.undecided)) == sorted(g.edge_ids)
+    if decomp.confident:
+        assert all(decomp.parts[1:])
 
 
 # -- collapse -------------------------------------------------------------

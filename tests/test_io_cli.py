@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import cli, io_formats, morphisms
+from foldspace import cli, decomposition, io_formats, morphisms
 from foldspace.cli import main
 from foldspace.cones import current_cone, ergodicity_verdict, length_cone
 from foldspace.decomposition import (moduli_window, recurrence_check,
@@ -549,6 +549,27 @@ def test_decompose_report_bytes(tmp_path, direction, seeds):
     assert digest == DECOMPOSE_DIGESTS[(direction, seeds)]
 
 
+@pytest.mark.parametrize("direction,windows", [("unfolding", 1),
+                                               ("folding", 0)])
+def test_decompose_builds_one_moduli_window(tmp_path, monkeypatch,
+                                            direction, windows):
+    """The pinched edges, the recurrence check and the sanity check of an
+    unfolding job read one moduli window; a folding job reads none."""
+    seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",
+                    "--schedule", "3,3,3", "--direction", direction)
+    window = "--window=-9:0" if direction == "unfolding" else "--window=0:9"
+    built = []
+    make = decomposition.ModuliWindow
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["indices"])
+        return make(*args, **kwargs)
+    monkeypatch.setattr(decomposition, "ModuliWindow", counting)
+    assert main(["decompose", seq_file, window,
+                 "--out", str(tmp_path / "dec.json")]) == 0
+    assert len(built) == windows
+
+
 WALK_SEED7_DIGEST = (
     "44a93166581a5299dc08f8df2262147caade6b049d057ede3daeb44343499312")
 
@@ -621,7 +642,7 @@ def test_lamination_nonpositive_length(tmp_path, capsys, length):
 
 @pytest.mark.parametrize("direction", ["unfolding", "folding"])
 @pytest.mark.parametrize("seeds,named", [("zz", "'zz'"), (",", "''"),
-                                         ("a,zz", "'zz'")])
+                                         ("a,zz", "'zz'"), ("", "''")])
 def test_decompose_unknown_seed_edges(tmp_path, capsys, direction, seeds,
                                       named):
     seq_file = _gen(tmp_path, "alternating_block", "--rank", "4",

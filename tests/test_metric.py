@@ -1,12 +1,17 @@
 """Candidate loops, stretch distances, pairings, filling horizons, and
 free-factor projections."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldspace import GraphMorphism
+from foldspace.cli import main
 from foldspace.errors import (
     BudgetExceededError,
     DirectionError,
@@ -32,6 +37,7 @@ from foldspace.metric import (
 )
 from foldspace.graphs import (Marking, MarkedGraph, OrientedGraph, rose,
                               theta_graph)
+from foldspace.io_formats import write_sequence
 from foldspace.linalg import frac_log
 from foldspace.paths import (canonical_cycle, cyclic_tighten, reverse_path,
                              tighten)
@@ -464,6 +470,44 @@ class TestFills:
     def test_progress_needs_folding(self, fib_unfold20):
         with pytest.raises(DirectionError):
             ff_progress_diagnostic(fib_unfold20)
+
+
+def _rose_to_theta():
+    """A step from the rose on a, b onto the theta graph: a covers all
+    three theta edges, b only e1 and e2."""
+    return GraphMorphism(rose("ab"), theta_graph(), {"*": "u"},
+                         {"a": "e1 -e2 e1 -e3", "b": "e1 -e2"})
+
+
+class TestFillsAcrossGraphs:
+    """After a step the support lives on the codomain, so it is full when
+    it covers the codomain's edges, also at the final level."""
+
+    def test_support_fills_the_final_graph(self):
+        seq = FoldingSequence([_rose_to_theta()], "folding")
+        assert fills(seq, 0, ("a",)) == 1
+        assert fills(seq, 0, ("b",)) is None
+        assert fills(seq, 0, ("a", "b")) == 0
+        assert fills(seq, 1, tuple(seq.graph_at(1).edge_ids)) is None
+
+    def test_a_later_step_does_not_change_the_answer(self):
+        f = _rose_to_theta()
+        t = f.codomain
+        ident = GraphMorphism(t, t, {"u": "u", "v": "v"},
+                              {e: e for e in t.edge_ids})
+        longer = FoldingSequence([f, ident], "folding")
+        assert fills(longer, 0, ("a",)) == 1
+        assert fills(longer, 0, ("b",)) is None
+
+    def test_progress_report_names_the_proper_edge(self, tmp_path):
+        seq = FoldingSequence([_rose_to_theta()], "folding")
+        path = write_sequence(seq, str(tmp_path), "theta")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["progress", path]) == 0
+        assert json.loads(out.getvalue())["progress"] == {
+            "levels": [0], "horizons": [1], "survives": [True],
+            "witnesses": ["b"]}
 
 
 # -- linear speed ---------------------------------------------------------

@@ -2,8 +2,11 @@
 outside the stored levels or past ``sequences.WINDOW_BIT_BUDGET``, progress
 levels outside them or past ``metric.MAX_LEVELS``, cone depths outside
 them, malformed window and level bounds, negative pinch tolerances, block
-schedules with no entry or one below 1, and ``gen`` in CSV form.  Each
-exits with its documented code and message, and ``gen`` writes no file."""
+schedules with no entry or one below 1, ``gen`` in CSV form, seed edges
+the deep graph lacks, walks of fewer than 2 or more than
+``walk.MAX_STEPS`` steps, and chains of no step or of a rank with no
+alternating blocks.  Each exits with its documented code and message, and
+``gen`` writes no file."""
 
 import io
 import json
@@ -14,11 +17,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foldspace import (FoldingSequence, examples, gen_fibonacci, metric,
-                       sequences, simplicial_length_measure)
+                       sequences, simplicial_length_measure, walk)
 from foldspace.decomposition import moduli_window, recurrence_check
 from foldspace.cli import main
 from foldspace.errors import BudgetExceededError, FormatError, SequenceError
@@ -484,6 +487,126 @@ def test_gen_schedule_fuzz(schedule):
         assert rc == 0
         seq = parse_sequence(json.loads(out)["sequence_file"])
         assert seq.n_steps == sum(lengths)
+
+
+# -- seed edges, walks and generated chains --------------------------------
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(("alt4", "fib12")),
+       seeds=st.one_of(st.text("abcdz, -", max_size=7),
+                       st.sampled_from(("", ",", "-a", "a,c", "a, c"))))
+def test_decompose_seeds_fuzz(chains, key, seeds):
+    """Every seed list exits 0 or 2: a name that is not an edge of the
+    deep graph is refused by name, the empty list too, and a list of
+    edges reports one measure per edge or refuses homothetic measures."""
+    window = "--window=-9:0" if key == "alt4" else "--window=0:6"
+    rc, out, err = _run(["decompose", chains[key], window,
+                         f"--seeds={seeds}"])
+    names = seeds.split(",")
+    edges = tuple("abcd" if key == "alt4" else "ab")
+    unknown = [n for n in names if n not in edges]
+    if seeds == "--":
+        assert (rc, out) == (2, "")
+        assert err.endswith("argument --seeds: expected one argument\n")
+    elif unknown:
+        assert (rc, out, err) == (2, "",
+                                  f"error: unknown seed edges {unknown}\n")
+    elif rc == 2:
+        assert out == ""
+        assert err.startswith("error: measures ") and "homothetic" in err
+    else:
+        assert (rc, err) == (0, "")
+        parts = json.loads(out)["decomposition"]["parts"]
+        assert len(parts) == len(names) + 1
+
+
+# at most four characters, so any integer the text spells is at most 2222
+_WALK_TEXT = st.text("012-+_ .x", max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(), st.integers().map(str), _WALK_TEXT,
+                      st.just(str(10 ** 22 + 7))),
+       steps=st.one_of(st.integers(-10, 2000),
+                       st.integers(walk.MAX_STEPS + 1, 10 ** 30),
+                       _WALK_TEXT))
+@example(seed="--", steps="x")
+@example(seed="x", steps="--")
+def test_walk_seed_and_steps_fuzz(seed, steps):
+    """Every seed and step count exits 0, 2 or 3: text that is not an
+    integer is argparse's refusal, fewer than 2 steps exit 2 and more
+    than ``walk.MAX_STEPS`` exit 3, both before any step; any integer
+    seed walks.  Accepted walks stay short, so no example runs long."""
+    rc, out, err = _run(["walk", f"--seed={seed}", f"--steps={steps}"])
+    texts = (str(seed), str(steps))
+    seed_n, steps_n = map(_int_or_none, texts)
+    if any(_int_or_none(t) is None and t != "--" for t in texts):
+        assert (rc, out) == (2, "")
+        assert "invalid int value" in err
+    elif "--" in texts:
+        assert (rc, out) == (2, "")
+        assert err.endswith("expected one argument\n")
+    elif steps_n < 2:
+        assert (rc, out, err) == (
+            2, "", f"error: a walk needs at least 2 steps, got {steps_n}\n")
+    elif steps_n > walk.MAX_STEPS:
+        assert (rc, out) == (3, "")
+        assert err == (f"budget: a walk of {steps_n} steps is past the limit "
+                       f"of {walk.MAX_STEPS} steps (walk.MAX_STEPS)\n")
+    else:
+        assert (rc, err) == (0, "")
+        report = json.loads(out)["walk"]
+        assert (report["seed"], report["steps"]) == (seed_n, steps_n)
+
+
+_GEN_INTS = st.one_of(st.integers(-5, 50), st.integers(10 ** 12, 10 ** 30),
+                      st.text("0123456789-+_ .x", max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(("fibonacci", "alternating_block")),
+       value=_GEN_INTS)
+def test_gen_rank_and_steps_fuzz(name, value):
+    """``gen fibonacci --steps`` writes a chain of that many steps, one run
+    however many, and refuses fewer than one (exit 2);
+    ``gen alternating_block --rank`` takes 3 or 4 and refuses any other
+    rank (exit 2).  A refusal writes no file."""
+    option = "--steps" if name == "fibonacci" else "--rank"
+    n = _int_or_none(str(value))
+    with tempfile.TemporaryDirectory() as out_dir:
+        short = ["--schedule=1,2"] if name == "alternating_block" else []
+        rc, out, err = _run(["gen", name, f"{option}={value}", *short,
+                             "--out-dir", out_dir])
+        if value == "--":
+            assert (rc, out) == (2, "")
+            assert err.endswith(f"argument {option}: expected one "
+                                "argument\n")
+        elif n is None:
+            assert (rc, out) == (2, "")
+            assert err.endswith(f"argument {option}: invalid int value: "
+                                f"{value!r}\n")
+        elif name == "fibonacci" and n < 1:
+            assert (rc, out, err) == (
+                2, "", "error: a sequence needs at least one step\n")
+        elif name == "alternating_block" and n not in (3, 4):
+            assert (rc, out, err) == (
+                2, "", "error: alternating blocks come at rank 3 or 4\n")
+        else:
+            assert (rc, err) == (0, "")
+            seq = parse_sequence(json.loads(out)["sequence_file"])
+            assert seq.n_steps == (n if name == "fibonacci" else 3)
+            assert seq.graph_at(seq.levels[0]).n_edges == \
+                (2 if name == "fibonacci" else n)
+            return
+        assert os.listdir(out_dir) == []
 
 
 @pytest.mark.parametrize("name,argv", [
