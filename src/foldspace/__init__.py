@@ -12,7 +12,7 @@ from .errors import (BudgetExceededError, DimensionMismatchError,
                      ShallowDepthError)
 from .paths import (canonical_cycle, concat_reduced, count_occurrences,
                     cyclic_tighten, is_cyclically_reduced, is_reduced,
-                    reverse_path, tighten)
+                    path_turns, reverse_path, tighten)
 from .graphs import (MarkedGraph, Marking, OrientedGraph, rose, theta_graph)
 from .morphisms import (FoldDecomposition, FoldStep, GraphMorphism, compose,
                         fold_decompose, identity_morphism,
@@ -20,8 +20,7 @@ from .morphisms import (FoldDecomposition, FoldStep, GraphMorphism, compose,
 from .sequences import (FoldingSequence, MeasureTrack, area,
                         current_track_from_initial, decay_check,
                         frequency_current, is_reduced_window,
-                        length_track_from_terminal, path_turns,
-                        simplicial_length_measure)
+                        length_track_from_terminal, simplicial_length_measure)
 from .cones import (ConeApprox, ErgodicityVerdict, cluster_generators,
                     current_cone, ergodicity_verdict, hilbert_distance,
                     length_cone, set_diameter)

@@ -37,7 +37,7 @@ from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError
 from .linalg import (dot, identity, mat_mul, mat_pow, mat_vec,
                      transpose_vec)
 from .morphisms import validate_change_of_marking
-from .paths import _turn, path_turns  # path_turns re-exported
+from .paths import _turn
 
 EXPANSION_BUDGET = 10_000_000
 # bits an exact entry may reach in one carry; the Fibonacci power M^k has
@@ -79,13 +79,10 @@ def _check_window_bits(tracks, n0, n1):
     the seed, and never more than ``CARRY_BIT_BUDGET``, past which the
     carry refuses.  A level's vector keeps its edge count of such entries.
     The sum over a run's levels is in closed form, so the cost is one pass
-    over the runs, however wide the window.  Tracks given level by level
-    already keep every vector, and are not counted.
+    over the runs, however wide the window.
     """
     total = 0
     for track in tracks:
-        if not track._recurrent:
-            continue
         seq, T = track.seq, track.seq.n_steps
         a, b = sorted((seq._internal(n0), seq._internal(n1)))
         current = track.kind == "current"
@@ -356,7 +353,7 @@ class FoldingSequence:
         so each call carries only from the nearest level already read."""
         if self._image_track is None:
             ones = [1] * self.graph_at(self.levels[-1]).n_edges
-            self._image_track = MeasureTrack._from_seed(self, "length", ones)
+            self._image_track = MeasureTrack(self, "length", ones)
         return list(self._image_track.at_levels((level,))[0])
 
     def _carry(self, vectors, kind, steps, stops=()):
@@ -450,55 +447,34 @@ class MeasureTrack:
     The upstream end, where a carry starts, is the right end for lengths
     and the left end for currents.
 
-    A track built here from explicit vectors keeps one per level.  The
-    track constructors below (``length_track_from_terminal``,
-    ``current_track_from_initial`` and the canonical measures) keep only
-    the seed at the upstream end, and carry from the nearest kept vector
-    on the upstream side when read.  ``at_levels`` jumps to the levels it
-    is given by run powers, keeping them and the run boundaries passed, so
-    reading a window of w levels costs O(log k) products per run of k
-    steps on the way, plus w products.  ``at`` keeps every level it passes,
-    so single reads in any order cost at most one stepwise pass.  A full
-    sweep (``validate``, ``area``) is one stepwise pass; ``decay_check``
-    reads only the two ends, plus the levels around any step that does
-    not cover its codomain.
+    The recurrence fixes a track by its ``seed``, its vector at the
+    upstream end, so a track is built from its seed alone
+    (``length_track_from_terminal`` and ``current_track_from_initial``
+    name the end).  It keeps the seed, and carries from the nearest kept
+    vector on the upstream side when read.
+    ``at_levels`` jumps to the levels it is given by run powers, keeping
+    them and the run boundaries passed, so reading a window of w levels
+    costs O(log k) products per run of k steps on the way, plus w
+    products.  ``at`` keeps every level it passes, so single reads in any
+    order cost at most one stepwise pass.  A full sweep (``validate``,
+    ``area``) is one stepwise pass; ``decay_check`` reads only the two
+    ends, plus the levels around any step that does not cover its
+    codomain.
     """
 
-    def __init__(self, seq, kind, vectors):
-        self._begin(seq, kind, recurrent=False)
-        for level, v in zip(seq.levels, vectors):
-            self._known[seq._internal(level)] = self._checked(level, v)
-        if len(self._known) != seq.n_steps + 1:
-            raise DimensionMismatchError(
-                "track must store one vector per level")
-
-    @classmethod
-    def _from_seed(cls, seq, kind, vector):
-        """The track carried from ``vector`` at its upstream end."""
-        track = cls.__new__(cls)
-        track._begin(seq, kind, recurrent=True)
-        level = seq.levels[0 if kind == "current" else -1]
-        track._known[seq._internal(level)] = track._checked(level, vector)
-        return track
-
-    def _begin(self, seq, kind, recurrent):
+    def __init__(self, seq, kind, seed):
         if kind not in ("length", "current"):
             raise InvalidTrackError(f"unknown track kind {kind!r}")
-        self.seq = seq
-        self.kind = kind
-        self._known = {}        # internal index -> kept vector
-        # the recurrence holds by construction when the track is carried
-        # from a seed, not when its vectors are given level by level
-        self._recurrent = recurrent
-
-    def _checked(self, level, vector):
-        v = _exact(vector)
-        if len(v) != self.seq.graph_at(level).n_edges:
+        level = seq.levels[0 if kind == "current" else -1]
+        v = _exact(seed)
+        if len(v) != seq.graph_at(level).n_edges:
             raise DimensionMismatchError(
                 f"track vector at level {level} has wrong dimension")
         if any(x < 0 for x in v):
             raise InvalidTrackError(f"negative entry at level {level}")
-        return v
+        self.seq = seq
+        self.kind = kind
+        self._known = {seq._internal(level): v}  # internal index -> vector
 
     def at(self, level):
         """The vector at ``level``.  Every level between it and the nearest
@@ -574,13 +550,13 @@ class MeasureTrack:
 def length_track_from_terminal(seq, terminal_vector):
     """Length track pulled back from ``terminal_vector`` at the right end;
     levels are carried when read."""
-    return MeasureTrack._from_seed(seq, "length", terminal_vector)
+    return MeasureTrack(seq, "length", terminal_vector)
 
 
 def current_track_from_initial(seq, initial_vector):
     """Current track pushed forward from ``initial_vector`` at the left
     end; levels are carried when read."""
-    return MeasureTrack._from_seed(seq, "current", initial_vector)
+    return MeasureTrack(seq, "current", initial_vector)
 
 
 def simplicial_length_measure(seq):
@@ -635,7 +611,7 @@ def _extreme_grows(seq, track):
     tail = range((T + 1) // 2, T) if current else range(T // 2)
     pairs = []          # (upstream, downstream) internal levels to compare
     for start, length, f in seq.step_runs:
-        if track._recurrent and f.covers():
+        if f.covers():
             continue
         for i in range(max(start, tail.start),
                        min(start + length, tail.stop)):
@@ -670,8 +646,7 @@ def decay_check(seq, length_track=None, current_track=None):
     cover (none on a validated chain) are compared on their vectors.
     The flags are exact, and no level between the ends and those steps is
     read: one carry of each track reaches them all by run powers, O(log k)
-    products per run of k steps.  A track built from explicit vectors need
-    not satisfy the recurrence, so each of its steps is compared.
+    products per run of k steps.
 
     Returns ``{"levels": ..., "flags": ...}``; raises
     ``InvalidTrackError`` for a track of the wrong kind or of another

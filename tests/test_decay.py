@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import (FoldingSequence, InvalidTrackError, MeasureTrack,
+from foldspace import (FoldingSequence, InvalidTrackError,
                        current_track_from_initial, decay_check,
                        frequency_current, gen_alternating_block,
                        gen_fibonacci, identity_morphism,
@@ -178,29 +178,6 @@ def test_one_uncovered_step_at_every_position(bad):
                 seq = FoldingSequence(steps, direction, validate=False)
                 for seed in ((1, 1), (2, 1), (1, 2)):
                     _check_against_sweep(seq, seed, seed)
-
-
-# -- tracks given level by level ------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(seq=_chains(), data=st.data())
-def test_flags_match_sweep_on_explicit_tracks(seq, data):
-    """Explicit vectors need not obey the recurrence, so a covering step
-    certifies nothing there: take the carried track and replace one
-    level's vector."""
-    levels = list(seq.levels)
-    for kind, make, end in (("length", length_track_from_terminal, -1),
-                            ("current", current_track_from_initial, 0)):
-        carried = make(seq, [1] * seq.graph_at(levels[end]).n_edges)
-        vectors = [list(carried.at(n)) for n in levels]
-        k = data.draw(st.integers(0, len(levels) - 1), label="level")
-        vectors[k] = _int_seed(data, len(vectors[k]))
-        track = MeasureTrack(seq, kind, vectors)
-        arg = {f"{kind}_track": track}
-        assert decay_check(seq, **arg) == {
-            "levels": tuple(levels),
-            "flags": _stepwise_decay_check(seq, **arg)["flags"]}
 
 
 # -- typed refusals ---------------------------------------------------------

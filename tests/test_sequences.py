@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import (BudgetExceededError, DirectionError,
-                       FoldingSequence, GraphMorphism, InvalidTrackError,
-                       SequenceError, area, current_track_from_initial,
+from foldspace import (BudgetExceededError, DimensionMismatchError,
+                       DirectionError, FoldingSequence, GraphMorphism,
+                       InvalidTrackError, MeasureTrack, SequenceError,
+                       area, current_track_from_initial,
                        decay_check, frequency_current, gen_alternating_block,
                        identity_morphism, is_reduced_window,
                        length_track_from_terminal, path_turns, rose,
@@ -185,14 +186,36 @@ def test_track_rejects_negative_and_bad_dims(fib_fold15):
         current_track_from_initial(fib_fold15, [1, 1, 1])
 
 
+@pytest.mark.parametrize("kind, level", [("length", 0), ("current", -20)])
+def test_track_refusals_are_exact(fib_unfold20, kind, level):
+    """A track is built from its seed, at level 0 for lengths and at the
+    left end for currents."""
+    with pytest.raises(InvalidTrackError,
+                       match="^unknown track kind 'x'$"):
+        MeasureTrack(fib_unfold20, "x", [1, 1])
+    with pytest.raises(DimensionMismatchError, match=(
+            f"^track vector at level {level} has wrong dimension$")):
+        MeasureTrack(fib_unfold20, kind, [1, 1, 1])
+    with pytest.raises(InvalidTrackError,
+                       match=f"^negative entry at level {level}$"):
+        MeasureTrack(fib_unfold20, kind, [1, -1])
+
+
+def _corrupt(track, level, entry=0):
+    """Add one to an entry of the kept vector at ``level``."""
+    i = track.seq._internal(level)
+    v = list(track._known[i])
+    v[entry] += 1
+    track._known[i] = tuple(v)
+
+
 def test_track_validate_catches_corruption(fib_fold15):
     mu = frequency_current(fib_fold15)
-    vecs = [list(mu.at(n)) for n in fib_fold15.levels]
-    vecs[7][0] += 1
-    from foldspace import MeasureTrack
-    bad = MeasureTrack(fib_fold15, "current", vecs)
-    with pytest.raises(InvalidTrackError, match="recurrence fails"):
-        bad.validate()
+    mu.at_levels(fib_fold15.levels)
+    _corrupt(mu, 7)
+    with pytest.raises(InvalidTrackError,
+                       match="^current recurrence fails at level 6$"):
+        mu.validate()
 
 
 def test_area_invariance_and_value(fib_fold15):
@@ -502,6 +525,30 @@ def test_run_powers_match_step_loops(seq, data):
     assert cone.generators == generators
     assert cone.diameter_profile == profile
     assert (cone.diameter, cone.diameter_ratio) == (diameter, ratio)
+
+
+# -- corrupted tracks -------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=st.one_of(_chains(), _run_chains()), data=st.data())
+def test_validate_names_the_first_corrupted_level(seq, data):
+    """On a validated chain every step covers and every edge image is
+    nonempty, so an entry raised at level k breaks the recurrence first
+    between k and the level before it (after it, for the first level)."""
+    levels = list(seq.levels)
+    for make, end in ((length_track_from_terminal, levels[-1]),
+                      (current_track_from_initial, levels[0])):
+        track = make(seq, _seed(data, seq.graph_at(end).n_edges))
+        track.at_levels(levels)
+        k = data.draw(st.integers(0, len(levels) - 1), label="level")
+        n = seq.graph_at(levels[k]).n_edges
+        _corrupt(track, levels[k], data.draw(st.integers(0, n - 1),
+                                             label="entry"))
+        with pytest.raises(InvalidTrackError, match=(
+                f"^{track.kind} recurrence fails at level "
+                f"{levels[max(k - 1, 0)]}$")):
+            track.validate()
 
 
 # -- step data kept on the morphism against the per-step loops -----------
