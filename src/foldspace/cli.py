@@ -9,6 +9,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .cones import current_cone, ergodicity_verdict, length_cone
 from .decomposition import (recurrence_check, structural_sanity,
@@ -149,12 +150,19 @@ def _cmd_fold(args):
 
 
 def _log_maxima(track, levels):
-    """(level, log of the largest entry) rows of the ``fold`` CSV.  A
-    generator function, so the stepwise pass over every level runs only
-    when the CSV form is written."""
-    for level, v in zip(levels, track.at_levels(levels)):
-        x = max(v)
-        yield level, frac_log(x) if x > 0 else float("-inf")
+    """(level, log of the largest entry) rows of the ``fold`` CSV, where
+    ``levels`` are all the track's levels, in order: one carry from the
+    seed stops at every level and keeps only its float.  A generator
+    function, so the carry runs only when the CSV form is written."""
+    n, current = track.seq.n_steps, track.kind == "current"
+    seed = track.at(track.levels[0 if current else -1])
+    block = [[x] for x in seed] if current else [list(seed)]
+    steps = range(n) if current else range(n - 1, -1, -1)
+    carried = track.seq._carry(block, track.kind, steps, range(1, n))
+    blocks = chain([block], (b for _, b in carried))
+    maxima = (max(map(max, b)) for b in blocks)
+    logs = (frac_log(x) if x > 0 else float("-inf") for x in maxima)
+    yield from zip(levels, logs if current else reversed(list(logs)))
 
 
 def _cmd_cone(args):

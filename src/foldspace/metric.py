@@ -11,13 +11,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import (BudgetExceededError, DirectionError, GraphStructureError,
                      MalformedPathError)
-from .graphs import MarkedGraph, OrientedGraph
+from .graphs import MarkedGraph
 from .linalg import frac_log
-from .morphisms import GraphMorphism, fold_decompose
+from . import morphisms
 from .paths import _cyclic_core, _join_reduced, canonical_cycle, reverse_path
 from .sequences import orbit, orbit_at
 
@@ -624,44 +624,26 @@ def _canonical_immersion(edges):
     return best
 
 
-@lru_cache(maxsize=None)
-def _rose(rank):
-    """The rank-N rose with edges named 1..N, shared by every core."""
-    return OrientedGraph(["*"], [(str(x), "*", "*")
-                                 for x in range(1, rank + 1)], _relaxed=True)
-
-
 def _subgroup_core(words):
     """Folded core of the subgroup generated by the words, as a canonical
     string (conjugacy-class invariant).
 
-    The words are spelled as loops at one base vertex, mapped letter by
-    letter onto the rose, and Stallings-folded with ``fold_decompose``."""
-    vertices = ["0"]
-    edges = []
-    images = {}
-    for word in words:
-        prev = "0"
-        for k, letter in enumerate(word):
-            if k == len(word) - 1:
-                nxt = "0"
-            else:
-                nxt = str(len(vertices))
-                vertices.append(nxt)
-            eid = str(len(edges))
-            edges.append((eid, prev, nxt) if letter > 0 else (eid, nxt, prev))
-            images[eid] = (abs(letter),)
-            prev = nxt
-    if not edges:
+    Each nonempty word is spelled as a loop at vertex 0, one segment per
+    letter onto the rose, and the segments are Stallings-folded with
+    ``morphisms._fold``; each kept segment is read in the orientation
+    whose letter is positive."""
+    n, init, term, image = morphisms._spell(
+        1, ((0, 0, word) for word in words if word))
+    if not image:
         return "trivial"
-    rank = max(abs(x) for word in words for x in word)
-    word_graph = OrientedGraph(vertices, edges, _relaxed=True)
-    folded = fold_decompose(GraphMorphism(
-        word_graph, _rose(rank), {v: "*" for v in vertices}, images)).terminal
-    g = folded.domain
-    return _canonical_immersion(_core(
-        (g.init(e), g.term(e), folded.edge_image(e)[0])
-        for e in range(1, g.n_edges + 1)))
+    root, dropped, _ = morphisms._fold(n, init, term, image, range(n),
+                                       morphisms.MAX_FOLDS)
+    edges = []
+    for j, (a, b, x) in enumerate(zip(init, term, image), 1):
+        if j not in dropped:
+            a, b = root[a], root[b]
+            edges.append((a, b, x) if x > 0 else (b, a, -x))
+    return _canonical_immersion(_core(edges))
 
 
 @dataclass(frozen=True)
@@ -676,12 +658,17 @@ def factor_projection(marked):
 
     Each proper connected subgraph of positive rank determines a conjugacy
     class of free factors; the class is identified by the canonical folded
-    core of a basis read through the marking.
-    """
+    core of a basis read through the marking.  Every edge subset is tried,
+    so a graph of more than 3N - 3 edges, N = ``MAX_FACTOR_RANK``, is
+    refused: no core graph of rank at most N has that many."""
     g = marked.graph
     if g.betti() > MAX_FACTOR_RANK:
         raise BudgetExceededError(
             f"subgraph enumeration capped at rank {MAX_FACTOR_RANK}")
+    if g.n_edges > 3 * MAX_FACTOR_RANK - 3:
+        raise BudgetExceededError(
+            f"subgraph enumeration capped at {3 * MAX_FACTOR_RANK - 3} "
+            f"edges, got {g.n_edges}")
     names = list(g.edge_ids)
     by_subgraph = {}
     for mask in range(1, (1 << len(names)) - 1):

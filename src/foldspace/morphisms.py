@@ -6,10 +6,11 @@ central validation here is the change-of-marking test: factor through a
 subdivision into a simplicial map (Stallings), fold until no two edges at a
 common vertex have the same image, and check that what remains is an
 isomorphism onto the codomain.  One union-find kernel, ``_fold``, makes
-every fold, on integer arrays: the test feeds it the subdivided segments
-straight from the edge images, and ``fold_decompose`` a simplicial
-morphism's own edges.  A check, and ``fold_decompose`` by default, is
-refused when its folds reach ``MAX_FOLDS``.
+every fold, on integer arrays, and one speller, ``_spell``, cuts paths
+into its segments: the test folds the spelled edge images, ``metric``
+the spelled basis words of a free-factor core, and ``fold_decompose`` a
+simplicial morphism's own edges.  Each is refused when its folds reach
+``MAX_FOLDS`` (``fold_decompose`` by default).
 """
 
 from dataclasses import dataclass
@@ -181,10 +182,10 @@ class GraphMorphism:
         """Why this is not a change of marking, or None when it is (see
         ``validate_change_of_marking``).
 
-        The edge images are cut into segments, one per letter, on integer
-        vertex ids (the domain's vertices, then one new point per inner
-        junction of an image), and ``_fold`` folds the segments; no graph
-        or morphism is built.  The fold ends in an isomorphism when it
+        ``_spell`` cuts the edge images into segments on integer vertex
+        ids (the domain's vertices, then one new point per inner junction
+        of an image), and ``_fold`` folds the segments; no graph or
+        morphism is built.  The fold ends in an isomorphism when it
         keeps as many segments as the codomain has edges, with distinct
         images, and as many vertex classes as the codomain has vertices:
         a simplicial map that is a bijection on edges is onto on the
@@ -196,15 +197,9 @@ class GraphMorphism:
         if self.has_collapsed_edges():
             return "a change of marking cannot collapse edges"
         index = {v: i for i, v in enumerate(G.vertices)}
-        n = len(index)
-        init, term, image = [], [], []
-        for a, b, p in zip(G._einit, G._eterm, self._images):
-            init.append(index[a])
-            init.extend(range(n, n + len(p) - 1))
-            term.extend(range(n, n + len(p) - 1))
-            term.append(index[b])
-            image.extend(p)
-            n += len(p) - 1
+        n, init, term, image = _spell(len(index), zip(
+            map(index.__getitem__, G._einit),
+            map(index.__getitem__, G._eterm), self._images))
         root, dropped, _ = _fold(n, init, term, image, range(n), MAX_FOLDS)
         kept = [abs(x) for j, x in enumerate(image, 1) if j not in dropped]
         if (len(kept) == H.n_edges == len(set(kept))
@@ -298,6 +293,24 @@ def stallings_factorize(f):
     subdivision = GraphMorphism(G, Gp, {v: v for v in G.vertices}, sub_emap)
     simplicial = GraphMorphism(Gp, H, simp_vmap, simp_emap)
     return subdivision, simplicial
+
+
+def _spell(n, paths):
+    """Cut paths into ``_fold``'s segments, one per letter.
+
+    ``paths`` yields ``(a, b, path)``, a nonempty path from vertex a to
+    vertex b (both below n); each inner junction becomes a new vertex,
+    numbered from n on.  Returns ``(n, init, term, image)``: the new
+    vertex count and the segment arrays."""
+    init, term, image = [], [], []
+    for a, b, p in paths:
+        init.append(a)
+        init.extend(range(n, n + len(p) - 1))
+        term.extend(range(n, n + len(p) - 1))
+        term.append(b)
+        image.extend(p)
+        n += len(p) - 1
+    return n, init, term, image
 
 
 def _fold(n, init, term, image, rank, max_folds):

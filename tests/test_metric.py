@@ -39,6 +39,7 @@ from foldspace.graphs import (Marking, MarkedGraph, OrientedGraph, rose,
                               theta_graph)
 from foldspace.io_formats import write_sequence
 from foldspace.linalg import frac_log
+from foldspace.morphisms import stallings_factorize
 from foldspace.paths import (canonical_cycle, cyclic_tighten, reverse_path,
                              tighten)
 from foldspace.sequences import FoldingSequence
@@ -577,6 +578,19 @@ class TestFactorProjection:
         big = rose(list("abcdefg"))
         with pytest.raises(BudgetExceededError):
             factor_projection(marked(big))
+
+    def test_edge_budget(self, rose2):
+        """A subdivided rank-2 graph of 24 edges is refused at once, where
+        its 2^24 edge subsets took minutes: a core graph of rank at most 6
+        has at most 15 edges."""
+        f = rose_morphism(rose2, {"a": "a b " * 5 + "a b",
+                                  "b": "b a " * 5 + "b a"})
+        g = stallings_factorize(f)[0].codomain
+        assert (g.betti(), g.n_edges) == (2, 24)
+        with pytest.raises(BudgetExceededError,
+                           match="^subgraph enumeration capped at 15 edges, "
+                                 "got 24$"):
+            factor_projection(marked(g))
 
 
 _WORDS = st.lists(st.sampled_from((1, 2, 3, -1, -2, -3)),

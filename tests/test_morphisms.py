@@ -471,13 +471,62 @@ def test_subdivision_names_avoid_the_domain_names(vertex, edge):
     assert len(sub.codomain.edge_ids) == 5
 
 
+# -- the word-graph route of ``metric._subgroup_core``, kept as an oracle
+
+
+def _oracle_word_morphism(words):
+    """The words spelled as loops at vertex "0" of a word graph, mapped
+    letter by letter onto the rank-N rose, each edge oriented so that its
+    letter is positive."""
+    vertices = ["0"]
+    edges = []
+    images = {}
+    for word in words:
+        prev = "0"
+        for k, letter in enumerate(word):
+            if k == len(word) - 1:
+                nxt = "0"
+            else:
+                nxt = str(len(vertices))
+                vertices.append(nxt)
+            eid = str(len(edges))
+            edges.append((eid, prev, nxt) if letter > 0 else (eid, nxt, prev))
+            images[eid] = (abs(letter),)
+            prev = nxt
+    rank = max(abs(x) for word in words for x in word)
+    rose_n = OrientedGraph(["*"], [(str(x), "*", "*")
+                                   for x in range(1, rank + 1)], _relaxed=True)
+    return GraphMorphism(OrientedGraph(vertices, edges, _relaxed=True),
+                         rose_n, {v: "*" for v in vertices}, images)
+
+
+def _oracle_subgroup_core(words, fold):
+    """``_subgroup_core`` through graphs and morphisms: the word morphism
+    folded by ``fold``, and its terminal's kept edges read back."""
+    folded = fold(_oracle_word_morphism(words)).terminal
+    g = folded.domain
+    return metric._canonical_immersion(metric._core(
+        (g.init(e), g.term(e), folded.edge_image(e)[0])
+        for e in range(1, g.n_edges + 1)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(words=st.lists(_word(3, max_size=8).filter(bool), min_size=1,
                       max_size=4))
 def test_subgroup_core_matches_the_one_fold_loop(words):
     core = metric._subgroup_core(words)
-    with patch.object(metric, "fold_decompose", _oracle_fold_decompose):
-        assert metric._subgroup_core(words) == core
+    assert core == _oracle_subgroup_core(words, fold_decompose)
+    assert core == _oracle_subgroup_core(words, _oracle_fold_decompose)
+    folds = len(fold_decompose(_oracle_word_morphism(words)).steps)
+    # the fold budget, read when the core is folded, raises at its limit
+    # in both routes
+    for limit in (folds - 1, folds, folds + 1):
+        with patch.object(morphisms, "MAX_FOLDS", limit):
+            got = _outcome(lambda: metric._subgroup_core(words))
+            assert got == _outcome(
+                lambda: _oracle_subgroup_core(words, fold_decompose))
+        assert (got == ("budget", "fold decomposition did not terminate "
+                        f"within {limit} folds")) == (folds >= limit)
 
 
 def _oracle_stallings_factorize(f):
