@@ -9,7 +9,6 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from .cones import current_cone, ergodicity_verdict, length_cone
 from .decomposition import (recurrence_check, structural_sanity,
@@ -151,17 +150,13 @@ def _cmd_fold(args):
 
 def _log_maxima(track, levels):
     """(level, log of the largest entry) rows of the ``fold`` CSV, where
-    ``levels`` are all the track's levels, in order: one carry from the
-    seed stops at every level and keeps only its float.  A generator
-    function, so the carry runs only when the CSV form is written."""
-    n, current = track.seq.n_steps, track.kind == "current"
-    seed = track.at(track.levels[0 if current else -1])
-    block = [[x] for x in seed] if current else [list(seed)]
-    steps = range(n) if current else range(n - 1, -1, -1)
-    carried = track.seq._carry(block, track.kind, steps, range(1, n))
-    blocks = chain([block], (b for _, b in carried))
-    maxima = (max(map(max, b)) for b in blocks)
-    logs = (frac_log(x) if x > 0 else float("-inf") for x in maxima)
+    ``levels`` are all the track's levels, in order: the track's sweep from
+    its seed keeps only a float per level.  A generator function, so the
+    sweep runs only when the CSV form is written."""
+    current = track.kind == "current"
+    sweep = track._sweep(0 if current else track.seq.n_steps)
+    logs = (frac_log(x) if x > 0 else float("-inf")
+            for x in (max(v) for _, v in sweep))
     yield from zip(levels, logs if current else reversed(list(logs)))
 
 

@@ -346,15 +346,17 @@ def _language(seq, depth, L, source="taken", require_depth=True,
             # each block of lengths reads the paths of its longest
             other = {}
             for l in range(1, L + 1):
-                paths = _checked_paths(seq, half, l, source, require_depth,
-                                       budget)
                 if l not in other:
-                    k = min(2 * l, L)
+                    # checks at l alone: the capped harvest at k does the rest
+                    paths = _checked_paths(seq, half, l, source,
+                                           require_depth, budget)
+                    lengths = seq.image_lengths(-half)
+                    k = min(2 * l, L, max(lengths) if require_depth else L)
                     try:
                         paths = _harvest_paths(
                             seq.graph_at(-half),
                             _allowed_turns(seq, -half, source),
-                            seq.image_lengths(-half), k, budget)
+                            lengths, k, budget)
                     except BudgetExceededError:
                         k = l   # past the budget a block has one length
                     other = {m: _flip_count(w)

@@ -34,8 +34,7 @@ from itertools import count, islice
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
-from .linalg import (dot, identity, mat_mul, mat_pow, mat_vec,
-                     transpose_vec)
+from .linalg import dot, identity, mat_mul, mat_pow
 from .morphisms import validate_change_of_marking
 from .paths import _turn
 
@@ -263,9 +262,6 @@ class FoldingSequence:
     def matrix_at(self, level):
         return self.step_at(level).incidence_matrix()
 
-    def _matrix(self, i):
-        return self._step(i).incidence_matrix()
-
     def _check_chain(self):
         """Each codomain is the next domain.  A run of one step object is
         checked once, so the cost grows with the runs, not the steps."""
@@ -456,10 +452,10 @@ class MeasureTrack:
     them and the run boundaries passed, so reading a window of w levels
     costs O(log k) products per run of k steps on the way, plus w
     products.  ``at`` keeps every level it passes, so single reads in any
-    order cost at most one stepwise pass.  A full sweep (``validate``,
-    ``area``) is one stepwise pass; ``decay_check`` reads only the two
-    ends, plus the levels around any step that does not cover its
-    codomain.
+    order cost at most one stepwise pass.  A full read (``validate``,
+    ``area``, the ``fold`` CSV) is one stepwise pass that keeps no vector;
+    ``decay_check`` reads only the two ends, plus the levels around any
+    step that does not cover its codomain.
     """
 
     def __init__(self, seq, kind, seed):
@@ -531,17 +527,35 @@ class MeasureTrack:
     def levels(self):
         return self.seq.levels
 
+    def _sweep(self, i):
+        """``(internal level, vector)`` at every level from the kept vector
+        at internal level ``i`` downstream: one carry, keeping nothing."""
+        v = self._known[i]
+        yield i, v
+        current = self.kind == "current"
+        steps = (range(i, self.seq.n_steps) if current
+                 else range(i - 1, -1, -1))
+        block = [[x] for x in v] if current else [list(v)]
+        for count, block in self.seq._carry(block, self.kind, steps,
+                                            range(1, len(steps))):
+            yield ((i + count, tuple(r[0] for r in block)) if current
+                   else (i - count, tuple(block[0])))
+
     def validate(self):
-        """Exact recurrence check; raises on the first violation."""
-        seq = self.seq
-        levels = list(seq.levels)
-        vectors = self.at_levels(levels)
-        for level, cur, nxt in zip(levels, vectors, vectors[1:]):
-            M = seq.matrix_at(level)
-            if (tuple(transpose_vec(M, nxt)) != cur if self.kind == "length"
-                    else tuple(mat_vec(M, cur)) != nxt):
-                raise InvalidTrackError(
-                    f"{self.kind} recurrence fails at level {level}")
+        """Exact recurrence check by sweeps from the seed: a kept vector
+        unlike the one carried to its level breaks the pair ending there,
+        and a length's sweep restarts there.  Raises on the lowest break."""
+        current = self.kind == "current"
+        start, broken = (0 if current else self.seq.n_steps), None
+        while start is not None:
+            sweep, start = self._sweep(start), None
+            for i, v in sweep:
+                if self._known.get(i, v) != v:
+                    broken, start = i, (None if current else i)
+                    break
+        if broken is not None:
+            raise InvalidTrackError(f"{self.kind} recurrence fails at level "
+                                    f"{self.seq.levels[broken - current]}")
 
     def __repr__(self):
         return f"MeasureTrack({self.kind}, {self.seq.n_steps + 1} levels)"
@@ -580,7 +594,7 @@ def frequency_current(seq):
 
 
 def area(seq, length_track, current_track):
-    """The pairing mu_n . lambda_n, checked to be level-independent."""
+    """The pairing mu_n . lambda_n, the same at every level n."""
     if length_track.kind != "length" or current_track.kind != "current":
         raise InvalidTrackError("area needs a length track and a current "
                                 "track, in that order")
@@ -588,15 +602,9 @@ def area(seq, length_track, current_track):
         raise InvalidTrackError("tracks belong to a different sequence")
     length_track.validate()
     current_track.validate()
-    levels = list(seq.levels)
-    value = dot(current_track.at(levels[0]), length_track.at(levels[0]))
-    for level in levels[1:]:
-        other = dot(current_track.at(level), length_track.at(level))
-        if other != value:
-            raise InvalidTrackError(
-                f"area is not invariant: {value} at level {levels[0]}, "
-                f"{other} at level {level}")
-    return value
+    # once both recurrences hold, (M mu) . lambda = mu . (M^T lambda) exactly
+    level = [seq.levels[0]]
+    return dot(*current_track.at_levels(level), *length_track.at_levels(level))
 
 
 # -- decay report --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Folding sequences: indexing, validation, composites, tracks, decay, and
 the reducedness window search."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from foldspace import (BudgetExceededError, DimensionMismatchError,
                        InvalidTrackError, MeasureTrack, SequenceError,
                        area, current_track_from_initial,
                        decay_check, frequency_current, gen_alternating_block,
+                       gen_fibonacci,
                        identity_morphism, is_reduced_window,
                        length_track_from_terminal, path_turns, rose,
                        simplicial_length_measure)
+from foldspace import cli, sequences
 from foldspace.cones import (_normalize_l1, _sample_depths, current_cone,
                              length_cone, set_diameter)
 from foldspace.examples import fibonacci_step
@@ -314,7 +317,7 @@ def test_reduced_window_bad_range(fib_unfold20):
 def _loop_composite_matrix(seq, level_from, level_to):
     prod = None
     for i in range(seq._internal(level_from), seq._internal(level_to)):
-        M = seq._matrix(i)
+        M = seq._step(i).incidence_matrix()
         prod = M if prod is None else mat_mul(M, prod)
     if prod is None:
         prod = identity(seq.graph_at(level_from).n_edges)
@@ -324,7 +327,7 @@ def _loop_composite_matrix(seq, level_from, level_to):
 def _loop_image_lengths(seq, level):
     vec = [1] * seq.graph_at(seq.levels[-1]).n_edges
     for j in range(seq.n_steps - 1, seq._internal(level) - 1, -1):
-        vec = transpose_vec(seq._matrix(j), vec)
+        vec = transpose_vec(seq._step(j).incidence_matrix(), vec)
     return vec
 
 
@@ -332,7 +335,7 @@ def _loop_length_track(seq, terminal_vector):
     vec = [Fraction(x) for x in terminal_vector]
     out = [tuple(vec)]
     for i in range(seq.n_steps - 1, -1, -1):
-        vec = transpose_vec(seq._matrix(i), vec)
+        vec = transpose_vec(seq._step(i).incidence_matrix(), vec)
         out.append(tuple(vec))
     out.reverse()
     return out
@@ -342,7 +345,7 @@ def _loop_current_track(seq, initial_vector):
     vec = [Fraction(x) for x in initial_vector]
     out = [tuple(vec)]
     for i in range(seq.n_steps):
-        vec = mat_vec(seq._matrix(i), vec)
+        vec = mat_vec(seq._step(i).incidence_matrix(), vec)
         out.append(tuple(vec))
     return out
 
@@ -367,7 +370,7 @@ def _loop_cone(seq, depth, kind):
     prod = None
     profile = []
     for step_count, i in enumerate(order, start=1):
-        M = seq._matrix(i)
+        M = seq._step(i).incidence_matrix()
         prod = [row[:] for row in M] if prod is None else combine(prod, M)
         if step_count in want:
             profile.append((step_count, set_diameter(gens(prod))[0]))
@@ -549,6 +552,97 @@ def test_validate_names_the_first_corrupted_level(seq, data):
                 f"^{track.kind} recurrence fails at level "
                 f"{levels[max(k - 1, 0)]}$")):
             track.validate()
+
+
+def _stepwise_break(track):
+    """The level that names the lowest broken pair of ``track``, or None:
+    in carry order from the seed, a level's vector is the kept one where
+    one is kept and one step from the level before it otherwise, and the
+    pair ending at a kept vector unlike that step is broken."""
+    seq, T = track.seq, track.seq.n_steps
+    current = track.kind == "current"
+    vec, broken = None, []
+    for i in (range(T + 1) if current else range(T, -1, -1)):
+        if vec is not None:
+            M = seq._step(i - 1 if current else i).incidence_matrix()
+            vec = tuple(mat_vec(M, vec) if current
+                        else transpose_vec(M, vec))
+        kept = track._known.get(i)
+        if kept is not None:
+            if vec is not None and kept != vec:
+                broken.append(i - 1 if current else i)
+            vec = kept
+    return seq.levels[min(broken)] if broken else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=st.one_of(_chains(), _run_chains()), data=st.data())
+def test_validate_after_a_window_read_matches_the_stepwise_check(seq, data):
+    """After a window read, one raised entry of one kept vector (the seed
+    included) is named as the stepwise check names it, and ``validate``
+    keeps no vector it did not keep before."""
+    levels = list(seq.levels)
+    for make, end in ((length_track_from_terminal, levels[-1]),
+                      (current_track_from_initial, levels[0])):
+        track = make(seq, _seed(data, seq.graph_at(end).n_edges))
+        a, b = sorted(data.draw(st.lists(st.sampled_from(levels),
+                                         min_size=2, max_size=2),
+                                label="window"))
+        track.at_levels(range(a, b + 1))
+        level = levels[data.draw(st.sampled_from(sorted(track._known)),
+                                 label="kept")]
+        n = seq.graph_at(level).n_edges
+        _corrupt(track, level, data.draw(st.integers(0, n - 1),
+                                         label="entry"))
+        kept = dict(track._known)
+        want = _stepwise_break(track)
+        if want is None:
+            track.validate()
+        else:
+            with pytest.raises(InvalidTrackError, match=(
+                    f"^{track.kind} recurrence fails at level {want}$")):
+                track.validate()
+        assert track._known == kept
+
+
+@pytest.mark.parametrize("direction", ["folding", "unfolding"])
+def test_full_reads_keep_no_vector(direction):
+    """``validate`` and ``area`` on a 20000-step Fibonacci chain peak at
+    about 2.6 MiB (tracemalloc), where keeping every level's exact vector
+    peaked past 100 MiB."""
+    seq = gen_fibonacci(steps=20000, direction=direction).sequence
+    tracks = lambda: (length_track_from_terminal(seq, [1, 1]),
+                      current_track_from_initial(seq, [1, 1]))
+    for read in (lambda lam, mu: (lam.validate(), mu.validate()),
+                 lambda lam, mu: area(seq, lam, mu)):
+        lam, mu = tracks()
+        tracemalloc.start()
+        try:
+            read(lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("direction", ["folding", "unfolding"])
+def test_full_reads_refuse_as_one_carry(monkeypatch, direction):
+    """Each full read of a fresh track is one carry from its seed, so the
+    carry budget refuses it at the same step, with the same message."""
+    monkeypatch.setattr(sequences, "CARRY_BIT_BUDGET", 300)
+    seq = gen_fibonacci(steps=1000, direction=direction).sequence
+    tracks = lambda: (length_track_from_terminal(seq, [1, 1]),
+                      current_track_from_initial(seq, [1, 1]))
+    reads = [lambda lam, mu: area(seq, lam, mu)]
+    for k in (0, 1):
+        reads += [lambda lam, mu, k=k: (lam, mu)[k].validate(),
+                  lambda lam, mu, k=k: list(cli._log_maxima((lam, mu)[k],
+                                                            seq.levels))]
+    for read in reads:
+        with pytest.raises(BudgetExceededError, match=(
+                r"^carrying 1000 steps could reach 301 bits, past the limit "
+                r"of 300 bits \(sequences\.CARRY_BIT_BUDGET\)$")):
+            read(*tracks())
 
 
 # -- step data kept on the morphism against the per-step loops -----------
