@@ -117,19 +117,28 @@ def _proportional(x, y):
 
 
 def _in_pair_hull(target, g, h):
-    """Is target an exact nonnegative combination of g and h?"""
+    """Is target an exact nonnegative combination of g and h?
+
+    On the first pair of coordinates where g and h are independent, with
+    g and h swapped if need be so that their determinant ``det`` is
+    positive, Cramer's rule gives target = (s g + t h) / det; the test is
+    s, t >= 0 and s g + t h == det target on every coordinate, on the
+    numerators alone.  No division is made, so int columns stay ints, and
+    Fraction columns give the same answer."""
     n = len(target)
     for i in range(n):
         for j in range(i + 1, n):
             det = g[i] * h[j] - g[j] * h[i]
             if det == 0:
                 continue
-            s = (target[i] * h[j] - target[j] * h[i]) / det
-            t = (g[i] * target[j] - g[j] * target[i]) / det
+            if det < 0:
+                g, h, det = h, g, -det
+            s = target[i] * h[j] - target[j] * h[i]
+            t = g[i] * target[j] - g[j] * target[i]
             if s < 0 or t < 0:
                 return False
-            ok = all(s * g[k] + t * h[k] == target[k] for k in range(n))
-            return ok
+            return all(s * g[k] + t * h[k] == det * target[k]
+                       for k in range(n))
     # g and h projectively equal: reduces to proportionality
     return _proportional(target, g)
 
@@ -139,7 +148,9 @@ def extreme_ray_indices(vectors, cluster_reps):
 
     Pairwise testing only (no full LP), so the result can overestimate the
     extreme set; at the ambient dimensions in play (<= 3N-3) it is exact
-    whenever at most three rays survive clustering.
+    whenever at most three rays survive clustering.  Both tests are
+    projective, so a cone passes its integer columns, not the normalized
+    generators, and no gcd is taken.
     """
     out = []
     for r in cluster_reps:
@@ -181,10 +192,10 @@ class ConeApprox:
 
 
 def _normalize_l1(col):
-    s = sum(col, Fraction(0))
+    s = sum(col)
     if s == 0:
-        return tuple(Fraction(x) for x in col)
-    return tuple(Fraction(x) / s for x in col)
+        return tuple(map(Fraction, col))
+    return tuple(Fraction(x, s) for x in col)
 
 
 def _sample_depths(depth, boundaries):
@@ -295,11 +306,12 @@ def _build_cone(seq, depth, kind, tol):
     profile = [(d, INF if d in split else widths[d]) for d in want] \
         if depth else [(0, diameter)]
     generators = tuple(_normalize_l1(c) for c in cols)
-    # the distances are projective: the integer columns give the same
-    # clusters as the normalized generators, without their gcds
+    # the distances and the hull tests are projective: the integer columns
+    # give the same clusters and extreme rays as the normalized generators,
+    # without their gcds
     clusters = cluster_generators(cols, tol)
     reps = tuple(c[0] for c in clusters)
-    extremes = extreme_ray_indices(generators, reps)
+    extremes = extreme_ray_indices(cols, reps)
     return ConeApprox(kind=kind, depth=depth, ambient_dim=ambient,
                       generators=generators, diameter=diameter,
                       diameter_ratio=ratio,

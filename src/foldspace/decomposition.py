@@ -10,7 +10,6 @@ reported undecided, never tie-broken.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
 
 from .errors import (GraphStructureError, InvalidTrackError, SequenceError)
 from .cones import hilbert_distance
@@ -42,11 +41,12 @@ def moduli_window(seq, length_track, indices, pinch_tol=None):
     pinch_tol = Fraction(pinch_tol)
     normalized = []
     for n, v in zip(indices, length_track.at_levels(indices)):
-        vec = [Fraction(x) for x in v]
-        vol = sum(vec)
+        vol = sum(v)
         if vol == 0:
             raise InvalidTrackError(f"zero volume at level {n}")
-        normalized.append(tuple(x / vol for x in vec))
+        # one gcd per entry on an int vector; Fraction takes a Fraction
+        # vector's entries and volume as well
+        normalized.append(tuple(Fraction(x, vol) for x in v))
     q = max(2, len(indices) // 4)
     trailing = normalized[-q:]
     pinched = set()
@@ -97,9 +97,20 @@ def _window_graph(seq, window):
     return graphs[0]
 
 
+def _median(values):
+    """The exact median: the middle value, or the mean of the two middle
+    ones as a Fraction (``statistics.median`` makes a float of it on
+    ints)."""
+    values = sorted(values)
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return Fraction(values[mid - 1] + values[mid], 2)
+
+
 def _tail_ok(series, split):
-    lead = sum(series[:split], Fraction(0))
-    tail = sum(series[split:], Fraction(0))
+    lead = sum(series[:split])
+    tail = sum(series[split:])
     if tail == 0:
         return True
     return tail * 10 < lead
@@ -109,14 +120,17 @@ def _decompose(graph, window, stat_tables, eps_rel):
     """Shared assignment logic.
 
     stat_tables[i][edge_index] = series of exact statistics over the window
-    for measure i (1-based measures stored from index 0).
+    for measure i (1-based measures stored from index 0): ints when the
+    tracks are, else Fractions.  Both compare, sum and take their median
+    exactly, so the thresholds (Fractions) and the parts are the same for
+    equal values of either type.
     """
     k = len(stat_tables)
     split = len(window) // 2
     thresholds = []
     for table in stat_tables:
         values = [x for series in table for x in series]
-        thresholds.append(Fraction(eps_rel) * median(values))
+        thresholds.append(Fraction(eps_rel) * _median(values))
     assignments = {}
     undecided = set()
     for j, name in enumerate(graph.edge_ids):
@@ -164,6 +178,8 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
     On unfolding sequences the tracks are currents and the simplicial length
     track is fixed; on folding sequences the tracks are length components,
     the frequency current is fixed, and the decay ratios l^j/l^i are kept.
+    The statistics are plain products of the tracks' entries (ints on int
+    tracks) until the report's ``statistics`` makes each one a Fraction.
     """
     folding = side == "folding"
     if len(window) < 4:
@@ -189,9 +205,8 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
     if len(tracks) > 1:
         _check_separation([w[0] if folding else w[-1] for w in windows])
     fixed_window = fixed.at_levels(window)
-    tables = [[[Fraction(f[j]) * Fraction(v[j])
-                for f, v in zip(fixed_window, w)] for j in range(g.n_edges)]
-              for w in windows]
+    tables = [[[f[j] * v[j] for f, v in zip(fixed_window, w)]
+               for j in range(g.n_edges)] for w in windows]
     parts, undecided, confident, thresholds = _decompose(
         g, window, tables, eps_rel)
     ratios = None
@@ -203,9 +218,9 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
                     continue
                 for j, name in enumerate(g.edge_ids):
                     ratios[(jj + 1, i + 1, name)] = tuple(
-                        Fraction(a[j]) / Fraction(b[j]) if b[j] else None
+                        Fraction(a[j]) / b[j] if b[j] else None
                         for a, b in zip(num, den))
-    stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
+    stats = {(i + 1, g.edge_ids[j]): tuple(map(Fraction, tables[i][j]))
              for i in range(len(tables)) for j in range(g.n_edges)}
     return TransverseDecomposition(side=side, window=tuple(window),
                                    parts=parts, undecided=undecided,

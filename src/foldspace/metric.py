@@ -506,6 +506,16 @@ _SAMPLE_GAPS = (1, 2, 4, 8, 16)
 _PAIRS_PER_GAP = 4
 
 
+def _first_max_ratio(pairs):
+    """The first pair (n, k) of positive ints with the largest n / k,
+    compared by cross-multiplying."""
+    best = None
+    for n, k in pairs:
+        if best is None or n * best[1] > best[0] * k:
+            best = (n, k)
+    return best
+
+
 def linearity_and_speed(seq):
     """Bounded step entries + sampled distances between levels.
 
@@ -529,6 +539,12 @@ def linearity_and_speed(seq):
     each step joins whole table entries and pays only for the letters
     cancelled at their junctions.  The lengths, and so the report, are
     those of carrying each loop step by step.
+
+    A sample's distance is the log of the largest ratio
+    (n / E_to) / (k / E_from) over the candidates, k the loop's edges and
+    n its image's, E the graphs' edge counts.  The E are the same for
+    every candidate, so the best is chosen on n / k by cross-multiplying
+    (``_first_max_ratio``), and one Fraction is formed per sample.
 
     Each graph's candidate loops are enumerated once per call, however
     many samples start on it.  The step entries are read once per run of
@@ -560,18 +576,16 @@ def linearity_and_speed(seq):
             images = _edge_images(seq, seq._internal(lf), gap)
             if id(g_from) not in loops:
                 loops[id(g_from)] = candidates(g_from)
-            d_best = None
+            stretches = []      # (image length, loop length) per loop
             for cand in loops[id(g_from)]:
                 n = len(_cyclic_core(_join_reduced(
                     [images[e] for e in cand.path])))
                 if not n:
                     raise MalformedPathError(
                         "essential loop collapsed in transport")
-                ratio = (Fraction(n, g_to.n_edges)
-                         / Fraction(len(cand.path), g_from.n_edges))
-                if d_best is None or ratio > d_best:
-                    d_best = ratio
-            d = frac_log(d_best)
+                stretches.append((n, len(cand.path)))
+            n, k = _first_max_ratio(stretches)
+            d = frac_log(Fraction(n * g_from.n_edges, k * g_to.n_edges))
             samples.append((lf, lf + gap, d))
             speed = max(speed, d / (gap + 1))
     return SpeedReport(entry_max=max(early, late), entries_grow=entries_grow,

@@ -58,7 +58,8 @@ _SEQUENCES = (list, tuple)
 
 
 def frac_str(q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     num, den = q.numerator, q.denominator
     try:
         return str(num) if den == 1 else f"{num}/{den}"

@@ -30,7 +30,7 @@ not for every step.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
@@ -355,8 +355,9 @@ class FoldingSequence:
     def _carry(self, vectors, kind, steps, stops=()):
         """Carry a block of vectors through the internal steps ``steps`` (a
         range of step 1 or -1, in carry order) and yield ``(count, block)``
-        after ``count`` steps, for each count in ``stops`` and after the
-        last step.  Length vectors are the block's rows (V -> V M_i),
+        after ``count`` steps, for each count in ``stops`` (sorted, without
+        repeats; those outside 0 < count < len(steps) are skipped) and after
+        the last step.  Length vectors are the block's rows (V -> V M_i),
         currents its columns (V -> M_i V).
 
         Between stops, each stretch of one repeated step object (a
@@ -379,9 +380,12 @@ class FoldingSequence:
         so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused, so an
         oversize chain ends in ``BudgetExceededError``, not in a multiply
         that runs for minutes.
+
+        The stops are walked in order, not listed, so a stop at every level
+        (a ``range``) keeps no list of levels.
         """
         n = len(steps)
-        cuts = sorted({c for c in stops if 0 < c < n} | {n}) if n else ()
+        cuts = chain((c for c in stops if 0 < c < n), (n,)) if n else ()
         width = len(vectors) if kind == "length" else len(vectors[0])
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for row in vectors for x in row)
@@ -514,7 +518,8 @@ class MeasureTrack:
         else:
             steps, sign = range(j - 1, lo - 1, -1), -1
             passed = starts[bisect_right(starts, lo):bisect_left(starts, j)]
-        stops = {abs(i - j) for i in targets}.union(abs(b - j) for b in passed)
+        stops = sorted({abs(i - j) for i in targets}.union(
+            abs(b - j) for b in passed))
         rows = self.kind == "length"
         v = self._known[j]
         block = [list(v)] if rows else [[x] for x in v]

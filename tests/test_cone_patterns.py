@@ -24,7 +24,7 @@ from foldspace.linalg import identity
 
 from conftest import rose_morphism
 from test_lamination import _POOLS
-from test_cones import _cross
+from test_cones import _cross, _old_extreme_ray_indices
 from test_runs import _RUN_POOLS
 
 
@@ -46,7 +46,8 @@ def old_widest(vectors):
 
 def old_build_cone(seq, depth, kind, tol):
     """``_build_cone`` stopping its carry at every sampled depth and
-    measuring every product there."""
+    measuring every product there, with the old hull test on the
+    normalized generators."""
     if depth < 0 or depth > seq.n_steps:
         raise SequenceError(
             f"depth {depth} outside the stored range 0..{seq.n_steps}")
@@ -71,7 +72,7 @@ def old_build_cone(seq, depth, kind, tol):
     generators = tuple(cones._normalize_l1(c) for c in cols)
     clusters = cones.cluster_generators(cols, tol)
     reps = tuple(c[0] for c in clusters)
-    extremes = cones.extreme_ray_indices(generators, reps)
+    extremes = _old_extreme_ray_indices(generators, reps)
     return cones.ConeApprox(kind=kind, depth=depth, ambient_dim=ambient,
                             generators=generators, diameter=diameter,
                             diameter_ratio=ratio,

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from foldspace import (DirectionError, cluster_generators, current_cone,
                        ergodicity_verdict, hilbert_distance, length_cone,
                        set_diameter)
-from foldspace.cones import INF, _proportional, extreme_ray_indices
+from foldspace.cones import (INF, _in_pair_hull, _normalize_l1,
+                             _proportional, extreme_ray_indices)
 from foldspace.linalg import frac_log
 from foldspace import gen_alternating_block
 from foldspace.cli import main
@@ -150,6 +151,143 @@ def test_extreme_ray_indices():
     assert extreme_ray_indices(vecs, reps) == (0, 1)
     # a pair of independent rays is its own extreme set
     assert extreme_ray_indices([(1, 0), (1, 1)], (0, 1)) == (0, 1)
+
+
+# -- hull tests on integer columns ----------------------------------------
+
+
+def _old_in_pair_hull(target, g, h):
+    """``_in_pair_hull`` dividing by the determinant, as it did when the
+    cones passed it their normalized Fraction generators."""
+    n = len(target)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = g[i] * h[j] - g[j] * h[i]
+            if det == 0:
+                continue
+            s = (target[i] * h[j] - target[j] * h[i]) / det
+            t = (g[i] * target[j] - g[j] * target[i]) / det
+            if s < 0 or t < 0:
+                return False
+            ok = all(s * g[k] + t * h[k] == target[k] for k in range(n))
+            return ok
+    return _old_proportional(target, g)
+
+
+def _old_extreme_ray_indices(vectors, cluster_reps):
+    """``extreme_ray_indices`` on the old hull test: the cones passed it
+    their normalized Fraction generators."""
+    out = []
+    for r in cluster_reps:
+        target = vectors[r]
+        others = [vectors[o] for o in cluster_reps if o != r]
+        spanned = any(_old_proportional(target, g) for g in others)
+        if not spanned:
+            for a in range(len(others)):
+                for b in range(a + 1, len(others)):
+                    if _old_in_pair_hull(target, others[a], others[b]):
+                        spanned = True
+                        break
+                if spanned:
+                    break
+        if not spanned:
+            out.append(r)
+    return tuple(out)
+
+
+def _fractions(v):
+    return tuple(map(Fraction, v))
+
+
+_INTS = st.one_of(st.integers(0, 6), st.integers(0, 10 ** 30))
+_COEFFICIENTS = st.one_of(st.integers(0, 4),
+                          st.fractions(min_value=0, max_value=9,
+                                       max_denominator=7))
+
+
+@st.composite
+def _hull_triples(draw):
+    """(target, g, h): nonnegative vectors of one dimension, all ints or
+    mixed with Fractions.  h is free or parallel to g, and target is free,
+    a nonnegative combination of g and h, or one with a unit added; g and
+    h come in either order, so the first nonzero determinant takes either
+    sign."""
+    n = draw(st.integers(1, 5))
+    ints = draw(st.booleans())
+    entries = _INTS if ints else _ENTRIES
+    vector = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    g = draw(vector)
+    if draw(st.booleans()):
+        h = draw(vector)
+    else:
+        c = draw(st.sampled_from((1, 3, 10 ** 20)) if ints
+                 else _COEFFICIENTS)
+        h = tuple(c * x for x in g)
+    how = draw(st.sampled_from(("free", "inside", "nudged")))
+    if how == "free":
+        target = draw(vector)
+    else:
+        coefficients = st.integers(0, 4) if ints else _COEFFICIENTS
+        s, t = draw(coefficients), draw(coefficients)
+        target = [s * a + t * b for a, b in zip(g, h)]
+        if how == "nudged":
+            target[draw(st.integers(0, n - 1))] += 1
+        target = tuple(target)
+    if draw(st.booleans()):
+        g, h = h, g
+    return target, g, h
+
+
+@settings(max_examples=600, deadline=None)
+@given(triple=_hull_triples())
+def test_pair_hull_matches_the_dividing_routine(triple):
+    """No division: int columns give the old answer on their Fraction
+    copies, and Fraction columns give it too."""
+    target, g, h = triple
+    want = _old_in_pair_hull(*map(_fractions, triple))
+    assert _in_pair_hull(target, g, h) is want
+    assert _in_pair_hull(*map(_fractions, triple)) is want
+
+
+@pytest.mark.parametrize("target,g,h,inside", [
+    ((1, 3), (1, 2), (2, 1), False),      # det > 0, outside
+    ((3, 3), (1, 2), (2, 1), True),       # det > 0, inside
+    ((3, 3), (2, 1), (1, 2), True),       # det < 0, inside
+    ((3, 1), (2, 1), (1, 2), False),      # det < 0, outside
+    ((1, 5), (2, 1), (1, 2), False),      # det < 0, other side
+    ((2, 4), (1, 2), (3, 6), True),       # parallel pair, proportional
+    ((2, 5), (1, 2), (3, 6), False),      # parallel pair, not
+    ((0, 0, 0), (1, 2, 0), (0, 1, 1), True),
+    ((1, 3, 3), (1, 2, 0), (0, 1, 3), True),
+    ((1, 3, 4), (1, 2, 0), (0, 1, 3), False)])
+def test_pair_hull_by_hand(target, g, h, inside):
+    assert _in_pair_hull(target, g, h) is inside
+    assert _in_pair_hull(*map(_fractions, (target, g, h))) is inside
+    assert _old_in_pair_hull(*map(_fractions, (target, g, h))) is inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extreme_rays_of_int_columns_match_the_normalized_generators(data):
+    """A cone passes its integer columns; the answer is the old one on the
+    l1-normalized generators it passed before, and on the columns as
+    Fractions."""
+    n = data.draw(st.integers(1, 4), label="dimension")
+    small = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    cols = data.draw(st.lists(small.map(tuple), min_size=1, max_size=6),
+                     label="columns")
+    cols += [tuple(c * x for x in v) for c, v in data.draw(
+        st.lists(st.tuples(st.integers(1, 3), st.sampled_from(cols)),
+                 max_size=2), label="multiples")]
+    cols += [tuple(a + b for a, b in zip(u, v)) for u, v in data.draw(
+        st.lists(st.tuples(st.sampled_from(cols), st.sampled_from(cols)),
+                 max_size=2), label="sums")]
+    reps = tuple(data.draw(st.permutations(range(len(cols))), label="reps"))
+    reps = reps[:data.draw(st.integers(1, len(reps)), label="kept")]
+    want = _old_extreme_ray_indices(
+        [_normalize_l1(c) for c in cols], reps)
+    assert extreme_ray_indices(cols, reps) == want
+    assert extreme_ray_indices([_fractions(c) for c in cols], reps) == want
 
 
 # -- cones on sequences --------------------------------------------------

@@ -1,6 +1,7 @@
 """Moduli windows, transverse decompositions, collapse, and recurrence
 evidence."""
 
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 
 from foldspace.decomposition import (
     CollapseResult,
+    ModuliWindow,
     TransverseDecomposition,
+    _decompose,
+    _median,
+    _tail_ok,
+    _window_graph,
     collapse,
     moduli_window,
     recurrence_check,
@@ -28,6 +34,7 @@ from foldspace.morphisms import GraphMorphism
 from foldspace.sequences import (
     FoldingSequence,
     current_track_from_initial,
+    frequency_current,
     length_track_from_terminal,
     simplicial_length_measure,
 )
@@ -282,6 +289,295 @@ def test_built_decompositions_need_no_issue_check(key, data):
     assert sorted(labelled + sorted(decomp.undecided)) == sorted(g.edge_ids)
     if decomp.confident:
         assert all(decomp.parts[1:])
+
+
+# -- the replaced Fraction code ---------------------------------------------
+
+
+def old_moduli_window(seq, length_track, indices, pinch_tol=None):
+    """``moduli_window`` making every entry a Fraction and dividing it by
+    the Fraction volume."""
+    indices = list(indices)
+    g = _window_graph(seq, indices)
+    if pinch_tol is None:
+        pinch_tol = Fraction(1, 1000 * g.n_edges)
+    pinch_tol = Fraction(pinch_tol)
+    normalized = []
+    for n, v in zip(indices, length_track.at_levels(indices)):
+        vec = [Fraction(x) for x in v]
+        vol = sum(vec)
+        normalized.append(tuple(x / vol for x in vec))
+    q = max(2, len(indices) // 4)
+    trailing = normalized[-q:]
+    pinched = set()
+    for j, name in enumerate(g.edge_ids):
+        series = [vec[j] for vec in trailing]
+        small = all(x < pinch_tol for x in series)
+        down = all(a >= b for a, b in zip(series, series[1:]))
+        if small and down:
+            pinched.add(name)
+    return ModuliWindow(indices=tuple(indices), graph=g,
+                        normalized=tuple(normalized),
+                        limit=normalized[-1],
+                        pinched_edges=frozenset(pinched),
+                        pinch_tol=pinch_tol)
+
+
+def old_tail_ok(series, split):
+    lead = sum(series[:split], Fraction(0))
+    tail = sum(series[split:], Fraction(0))
+    if tail == 0:
+        return True
+    return tail * 10 < lead
+
+
+def old_decompose(graph, window, stat_tables, eps_rel):
+    """``_decompose`` on Fraction tables, its threshold a Fraction times
+    ``statistics.median``."""
+    k = len(stat_tables)
+    split = len(window) // 2
+    thresholds = []
+    for table in stat_tables:
+        values = [x for series in table for x in series]
+        thresholds.append(Fraction(eps_rel) * statistics.median(values))
+    assignments = {}
+    undecided = set()
+    for j, name in enumerate(graph.edge_ids):
+        passing = []
+        for i in range(k):
+            series = stat_tables[i][j]
+            trail = series[split:]
+            if min(trail) > 0 and min(trail) >= thresholds[i]:
+                passing.append(i)
+        if len(passing) > 1:
+            undecided.add(name)
+        elif len(passing) == 1:
+            i = passing[0]
+            if all(old_tail_ok(stat_tables[jj][j], split)
+                   for jj in range(k) if jj != i):
+                assignments[name] = i + 1
+            else:
+                undecided.add(name)
+        else:
+            assignments[name] = 0
+    parts = [set() for _ in range(k + 1)]
+    for name, label in assignments.items():
+        parts[label].add(name)
+    confident = not undecided and all(parts[i] for i in range(1, k + 1))
+    return (tuple(frozenset(p) for p in parts), frozenset(undecided),
+            confident, tuple(thresholds))
+
+
+def old_transverse_decomposition(seq, tracks, window, eps_rel):
+    """``_transverse_decomposition`` forming a Fraction for every entry of
+    every statistic and ratio (the checks on the tracks left out)."""
+    folding = seq.direction == "folding"
+    fixed = frequency_current(seq) if folding \
+        else simplicial_length_measure(seq)
+    window = list(window)
+    g = _window_graph(seq, window)
+    windows = [track.at_levels(window) for track in tracks]
+    fixed_window = fixed.at_levels(window)
+    tables = [[[Fraction(f[j]) * Fraction(v[j])
+                for f, v in zip(fixed_window, w)] for j in range(g.n_edges)]
+              for w in windows]
+    parts, undecided, confident, thresholds = old_decompose(
+        g, window, tables, eps_rel)
+    ratios = None
+    if folding:
+        ratios = {}
+        for i, den in enumerate(windows):
+            for jj, num in enumerate(windows):
+                if i == jj:
+                    continue
+                for j, name in enumerate(g.edge_ids):
+                    ratios[(jj + 1, i + 1, name)] = tuple(
+                        Fraction(a[j]) / Fraction(b[j]) if b[j] else None
+                        for a, b in zip(num, den))
+    stats = {(i + 1, g.edge_ids[j]): tuple(tables[i][j])
+             for i in range(len(tables)) for j in range(g.n_edges)}
+    return TransverseDecomposition(
+        side=seq.direction, window=tuple(window), parts=parts,
+        undecided=undecided, confident=confident, statistics=stats,
+        thresholds=thresholds, ratio_stats=ratios, issues=())
+
+
+_VALUES = st.one_of(st.integers(0, 9), st.integers(0, 10 ** 40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_VALUES, min_size=1, max_size=12),
+       fractions=st.booleans())
+def test_exact_median_matches_statistics_median_on_fractions(values,
+                                                             fractions):
+    """Odd and even counts, of ints and of Fractions: the value is that
+    of ``statistics.median`` on Fractions, and never a float, which
+    ``statistics.median`` makes of an even count of ints."""
+    if fractions:
+        values = [Fraction(x, 1 + x % 7) for x in values]
+    got = _median(values)
+    assert got == statistics.median(list(map(Fraction, values)))
+    assert type(got) in (int, Fraction)
+    if len(values) % 2 == 0:
+        assert type(got) is Fraction
+    else:
+        assert type(got) is type(values[0])
+
+
+def test_statistics_median_floats_an_even_count_of_ints():
+    assert type(statistics.median([1, 2])) is float
+    assert _median([1, 2]) == Fraction(3, 2)
+    assert _median([3, 1, 2]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decompose_on_int_tables_matches_the_fraction_code(data):
+    """Parts, undecided edges, confidence and thresholds from int tables
+    are the replaced code's on the same tables as Fractions; small values
+    make ties with the threshold and zero tails common."""
+    n = data.draw(st.integers(2, 4), label="edges")
+    k = data.draw(st.integers(1, 3), label="measures")
+    width = data.draw(st.integers(4, 9), label="window")
+    split = width // 2
+    # level series, or large leading halves over small trailing ones,
+    # which put the tail budget near its bound
+    series = st.one_of(
+        st.lists(st.integers(0, 6), min_size=width, max_size=width),
+        st.builds(lambda lead, tail: lead + tail,
+                  st.lists(st.integers(0, 30), min_size=split,
+                           max_size=split),
+                  st.lists(st.integers(0, 2), min_size=width - split,
+                           max_size=width - split)))
+    tables = data.draw(st.lists(st.lists(series, min_size=n, max_size=n),
+                                min_size=k, max_size=k), label="tables")
+    eps = data.draw(st.sampled_from((Fraction(1, 1000), Fraction(1, 2), 1,
+                                     Fraction(3, 2))), label="eps")
+    g = rose("abcd"[:n])
+    window = tuple(range(width))
+    got = _decompose(g, window, tables, eps)
+    want = old_decompose(
+        g, window, [[list(map(Fraction, x)) for x in t] for t in tables],
+        eps)
+    assert got == want
+    assert all(type(x) is Fraction for x in got[3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tail_budget_matches_the_fraction_code(data):
+    """Int and Fraction series whose leading half sums to about ten times
+    the trailing half, where the budget's strict bound decides."""
+    tail = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5),
+                     label="tail")
+    total = max(10 * sum(tail) + data.draw(st.integers(-1, 1)), 0)
+    cut = data.draw(st.integers(0, total), label="cut")
+    lead = data.draw(st.permutations([cut, total - cut, 0]), label="lead")
+    series = list(lead) + tail
+    if data.draw(st.booleans(), label="Fractions"):
+        series = [Fraction(x, 7) for x in series]
+    want = old_tail_ok(list(map(Fraction, series)), len(lead))
+    assert _tail_ok(series, len(lead)) is want
+
+
+def _assert_fraction_fields(decomp):
+    assert all(type(x) is Fraction
+               for series in decomp.statistics.values() for x in series)
+    assert all(type(x) is Fraction for x in decomp.thresholds)
+    if decomp.ratio_stats is not None:
+        assert all(x is None or type(x) is Fraction
+                   for series in decomp.ratio_stats.values()
+                   for x in series)
+
+
+_SEED_ENTRIES = st.one_of(st.integers(0, 5),
+                          st.fractions(min_value=0, max_value=5,
+                                       max_denominator=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(_SMALL_BLOCKS)), data=st.data())
+def test_decompositions_match_the_fraction_code(key, data):
+    """Int-seeded and Fraction-seeded tracks (all Fractions, even where
+    each entry is whole, so the non-int path runs) give the replaced
+    code's statistics, thresholds, ratios and parts, as Fractions."""
+    seq = _SMALL_BLOCKS[key]
+    folding = seq.direction == "folding"
+    n0 = data.draw(st.integers(seq.levels[0], seq.levels[-1] - 3))
+    window = range(n0, data.draw(st.integers(n0 + 3, seq.levels[-1])) + 1)
+    g = seq.graph_at(seq.levels[-1] if folding else seq.levels[0])
+    as_fractions = data.draw(st.booleans(), label="Fraction seeds")
+    entries = _SEED_ENTRIES if as_fractions else st.integers(0, 5)
+    seeds = data.draw(st.lists(
+        st.lists(entries, min_size=g.n_edges, max_size=g.n_edges),
+        min_size=1, max_size=3), label="seeds")
+    if as_fractions:
+        seeds = [list(map(Fraction, seed)) for seed in seeds]
+    eps = data.draw(st.fractions(0, 1), label="eps")
+    track = length_track_from_terminal if folding \
+        else current_track_from_initial
+    tracks = [track(seq, seed) for seed in seeds]
+    build = transverse_decomposition_folding if folding \
+        else transverse_decomposition_unfolding
+    try:
+        decomp = build(seq, tracks, window, eps_rel=eps)
+    except InvalidTrackError:       # homothetic or vanishing tracks
+        return
+    assert decomp == old_transverse_decomposition(seq, tracks, window, eps)
+    _assert_fraction_fields(decomp)
+
+
+@pytest.mark.parametrize("as_fractions", [False, True])
+def test_canned_two_seed_decompositions_match_the_fraction_code(
+        as_fractions, alt4_unfold_full, alt4_fold_full):
+    """The benchmark's two-seed decompositions on the canned rank-4
+    blocks, seeded with ints and with the same seeds as Fractions."""
+    for seq, window in ((alt4_unfold_full, range(-12, 1)),
+                        (alt4_fold_full, range(0, 13))):
+        folding = seq.direction == "folding"
+        track = length_track_from_terminal if folding \
+            else current_track_from_initial
+        build = transverse_decomposition_folding if folding \
+            else transverse_decomposition_unfolding
+        seeds = [(1, 0, 0, 0), (0, 0, 1, 0)]
+        if as_fractions:
+            seeds = [tuple(map(Fraction, seed)) for seed in seeds]
+        tracks = [track(seq, seed) for seed in seeds]
+        decomp = build(seq, tracks, window)
+        assert decomp.confident
+        assert decomp == old_transverse_decomposition(
+            seq, tracks, window, Fraction(1, 1000))
+        _assert_fraction_fields(decomp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(_SMALL_BLOCKS)), data=st.data())
+def test_moduli_windows_match_the_fraction_code(key, data):
+    """Int and Fraction length tracks: the normalized vectors, their
+    limit and the pinched edges are the replaced code's, as Fractions."""
+    seq = _SMALL_BLOCKS[key]
+    g = seq.graph_at(seq.levels[-1])
+    seed = data.draw(st.lists(_SEED_ENTRIES, min_size=g.n_edges,
+                              max_size=g.n_edges).filter(any), label="seed")
+    if data.draw(st.booleans(), label="int seed"):
+        seed = [int(x * 9) for x in seed]
+    lam = length_track_from_terminal(seq, seed)
+    indices = data.draw(st.lists(st.sampled_from(seq.levels), min_size=2,
+                                 max_size=8), label="indices")
+    tol = data.draw(st.sampled_from((None, Fraction(1, 3), Fraction(1, 20))),
+                    label="pinch_tol")
+    mw = moduli_window(seq, lam, indices, tol)
+    assert mw == old_moduli_window(seq, lam, indices, tol)
+    assert all(type(x) is Fraction for v in mw.normalized for x in v)
+
+
+def test_deep_moduli_window_matches_the_fraction_code(alt4_unfold_full):
+    lam = simplicial_length_measure(alt4_unfold_full)
+    window = list(range(-800, -1201, -50))
+    mw = moduli_window(alt4_unfold_full, lam, window)
+    assert mw == old_moduli_window(alt4_unfold_full, lam, window)
+    frac = length_track_from_terminal(alt4_unfold_full, [Fraction(1)] * 4)
+    assert moduli_window(alt4_unfold_full, frac, window) == mw
 
 
 # -- collapse -------------------------------------------------------------

@@ -26,6 +26,7 @@ from foldspace.cli import main
 from foldspace.examples import fibonacci_step
 from foldspace.io_formats import parse_sequence, serialize_morphism, \
     write_graph
+from foldspace.linalg import identity
 from foldspace.metric import _apply_support, fills
 from foldspace.sequences import _turn, is_reduced_window, orbit, orbit_at
 
@@ -190,6 +191,32 @@ def _expand(runs):
 
 def _ids(steps):
     return [id(f) for f in steps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=_run_lists(), data=st.data())
+def test_range_stops_match_the_same_stops_as_a_list(chain, data):
+    """A range of stops is walked, not listed: it yields the (count,
+    block) pairs of the same stops as a sorted list, at the counts the
+    stops give inside the steps and after the last step, in both carry
+    directions, also when it reaches past either end of the steps or is
+    empty."""
+    runs, direction = chain
+    seq = FoldingSequence.from_runs(runs, direction)
+    T = seq.n_steps
+    a, b = sorted(data.draw(st.lists(st.integers(0, T), min_size=2,
+                                     max_size=2), label="steps"))
+    kind = data.draw(st.sampled_from(("current", "length")), label="kind")
+    steps = range(a, b) if kind == "current" else range(b - 1, a - 1, -1)
+    n = len(steps)
+    ends = st.integers(-2, n + 2)
+    stops = range(data.draw(ends, label="start"), data.draw(ends,
+                                                             label="stop"))
+    block = identity(seq.graph_at(seq.levels[0]).n_edges)
+    walked = list(seq._carry(block, kind, steps, stops))
+    assert walked == list(seq._carry(block, kind, steps, sorted(set(stops))))
+    assert [count for count, _ in walked] == \
+        (sorted({c for c in stops if 0 < c < n} | {n}) if n else [])
 
 
 # -- orbits ----------------------------------------------------------------

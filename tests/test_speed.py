@@ -14,7 +14,8 @@ from foldspace.cli import main
 from foldspace.errors import MalformedPathError
 from foldspace.graphs import theta_graph
 from foldspace.linalg import frac_log
-from foldspace.metric import SpeedReport, candidates, linearity_and_speed
+from foldspace.metric import (SpeedReport, _first_max_ratio, candidates,
+                              linearity_and_speed)
 from foldspace.morphisms import GraphMorphism, validate_change_of_marking
 from foldspace.paths import (_cyclic_core, _join_reduced, cyclic_tighten,
                              reverse_path, tighten)
@@ -186,6 +187,34 @@ def _loop_speed(seq, *, sample_gaps=(1, 2, 4, 8, 16), pairs_per_gap=4):
 @given(seq=_chains())
 def test_speed_matches_the_step_loop_on_rose_chains(seq):
     assert linearity_and_speed(seq) == _loop_speed(seq)
+
+
+def _old_first_max(pairs, e_from, e_to):
+    """The replaced selection: each candidate's ratio as a quotient of
+    Fractions, the first one kept on a tie."""
+    best = d_best = None
+    for n, k in pairs:
+        ratio = Fraction(n, e_to) / Fraction(k, e_from)
+        if d_best is None or ratio > d_best:
+            best, d_best = (n, k), ratio
+    return best, d_best
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                      min_size=1, max_size=12),
+       scale=st.integers(1, 3), e_from=st.integers(1, 9),
+       e_to=st.integers(1, 9))
+def test_best_candidate_matches_the_fraction_quotients(pairs, scale, e_from,
+                                                       e_to):
+    """Small image and loop lengths tie often, also between unequal pairs
+    such as (2, 1) and (4, 2): the same first pair wins, and its one
+    Fraction is the old best ratio."""
+    pairs = pairs + [(n * scale, k * scale) for n, k in pairs]
+    best, d_best = _old_first_max(pairs, e_from, e_to)
+    assert _first_max_ratio(pairs) == best
+    n, k = best
+    assert Fraction(n * e_from, k * e_to) == d_best
 
 
 def _theta_pool():
