@@ -153,11 +153,9 @@ def _log_maxima(track, levels):
     ``levels`` are all the track's levels, in order: the track's sweep from
     its seed keeps only a float per level.  A generator function, so the
     sweep runs only when the CSV form is written."""
-    current = track.kind == "current"
-    sweep = track._sweep(0 if current else track.seq.n_steps)
     logs = (frac_log(x) if x > 0 else float("-inf")
-            for x in (max(v) for _, v in sweep))
-    yield from zip(levels, logs if current else reversed(list(logs)))
+            for x in (max(v) for _, v in track._sweep(track._seed)))
+    yield from zip(levels, logs if track._sign > 0 else reversed(list(logs)))
 
 
 def _cmd_cone(args):

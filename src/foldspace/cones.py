@@ -234,25 +234,23 @@ def _pattern_step(f, kind):
     return advance
 
 
-def _split_depths(seq, order, kind, want):
-    """The depths in ``want`` (sorted) at which the generators' supports
-    differ or are empty, so that their Hilbert diameter is ``INF``.
+def _split_depths(seq, kind, carry, start, want):
+    """The depths in ``want`` (sorted) at which the generators of a
+    ``kind`` cone, carried as ``carry`` vectors from internal level
+    ``start``, have supports that differ or are empty, so that their
+    Hilbert diameter is ``INF``.
 
     Every incidence matrix is nonnegative, so the zero pattern of a product
     is the Boolean product of the patterns: one support bitmask per
-    generator follows the steps in carry order, and across a run the
+    generator follows the carry's stretches, and across a stretch the
     bitmasks follow their ``orbit``, one call per distinct pattern however
-    long the run.  No product is formed."""
+    long the stretch.  No product is formed."""
     split = set()
     if not want:
         return split
-    lo, hi = sorted((order[0], order[-1]))
-    runs = list(seq._runs_between(lo, hi + 1))
-    if order.step < 0:
-        runs.reverse()
     masks = tuple(1 << j for j in range(seq.graph_at(0).n_edges))
     steps, done, w = {}, 0, 0
-    for (_, _, f), k in runs:
+    for f, k in seq._stretches(carry, start, want[-1]):
         if id(f) not in steps:
             steps[id(f)] = _pattern_step(f, kind)
         trail, cycle = orbit(steps[id(f)], masks, k)
@@ -283,20 +281,20 @@ def _build_cone(seq, depth, kind, tol):
     T = seq.n_steps
     if kind == "current":
         # unit rows pulled back: the columns of M_{T-1} ... M_{T-depth}
-        carry, order = "length", range(T - 1, T - depth - 1, -1)
+        carry, start = "length", T
         bound_depths = {T - b for b in seq.block_boundaries}
     else:
         # unit columns pushed forward: the rows of M_{depth-1} ... M_0
-        carry, order = "current", range(depth)
+        carry, start = "current", 0
         bound_depths = set(seq.block_boundaries)
     want = _sample_depths(depth, bound_depths)
-    split = _split_depths(seq, order, kind, want)
+    split = _split_depths(seq, kind, carry, start, want)
     # level 0 is the right end of an unfolding and the left end of a folding
     ambient = seq.graph_at(0).n_edges
     prod = identity(ambient)
     widths = {}
     stops = [d for d in want if d not in split]
-    for step_count, prod in seq._carry(prod, carry, order, stops):
+    for step_count, prod in seq._carry(prod, carry, start, depth, stops):
         if step_count < depth:
             widths[step_count] = _log_width(_generators(prod, kind))
     cols = _generators(prod, kind)

@@ -82,30 +82,25 @@ def _check_window_bits(tracks, n0, n1):
     """
     total = 0
     for track in tracks:
-        seq, T = track.seq, track.seq.n_steps
-        a, b = sorted((seq._internal(n0), seq._internal(n1)))
-        current = track.kind == "current"
-        seed = track._known[0 if current else T]
+        seq, seed = track.seq, track._known[track._seed]
         # distances from the seed, in carry order, of the window's levels
-        lo, hi = (a, b) if current else (T - b, T - a)
+        lo, hi = sorted(abs(seq._internal(n) - track._seed) for n in (n0, n1))
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for x in seed)
         if lo == 0:
             total += len(seed) * min(bits, CARRY_BIT_BUDGET)
-        runs = seq.step_runs if current else reversed(seq.step_runs)
         done = 0
-        for _, length, f in runs:
-            if done >= hi:
-                break
+        for f, k in seq._stretches(track.kind, track._seed, hi):
             g = f.growth_bits()
-            if done + length >= lo:
-                # the window's levels at distances done+1 .. done+length
-                first, last = max(lo, done + 1), min(hi, done + length)
-                n = (f.codomain if current else f.domain).n_edges
+            if done + k >= lo:
+                # the window's levels at distances first .. done+k
+                first = max(lo, done + 1)
+                n = (f.codomain if track._sign > 0 else f.domain).n_edges
                 total += n * _capped_sum(bits + g * (first - done), g,
-                                         last - first + 1, CARRY_BIT_BUDGET)
-            bits += g * length
-            done += length
+                                         done + k - first + 1,
+                                         CARRY_BIT_BUDGET)
+            bits += g * k
+            done += k
     if total > WINDOW_BIT_BUDGET:
         raise BudgetExceededError(
             f"the levels {n0}..{n1} could keep {total} bits of exact "
@@ -210,14 +205,25 @@ class FoldingSequence:
         """The step object at internal index i, found by bisection."""
         return self.step_runs[bisect_right(self._run_starts, i) - 1][2]
 
-    def _runs_between(self, a, b):
-        """``(run, k)`` per run met by internal steps a..b-1, k of them."""
-        r = bisect_right(self._run_starts, a) - 1
-        for run in islice(self.step_runs, r, None):
-            k = min(run[0] + run[1], b) - max(run[0], a)
+    def _stretches(self, kind, start, count):
+        """``(step object, k)`` for each stretch of k steps of one run that
+        a carry of ``count`` steps from internal level ``start`` meets, in
+        carry order: rightward, the steps start .. start+count-1, for a
+        current, and leftward, the steps start-1 .. start-count, for a
+        length.  The only code that clips runs to a carry."""
+        starts = self._run_starts
+        if kind == "current":
+            a, b = start, start + count
+            runs = islice(self.step_runs, bisect_right(starts, a) - 1, None)
+        else:
+            a, b = start - count, start
+            runs = map(self.step_runs.__getitem__,
+                       range(bisect_left(starts, b) - 1, -1, -1))
+        for run_start, length, f in runs:
+            k = min(run_start + length, b) - max(run_start, a)
             if k <= 0:
                 return
-            yield run, k
+            yield f, k
 
     @property
     def levels(self):
@@ -325,7 +331,7 @@ class FoldingSequence:
         if a > b:
             raise SequenceError("composite runs against map direction")
         prod = identity(self.graph_at(level_from).n_edges)
-        for _, prod in self._carry(prod, "current", range(a, b)):
+        for _, prod in self._carry(prod, "current", a, b - a):
             pass
         return prod
 
@@ -337,7 +343,7 @@ class FoldingSequence:
         if a > b:
             raise SequenceError("composite runs against map direction")
         fmap = {e: e for e in self.graph_at(level_from).oriented_edges()}
-        for (_, _, f), k in self._runs_between(a, b):
+        for f, k in self._stretches("current", a, b - a):
             step = f.first_edge_map()
             fmap = {e: orbit_at(*orbit(step.__getitem__, v, k), k)
                     for e, v in fmap.items()}
@@ -352,18 +358,18 @@ class FoldingSequence:
             self._image_track = MeasureTrack(self, "length", ones)
         return list(self._image_track.at_levels((level,))[0])
 
-    def _carry(self, vectors, kind, steps, stops=()):
-        """Carry a block of vectors through the internal steps ``steps`` (a
-        range of step 1 or -1, in carry order) and yield ``(count, block)``
-        after ``count`` steps, for each count in ``stops`` (sorted, without
-        repeats; those outside 0 < count < len(steps) are skipped) and after
+    def _carry(self, vectors, kind, start, count, stops=()):
+        """Carry a block of vectors ``count`` steps from internal level
+        ``start``, in the direction of ``kind`` (see ``_stretches``), and
+        yield ``(c, block)`` after c steps, for each c in ``stops`` (sorted,
+        without repeats; those outside 0 < c < count are skipped) and after
         the last step.  Length vectors are the block's rows (V -> V M_i),
         currents its columns (V -> M_i V).
 
-        Between stops, each stretch of one repeated step object (a
-        ``step_runs`` entry clipped to the range) of k steps is one product
-        with M^k, formed by repeated squaring of the incidence matrix:
-        O(log k) products instead of k.  Each distinct (step object, k) is
+        The carry walks ``_stretches``, cut at the stops.  Each stretch of
+        k steps of one step object is one product with M^k, formed by
+        repeated squaring of the incidence matrix: O(log k) products
+        instead of k.  Each distinct (step object, k) is
         formed once per call and reused by every later stretch of k steps
         of that object; evenly spaced stops cut a long run into stretches
         of one or two lengths, so most stretches form no power.  Products
@@ -380,29 +386,25 @@ class FoldingSequence:
         so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused, so an
         oversize chain ends in ``BudgetExceededError``, not in a multiply
         that runs for minutes.
-
-        The stops are walked in order, not listed, so a stop at every level
-        (a ``range``) keeps no list of levels.
         """
-        n = len(steps)
-        cuts = chain((c for c in stops if 0 < c < n), (n,)) if n else ()
+        cuts = chain((c for c in stops if 0 < c < count), (count,)) \
+            if count else ()
         width = len(vectors) if kind == "length" else len(vectors[0])
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for row in vectors for x in row)
-        done = 0
+        stretches = self._stretches(kind, start, count)
+        done = left = 0
         powers = {}             # (id of step object, k) -> M^k
         for cut in cuts:
             while done < cut:
-                i = steps[done]
-                start, length, f = self.step_runs[
-                    bisect_right(self._run_starts, i) - 1]
-                left = start + length - i if steps.step > 0 else i - start + 1
+                if not left:
+                    f, left = next(stretches)
                 k = min(cut - done, left)
                 bits += k * f.growth_bits()
                 if bits > CARRY_BIT_BUDGET:
                     raise BudgetExceededError(
-                        f"carrying {n} steps could reach {bits} bits, past "
-                        f"the limit of {CARRY_BIT_BUDGET} bits "
+                        f"carrying {count} steps could reach {bits} bits, "
+                        f"past the limit of {CARRY_BIT_BUDGET} bits "
                         "(sequences.CARRY_BIT_BUDGET)")
                 M, reps = f.incidence_matrix(), k
                 if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
@@ -415,6 +417,7 @@ class FoldingSequence:
                     vectors = mat_mul(vectors, M) if kind == "length" \
                         else mat_mul(M, vectors)
                 done += k
+                left -= k
             yield done, vectors
 
     def expansion(self, level, oriented):
@@ -465,7 +468,9 @@ class MeasureTrack:
     def __init__(self, seq, kind, seed):
         if kind not in ("length", "current"):
             raise InvalidTrackError(f"unknown track kind {kind!r}")
-        level = seq.levels[0 if kind == "current" else -1]
+        # the seed's internal level, and the sign of a carry's steps from it
+        i, sign = (0, 1) if kind == "current" else (seq.n_steps, -1)
+        level = seq.levels[i]
         v = _exact(seed)
         if len(v) != seq.graph_at(level).n_edges:
             raise DimensionMismatchError(
@@ -474,7 +479,8 @@ class MeasureTrack:
             raise InvalidTrackError(f"negative entry at level {level}")
         self.seq = seq
         self.kind = kind
-        self._known = {seq._internal(level): v}  # internal index -> vector
+        self._seed, self._sign = i, sign
+        self._known = {i: v}    # internal index -> vector
 
     def at(self, level):
         """The vector at ``level``.  Every level between it and the nearest
@@ -483,11 +489,10 @@ class MeasureTrack:
         pass over the track."""
         i = self.seq._internal(level)
         if i not in self._known:
-            up = -1 if self.kind == "current" else 1
-            j = i + up
+            j = i - self._sign
             while j not in self._known:
-                j += up
-            self._carry_to(j, range(i, j, up))
+                j -= self._sign
+            self._carry_to(j, range(i, j, -self._sign))
         return self._known[i]
 
     def at_levels(self, levels):
@@ -500,7 +505,7 @@ class MeasureTrack:
         if missing:
             marks = sorted(self._known)
             j = (marks[bisect_left(marks, min(missing)) - 1]
-                 if self.kind == "current"
+                 if self._sign > 0
                  else marks[bisect_left(marks, max(missing))])
             self._carry_to(j, missing)
         return [self._known[i] for i in idx]
@@ -510,48 +515,42 @@ class MeasureTrack:
         the internal levels ``targets`` (all on its downstream side); keeps
         each target and each run boundary passed (vectors kept before stay:
         they are equal)."""
+        far = max(targets, key=lambda i: abs(i - j))
+        lo, hi = sorted((j, far))
         starts = self.seq._run_starts
-        lo, hi = min(targets), max(targets)
-        if self.kind == "current":
-            steps, sign = range(j, hi), 1
-            passed = starts[bisect_right(starts, j):bisect_left(starts, hi)]
-        else:
-            steps, sign = range(j - 1, lo - 1, -1), -1
-            passed = starts[bisect_right(starts, lo):bisect_left(starts, j)]
-        stops = sorted({abs(i - j) for i in targets}.union(
-            abs(b - j) for b in passed))
-        rows = self.kind == "length"
-        v = self._known[j]
-        block = [list(v)] if rows else [[x] for x in v]
-        for count, block in self.seq._carry(block, self.kind, steps, stops):
-            self._known.setdefault(
-                j + sign * count,
-                tuple(block[0]) if rows else tuple(r[0] for r in block))
+        passed = starts[bisect_right(starts, lo):bisect_left(starts, hi)]
+        stops = sorted({abs(i - j) for i in chain(targets, passed)})
+        for i, v in self._sweep(j, stops, far):
+            self._known.setdefault(i, v)
 
     @property
     def levels(self):
         return self.seq.levels
 
-    def _sweep(self, i):
-        """``(internal level, vector)`` at every level from the kept vector
-        at internal level ``i`` downstream: one carry, keeping nothing."""
+    def _sweep(self, i, stops=None, far=None):
+        """``(internal level, vector)`` at the kept vector at internal level
+        ``i``, then ``c`` steps downstream of it for each c in ``stops``
+        (sorted; every level when None) and at ``far`` (the downstream end
+        when None): one carry, keeping nothing.  The track's only carry."""
         v = self._known[i]
         yield i, v
-        current = self.kind == "current"
-        steps = (range(i, self.seq.n_steps) if current
-                 else range(i - 1, -1, -1))
-        block = [[x] for x in v] if current else [list(v)]
-        for count, block in self.seq._carry(block, self.kind, steps,
-                                            range(1, len(steps))):
-            yield ((i + count, tuple(r[0] for r in block)) if current
-                   else (i - count, tuple(block[0])))
+        # the downstream end is the other end from the seed
+        far = self.seq.n_steps - self._seed if far is None else far
+        count = (far - i) * self._sign
+        rows = self.kind == "length"
+        block = [list(v)] if rows else [[x] for x in v]
+        for c, block in self.seq._carry(
+                block, self.kind, i, count,
+                range(1, count) if stops is None else stops):
+            yield (i + self._sign * c,
+                   tuple(block[0]) if rows else tuple(r[0] for r in block))
 
     def validate(self):
         """Exact recurrence check by sweeps from the seed: a kept vector
         unlike the one carried to its level breaks the pair ending there,
         and a length's sweep restarts there.  Raises on the lowest break."""
-        current = self.kind == "current"
-        start, broken = (0 if current else self.seq.n_steps), None
+        current = self._sign > 0
+        start, broken = self._seed, None
         while start is not None:
             sweep, start = self._sweep(start), None
             for i, v in sweep:

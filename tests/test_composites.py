@@ -37,8 +37,11 @@ from test_speed import _JUNCTION_POOLS, _pieces
 # -- the replaced code -----------------------------------------------------
 
 
-def old_carry(self, vectors, kind, steps, stops=()):
-    """``FoldingSequence._carry`` with M^k formed for every stretch."""
+def old_carry(self, vectors, kind, start, count, stops=()):
+    """``FoldingSequence._carry`` with M^k formed for every stretch, on
+    the step range of the carry, clipped to each run by bisection."""
+    steps = range(start, start + count) if kind == "current" \
+        else range(start - 1, start - count - 1, -1)
     n = len(steps)
     cuts = sorted({c for c in stops if 0 < c < n} | {n}) if n else ()
     width = len(vectors) if kind == "length" else len(vectors[0])

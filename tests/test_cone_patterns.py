@@ -53,16 +53,16 @@ def old_build_cone(seq, depth, kind, tol):
             f"depth {depth} outside the stored range 0..{seq.n_steps}")
     T = seq.n_steps
     if kind == "current":
-        carry, order = "length", range(T - 1, T - depth - 1, -1)
+        carry, start = "length", T
         bound_depths = {T - b for b in seq.block_boundaries}
     else:
-        carry, order = "current", range(depth)
+        carry, start = "current", 0
         bound_depths = set(seq.block_boundaries)
     want = cones._sample_depths(depth, bound_depths)
     ambient = seq.graph_at(0).n_edges
     prod = identity(ambient)
     profile = []
-    for step_count, prod in seq._carry(prod, carry, order, want):
+    for step_count, prod in seq._carry(prod, carry, start, depth, want):
         profile.append((step_count,
                         cones._log_width(cones._generators(prod, kind))))
     cols = cones._generators(prod, kind)
@@ -121,13 +121,13 @@ def _pattern_split(seq, depth):
     """``_split_depths`` over the depths a cone of ``seq`` samples."""
     T = seq.n_steps
     if seq.direction == "unfolding":
-        kind, order = "current", range(T - 1, T - depth - 1, -1)
+        kind, carry, start = "current", "length", T
         bounds = {T - b for b in seq.block_boundaries}
     else:
-        kind, order = "length", range(depth)
+        kind, carry, start = "length", "current", 0
         bounds = set(seq.block_boundaries)
     want = cones._sample_depths(depth, bounds)
-    return cones._split_depths(seq, order, kind, want)
+    return cones._split_depths(seq, kind, carry, start, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,9 +175,9 @@ def _recorded_stops(monkeypatch):
     stops = []
     carry = FoldingSequence._carry
 
-    def recording(self, vectors, kind, steps, stops_=()):
+    def recording(self, vectors, kind, start, count, stops_=()):
         stops.append(list(stops_))
-        return carry(self, vectors, kind, steps, stops_)
+        return carry(self, vectors, kind, start, count, stops_)
 
     monkeypatch.setattr(FoldingSequence, "_carry", recording)
     return stops

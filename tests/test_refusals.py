@@ -156,9 +156,9 @@ def test_wide_decompose_window_is_refused_before_any_carry(
     carries = []
     carry = FoldingSequence._carry
 
-    def recording(self, vectors, kind, steps_, stops=()):
-        carries.append(len(steps_))
-        return carry(self, vectors, kind, steps_, stops)
+    def recording(self, vectors, kind, start, count, stops=()):
+        carries.append(count)
+        return carry(self, vectors, kind, start, count, stops)
 
     monkeypatch.setattr(FoldingSequence, "_carry", recording)
     rc, out, err = _run(["decompose", path, f"--window={n0}:{n1}"])

@@ -125,16 +125,16 @@ def old_fills(runs, i, support, memo):
 
 
 def run_walk_fills(seq, level, support, memo):
-    """``fills`` walking every later run, each by the support's ``orbit``
-    across it, kept per run start and support in ``memo``."""
+    """``fills`` walking every later stretch of a run, each by the
+    support's ``orbit`` across it, kept per step object, stretch length and
+    support in ``memo``."""
     i = seq._internal(level)
     support = frozenset(support)
     offset = 0
-    for (start, length, step), k in seq._runs_between(i, seq.n_steps):
-        key = (start, support)
+    for step, k in seq._stretches("current", i, seq.n_steps - i):
+        key = (id(step), k, support)
         if key not in memo:
-            trail, cycle = orbit(partial(_apply_support, step), support,
-                                 length)
+            trail, cycle = orbit(partial(_apply_support, step), support, k)
             full = frozenset(step.domain.edge_ids)
             memo[key] = (trail.index(full) if full in trail else None,
                          trail, cycle)
@@ -207,14 +207,14 @@ def test_range_stops_match_the_same_stops_as_a_list(chain, data):
     a, b = sorted(data.draw(st.lists(st.integers(0, T), min_size=2,
                                      max_size=2), label="steps"))
     kind = data.draw(st.sampled_from(("current", "length")), label="kind")
-    steps = range(a, b) if kind == "current" else range(b - 1, a - 1, -1)
-    n = len(steps)
+    start, n = (a if kind == "current" else b), b - a
     ends = st.integers(-2, n + 2)
     stops = range(data.draw(ends, label="start"), data.draw(ends,
                                                              label="stop"))
     block = identity(seq.graph_at(seq.levels[0]).n_edges)
-    walked = list(seq._carry(block, kind, steps, stops))
-    assert walked == list(seq._carry(block, kind, steps, sorted(set(stops))))
+    walked = list(seq._carry(block, kind, start, n, stops))
+    assert walked == list(seq._carry(block, kind, start, n,
+                                     sorted(set(stops))))
     assert [count for count, _ in walked] == \
         (sorted({c for c in stops if 0 < c < n} | {n}) if n else [])
 

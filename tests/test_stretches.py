@@ -1,6 +1,9 @@
-"""Reports do not depend on where the runs are cut.
+"""Carries walk the runs through ``FoldingSequence._stretches``, and reports
+do not depend on where the runs are cut.
 
-A sequence stores runs of one step object, and adjacent runs merge only
+``_stretches(kind, start, count)`` is the only code that clips runs to a
+carry and orders them; it is checked against the steps one by one.  A
+sequence stores runs of one step object, and adjacent runs merge only
 when their step objects are the same object.  Cutting one run into two runs
 of distinct but equal step objects changes the stretches every carry, cone
 pattern and track read walks, not the chain: the ``cone``, ``fold`` (JSON and
@@ -9,6 +12,7 @@ keep their bytes, refusals included.
 """
 
 import io
+from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
@@ -19,7 +23,7 @@ from foldspace import FoldingSequence, GraphMorphism
 from foldspace import cli
 
 from test_lamination import _POOLS
-from test_runs import _RUN_POOLS
+from test_runs import _RUN_POOLS, _run_lists
 
 
 def _twin(f):
@@ -57,6 +61,31 @@ def _cut_chains(draw):
     cut = FoldingSequence.from_runs(parts, direction)
     assert len(cut.step_runs) == len(whole.step_runs) + 1
     return whole, cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=_run_lists(), data=st.data())
+def test_stretches_are_the_carried_steps_in_order(chain, data):
+    """A current carries the steps start .. start+count-1 rightward, a
+    length the steps start-1 .. start-count leftward: the stretches are
+    runs of at least one step of one step object, and they expand to
+    exactly those steps, in carry order."""
+    runs, direction = chain
+    seq = FoldingSequence.from_runs(runs, direction)
+    T = seq.n_steps
+    kind = data.draw(st.sampled_from(("current", "length")), label="kind")
+    start = data.draw(st.integers(0, T), label="start")
+    count = data.draw(st.integers(0, T - start if kind == "current"
+                                  else start), label="count")
+    steps = range(start, start + count) if kind == "current" \
+        else range(start - 1, start - count - 1, -1)
+    stretches = list(seq._stretches(kind, start, count))
+    assert all(k >= 1 for _, k in stretches)
+    assert [id(f) for f, k in stretches for _ in range(k)] == \
+        [id(seq._step(i)) for i in steps]
+    # one stretch per run met
+    assert len(stretches) == len({bisect_right(seq._run_starts, i)
+                                  for i in steps})
 
 
 def _report(seq, argv):
