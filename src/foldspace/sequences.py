@@ -27,7 +27,7 @@ sequence pays for its window and for O(log k) products per run on the way,
 not for every step.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, islice
@@ -380,45 +380,55 @@ class FoldingSequence:
         single products with the incidence matrix, as a stretch of one
         step is.
 
-        Before each stretch's product, the bits an entry can reach are
-        bounded: those of the block's largest entry (numerator and
+        Before any product, the bits an entry can reach are bounded stretch
+        by stretch: those of the block's largest entry (numerator and
         denominator), plus k * ``growth_bits`` for each stretch of k steps
-        so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused, so an
-        oversize chain ends in ``BudgetExceededError``, not in a multiply
-        that runs for minutes.
+        so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused before it
+        yields, so an oversize chain ends in ``BudgetExceededError``, not in
+        a multiply that runs for minutes.  The stretches are walked once
+        for the bound and once for the products, so ``stops`` is read twice
+        (a list or a range).
         """
-        cuts = chain((c for c in stops if 0 < c < count), (count,)) \
-            if count else ()
-        width = len(vectors) if kind == "length" else len(vectors[0])
+        def pieces():
+            """``(f, k, cut)``: the stretches cut at the stops, each with
+            the stop it is on the way to."""
+            stretches = self._stretches(kind, start, count)
+            done = left = 0
+            for cut in chain((c for c in stops if 0 < c < count), (count,)) \
+                    if count else ():
+                while done < cut:
+                    if not left:
+                        f, left = next(stretches)
+                    k = min(cut - done, left)
+                    done, left = done + k, left - k
+                    yield f, k, cut
+
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for row in vectors for x in row)
-        stretches = self._stretches(kind, start, count)
-        done = left = 0
+        for f, k, _ in pieces():
+            bits += k * f.growth_bits()
+            if bits > CARRY_BIT_BUDGET:
+                raise BudgetExceededError(
+                    f"carrying {count} steps could reach {bits} bits, past "
+                    f"the limit of {CARRY_BIT_BUDGET} bits "
+                    "(sequences.CARRY_BIT_BUDGET)")
+        width = len(vectors) if kind == "length" else len(vectors[0])
+        done = 0
         powers = {}             # (id of step object, k) -> M^k
-        for cut in cuts:
-            while done < cut:
-                if not left:
-                    f, left = next(stretches)
-                k = min(cut - done, left)
-                bits += k * f.growth_bits()
-                if bits > CARRY_BIT_BUDGET:
-                    raise BudgetExceededError(
-                        f"carrying {count} steps could reach {bits} bits, "
-                        f"past the limit of {CARRY_BIT_BUDGET} bits "
-                        "(sequences.CARRY_BIT_BUDGET)")
-                M, reps = f.incidence_matrix(), k
-                if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
-                        * len(M):
-                    key = (id(f), k)
-                    if key not in powers:
-                        powers[key] = mat_pow(M, k)
-                    M, reps = powers[key], 1
-                for _ in range(reps):
-                    vectors = mat_mul(vectors, M) if kind == "length" \
-                        else mat_mul(M, vectors)
-                done += k
-                left -= k
-            yield done, vectors
+        for f, k, cut in pieces():
+            M, reps = f.incidence_matrix(), k
+            if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
+                    * len(M):
+                key = (id(f), k)
+                if key not in powers:
+                    powers[key] = mat_pow(M, k)
+                M, reps = powers[key], 1
+            for _ in range(reps):
+                vectors = mat_mul(vectors, M) if kind == "length" \
+                    else mat_mul(M, vectors)
+            done += k
+            if done == cut:
+                yield done, vectors
 
     def expansion(self, level, oriented):
         """Composite image of an oriented edge in the right-end graph, not
@@ -471,7 +481,13 @@ class MeasureTrack:
         # the seed's internal level, and the sign of a carry's steps from it
         i, sign = (0, 1) if kind == "current" else (seq.n_steps, -1)
         level = seq.levels[i]
-        v = _exact(seed)
+        v = tuple(seed)
+        try:
+            v = _exact(v)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            # NaN, an infinity, None or "1/0": no Fraction takes it
+            raise InvalidTrackError(
+                f"non-rational entry at level {level}") from None
         if len(v) != seq.graph_at(level).n_edges:
             raise DimensionMismatchError(
                 f"track vector at level {level} has wrong dimension")
@@ -481,18 +497,21 @@ class MeasureTrack:
         self.kind = kind
         self._seed, self._sign = i, sign
         self._known = {i: v}    # internal index -> vector
+        self._marks = [i * sign]    # the kept indices in carry order, sorted
 
     def at(self, level):
-        """The vector at ``level``.  Every level between it and the nearest
-        kept vector upstream is carried one step at a time and kept, so
-        reading levels one by one, in any order, costs at most one stepwise
-        pass over the track."""
+        """The vector at ``level``.  Every level from the nearest kept
+        vector upstream (found by bisection) to it is carried in one sweep,
+        a step at a time, and kept, so reading levels one by one, in any
+        order, costs at most one stepwise pass over the track.  The levels
+        to keep are bounded first, as a window read's are
+        (``_check_window_bits``)."""
         i = self.seq._internal(level)
         if i not in self._known:
-            j = i - self._sign
-            while j not in self._known:
-                j -= self._sign
-            self._carry_to(j, range(i, j, -self._sign))
+            j = self._upstream(i)
+            _check_window_bits([self], *sorted((self.levels[j + self._sign],
+                                                level)))
+            self._keep(self._sweep(j, far=i))
         return self._known[i]
 
     def at_levels(self, levels):
@@ -503,25 +522,35 @@ class MeasureTrack:
         idx = [self.seq._internal(level) for level in levels]
         missing = [i for i in idx if i not in self._known]
         if missing:
-            marks = sorted(self._known)
-            j = (marks[bisect_left(marks, min(missing)) - 1]
-                 if self._sign > 0
-                 else marks[bisect_left(marks, max(missing))])
-            self._carry_to(j, missing)
+            self._carry_to(self._upstream(
+                min(missing) if self._sign > 0 else max(missing)), missing)
         return [self._known[i] for i in idx]
+
+    def _upstream(self, i):
+        """The kept internal level nearest to internal level ``i``, which
+        is not kept, on its upstream side, by bisection."""
+        return self._marks[bisect_left(self._marks, i * self._sign) - 1] \
+            * self._sign
+
+    def _keep(self, pairs):
+        """Keep the vector of each ``(internal level, vector)`` pair whose
+        level is not kept yet (a vector kept before stays: they are
+        equal)."""
+        for i, v in pairs:
+            if i not in self._known:
+                self._known[i] = v
+                insort(self._marks, i * self._sign)
 
     def _carry_to(self, j, targets):
         """One carry from the kept vector at internal level ``j`` through
         the internal levels ``targets`` (all on its downstream side); keeps
-        each target and each run boundary passed (vectors kept before stay:
-        they are equal)."""
+        each target and each run boundary passed."""
         far = max(targets, key=lambda i: abs(i - j))
         lo, hi = sorted((j, far))
         starts = self.seq._run_starts
         passed = starts[bisect_right(starts, lo):bisect_left(starts, hi)]
         stops = sorted({abs(i - j) for i in chain(targets, passed)})
-        for i, v in self._sweep(j, stops, far):
-            self._known.setdefault(i, v)
+        self._keep(self._sweep(j, stops, far))
 
     @property
     def levels(self):

@@ -185,6 +185,47 @@ def test_library_moduli_windows_are_bounded_before_any_carry(monkeypatch):
     assert carries == []
 
 
+@pytest.mark.parametrize("direction,level,window", [
+    ("folding", 10 ** 12, "1..1000000000000"),
+    ("unfolding", -10 ** 12, "-1000000000000..-1")])
+def test_single_read_far_from_a_kept_vector_is_refused_at_once(
+        direction, level, window):
+    """``at`` keeps every level between the nearest kept vector and the
+    level it reads, so those levels are bounded first, as a window read's
+    are: on the 10^13-step chain, a read 10^12 levels from the seed did
+    not return within 10 s, stepping back one level at a time to find the
+    kept vector, and nothing is kept."""
+    seq = FoldingSequence.from_runs([(examples.fibonacci_step(), HUGE)],
+                                    direction)
+    track = current_track_from_initial(seq, [1, 1]) \
+        if direction == "folding" else simplicial_length_measure(seq)
+    kept = dict(track._known)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        track.at(level)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value).startswith(f"the levels {window} could keep ")
+    assert str(info.value).endswith("(sequences.WINDOW_BIT_BUDGET)")
+    assert track._known == kept
+
+
+@pytest.mark.parametrize("direction,level,window", [
+    ("folding", 60000, (1, 60000)), ("unfolding", -60000, (-60000, -1))])
+def test_single_read_of_a_wide_stretch_is_refused_with_the_window_message(
+        direction, level, window):
+    """A read 60000 levels from the seed of a 60000-step Fibonacci chain
+    kept every level in between: 3.9 s and 331 MiB for the frequency
+    current.  Its levels could keep 3600300000 bits."""
+    seq = gen_fibonacci(steps=60000, direction=direction).sequence
+    track = current_track_from_initial(seq, [1, 1]) \
+        if direction == "folding" else simplicial_length_measure(seq)
+    with pytest.raises(BudgetExceededError) as info:
+        track.at(level)
+    assert str(info.value) == _window_message(*window, 3600300000)[
+        len("budget: "):-1]
+    assert len(track._known) == 1
+
+
 def test_narrow_window_of_a_deep_chain_still_runs(tmp_path):
     path = _gen(tmp_path, "fibonacci", "--steps", str(10 ** 6),
                 "--direction", "folding")

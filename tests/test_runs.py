@@ -483,6 +483,25 @@ def test_decompose_of_10_13_steps_exits_3_at_once(tmp_path, capsys,
         "(sequences.CARRY_BIT_BUDGET)\n")
 
 
+@pytest.mark.parametrize("direction", ["unfolding", "folding"])
+def test_cone_past_the_carry_budget_is_refused_before_any_product(
+        tmp_path, capsys, direction):
+    """Depth 3000000 of the 10^13-step chain: the carry bounds every
+    stretch before it forms a product, so it refuses at once, where it
+    formed the products up to its last stop below the budget first (about
+    17 s unfolding and 19 s folding)."""
+    path = _huge(tmp_path, direction)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["cone", path, "--depth", "3000000"]) == 3
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget: carrying 3000000 steps could reach 2000002 bits, past the "
+        "limit of 2000000 bits (sequences.CARRY_BIT_BUDGET)\n")
+
+
 def test_cone_of_10_13_steps_exits_3_at_once(tmp_path, capsys):
     """The zero patterns follow the run by its orbit, not step by step, and
     the carry refuses its first stretch past the limit before any

@@ -1,6 +1,7 @@
 """Folding sequences: indexing, validation, composites, tracks, decay, and
 the reducedness window search."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -202,6 +203,27 @@ def test_track_refusals_are_exact(fib_unfold20, kind, level):
     with pytest.raises(InvalidTrackError,
                        match=f"^negative entry at level {level}$"):
         MeasureTrack(fib_unfold20, kind, [1, -1])
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, None,
+                                   "x", "1/0", 1j])
+@pytest.mark.parametrize("kind, level", [("length", 0), ("current", -20)])
+def test_track_refuses_a_seed_entry_no_fraction_takes(fib_unfold20, kind,
+                                                      level, entry):
+    """NaN gave a bare ValueError, an infinity an OverflowError and None a
+    TypeError; a negative entry already gave ``InvalidTrackError``."""
+    with pytest.raises(InvalidTrackError,
+                       match=f"^non-rational entry at level {level}$"):
+        MeasureTrack(fib_unfold20, kind, [entry, 1])
+
+
+@pytest.mark.parametrize("seed", [[1, 2], [Fraction(1, 2), 3], [0.5, 2],
+                                  ["1/2", "3"], [True, 0]])
+def test_track_seeds_that_fraction_takes_are_kept_exactly(fib_unfold20,
+                                                          seed):
+    track = current_track_from_initial(fib_unfold20, seed)
+    assert track.at(-20) == tuple(map(Fraction, seed))
+    track.validate()
 
 
 def _corrupt(track, level, entry=0):
