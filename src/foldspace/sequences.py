@@ -463,16 +463,19 @@ class MeasureTrack:
     The recurrence fixes a track by its ``seed``, its vector at the
     upstream end, so a track is built from its seed alone
     (``length_track_from_terminal`` and ``current_track_from_initial``
-    name the end).  It keeps the seed, and carries from the nearest kept
-    vector on the upstream side when read.
+    name the end; an entry no ``Fraction`` takes, or a negative one, is
+    refused).  It sets the seed's internal level and the sign of its
+    carries once, keeps the seed, and carries from the nearest kept
+    vector on the upstream side when read, always through ``_sweep``.
     ``at_levels`` jumps to the levels it is given by run powers, keeping
     them and the run boundaries passed, so reading a window of w levels
     costs O(log k) products per run of k steps on the way, plus w
-    products.  ``at`` keeps every level it passes, so single reads in any
-    order cost at most one stepwise pass.  A full read (``validate``,
-    ``area``, the ``fold`` CSV) is one stepwise pass that keeps no vector;
-    ``decay_check`` reads only the two ends, plus the levels around any
-    step that does not cover its codomain.
+    products.  ``at`` keeps every level it passes, bounded first as a
+    window's, so single reads in any order cost at most one stepwise
+    pass.  A full read (``validate``, ``area``, the ``fold`` CSV) is one
+    stepwise pass that keeps no vector; ``decay_check`` reads only the
+    two ends, plus the levels around any step that does not cover its
+    codomain.
     """
 
     def __init__(self, seq, kind, seed):
@@ -559,8 +562,10 @@ class MeasureTrack:
     def _sweep(self, i, stops=None, far=None):
         """``(internal level, vector)`` at the kept vector at internal level
         ``i``, then ``c`` steps downstream of it for each c in ``stops``
-        (sorted; every level when None) and at ``far`` (the downstream end
-        when None): one carry, keeping nothing.  The track's only carry."""
+        (a sorted list or range; every level when None) and at ``far`` (the
+        downstream end when None): one carry, keeping nothing.  The track's
+        only call to ``_carry`` and its only packing of a vector into a
+        block (a row for a length, a column for a current)."""
         v = self._known[i]
         yield i, v
         # the downstream end is the other end from the seed
