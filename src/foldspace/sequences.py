@@ -69,28 +69,31 @@ def _capped_sum(first, step, count, cap):
             + (count - below) * cap)
 
 
-def _check_window_bits(tracks, n0, n1):
+def _check_window_bits(tracks, n0, n1, start=None):
     """Refuse, before any carry, a read of the levels n0..n1 of ``tracks``
-    whose kept vectors could pass ``WINDOW_BIT_BUDGET`` bits in all.
+    whose kept vectors could pass ``WINDOW_BIT_BUDGET`` bits in all, when
+    each track carries from its kept vector at internal level ``start``
+    (its seed when None).
 
     An entry is bounded as ``FoldingSequence._carry`` bounds it: the bits
-    of the seed's largest entry, plus ``growth_bits`` for each step from
-    the seed, and never more than ``CARRY_BIT_BUDGET``, past which the
-    carry refuses.  A level's vector keeps its edge count of such entries.
-    The sum over a run's levels is in closed form, so the cost is one pass
-    over the runs, however wide the window.
+    of the start vector's largest entry, plus ``growth_bits`` for each
+    step from there, and never more than ``CARRY_BIT_BUDGET``, past which
+    the carry refuses.  A level's vector keeps its edge count of such
+    entries.  The sum over a run's levels is in closed form, so the cost
+    is one pass over the runs from the start, however wide the window.
     """
     total = 0
     for track in tracks:
-        seq, seed = track.seq, track._known[track._seed]
-        # distances from the seed, in carry order, of the window's levels
-        lo, hi = sorted(abs(seq._internal(n) - track._seed) for n in (n0, n1))
+        i = track._seed if start is None else start
+        seq, seed = track.seq, track._known[i]
+        # distances from the start, in carry order, of the window's levels
+        lo, hi = sorted(abs(seq._internal(n) - i) for n in (n0, n1))
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for x in seed)
         if lo == 0:
             total += len(seed) * min(bits, CARRY_BIT_BUDGET)
         done = 0
-        for f, k in seq._stretches(track.kind, track._seed, hi):
+        for f, k in seq._stretches(track.kind, i, hi):
             g = f.growth_bits()
             if done + k >= lo:
                 # the window's levels at distances first .. done+k
@@ -214,12 +217,12 @@ class FoldingSequence:
         starts = self._run_starts
         if kind == "current":
             a, b = start, start + count
-            runs = islice(self.step_runs, bisect_right(starts, a) - 1, None)
+            order = range(bisect_right(starts, a) - 1, len(starts))
         else:
             a, b = start - count, start
-            runs = map(self.step_runs.__getitem__,
-                       range(bisect_left(starts, b) - 1, -1, -1))
-        for run_start, length, f in runs:
+            order = range(bisect_left(starts, b) - 1, -1, -1)
+        for r in order:
+            run_start, length, f = self.step_runs[r]
             k = min(run_start + length, b) - max(run_start, a)
             if k <= 0:
                 return
@@ -382,53 +385,55 @@ class FoldingSequence:
 
         Before any product, the bits an entry can reach are bounded stretch
         by stretch: those of the block's largest entry (numerator and
-        denominator), plus k * ``growth_bits`` for each stretch of k steps
-        so far.  Past ``CARRY_BIT_BUDGET`` the carry is refused before it
-        yields, so an oversize chain ends in ``BudgetExceededError``, not in
-        a multiply that runs for minutes.  The stretches are walked once
-        for the bound and once for the products, so ``stops`` is read twice
-        (a list or a range).
+        denominator), plus k * ``growth_bits`` for each stretch of k steps.
+        Past ``CARRY_BIT_BUDGET`` the carry is refused before it yields, so
+        an oversize chain ends in ``BudgetExceededError``, not in a
+        multiply that runs for minutes.  The figure refused is the bound at
+        the end of the first stretch, cut at the stops, that passes the
+        limit, which is where a carry that bounds each product just before
+        forming it would stop.  ``stops`` is read twice (a list or a range),
+        and the stretches are listed, one per run met.
         """
-        def pieces():
-            """``(f, k, cut)``: the stretches cut at the stops, each with
-            the stop it is on the way to."""
-            stretches = self._stretches(kind, start, count)
-            done = left = 0
-            for cut in chain((c for c in stops if 0 < c < count), (count,)) \
-                    if count else ():
-                while done < cut:
-                    if not left:
-                        f, left = next(stretches)
-                    k = min(cut - done, left)
-                    done, left = done + k, left - k
-                    yield f, k, cut
-
         bits = max(x.numerator.bit_length() + x.denominator.bit_length()
                    for row in vectors for x in row)
-        for f, k, _ in pieces():
-            bits += k * f.growth_bits()
-            if bits > CARRY_BIT_BUDGET:
-                raise BudgetExceededError(
-                    f"carrying {count} steps could reach {bits} bits, past "
-                    f"the limit of {CARRY_BIT_BUDGET} bits "
-                    "(sequences.CARRY_BIT_BUDGET)")
-        width = len(vectors) if kind == "length" else len(vectors[0])
+        stretches = list(self._stretches(kind, start, count))
         done = 0
-        powers = {}             # (id of step object, k) -> M^k
-        for f, k, cut in pieces():
-            M, reps = f.incidence_matrix(), k
-            if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
-                    * len(M):
-                key = (id(f), k)
-                if key not in powers:
-                    powers[key] = mat_pow(M, k)
-                M, reps = powers[key], 1
-            for _ in range(reps):
-                vectors = mat_mul(vectors, M) if kind == "length" \
-                    else mat_mul(M, vectors)
+        for f, k in stretches:
+            g = f.growth_bits()
+            if bits + k * g > CARRY_BIT_BUDGET:
+                # the first step past the limit, and the cut that ends it
+                past = done + max(1, (CARRY_BIT_BUDGET - bits) // g + 1)
+                s = bisect_left(stops, past)
+                end = min(stops[s] if s < len(stops) else count, done + k)
+                raise BudgetExceededError(
+                    f"carrying {count} steps could reach "
+                    f"{bits + g * (end - done)} bits, past the limit of "
+                    f"{CARRY_BIT_BUDGET} bits (sequences.CARRY_BIT_BUDGET)")
+            bits += k * g
             done += k
-            if done == cut:
-                yield done, vectors
+        width = len(vectors) if kind == "length" else len(vectors[0])
+        stretches = iter(stretches)
+        done = left = 0
+        powers = {}             # (id of step object, k) -> M^k
+        for cut in chain((c for c in stops if 0 < c < count), (count,)) \
+                if count else ():
+            while done < cut:
+                if not left:
+                    f, left = next(stretches)
+                k = min(cut - done, left)
+                M, reps = f.incidence_matrix(), k
+                if (k - 1) * width > (k.bit_length() + k.bit_count() - 2) \
+                        * len(M):
+                    key = (id(f), k)
+                    if key not in powers:
+                        powers[key] = mat_pow(M, k)
+                    M, reps = powers[key], 1
+                for _ in range(reps):
+                    vectors = mat_mul(vectors, M) if kind == "length" \
+                        else mat_mul(M, vectors)
+                done += k
+                left -= k
+            yield done, vectors
 
     def expansion(self, level, oriented):
         """Composite image of an oriented edge in the right-end graph, not
@@ -506,14 +511,16 @@ class MeasureTrack:
         """The vector at ``level``.  Every level from the nearest kept
         vector upstream (found by bisection) to it is carried in one sweep,
         a step at a time, and kept, so reading levels one by one, in any
-        order, costs at most one stepwise pass over the track.  The levels
-        to keep are bounded first, as a window read's are
-        (``_check_window_bits``)."""
+        order, costs at most one stepwise pass over the track.  When more
+        levels than the one read are kept, they are bounded first, from the
+        kept vector, as a window read's are (``_check_window_bits``); one
+        level is bounded by the carry alone, as an ``at_levels`` read is."""
         i = self.seq._internal(level)
         if i not in self._known:
             j = self._upstream(i)
-            _check_window_bits([self], *sorted((self.levels[j + self._sign],
-                                                level)))
+            if abs(i - j) > 1:
+                _check_window_bits([self], *sorted(
+                    (self.levels[j + self._sign], level)), j)
             self._keep(self._sweep(j, far=i))
         return self._known[i]
 
@@ -548,7 +555,7 @@ class MeasureTrack:
         """One carry from the kept vector at internal level ``j`` through
         the internal levels ``targets`` (all on its downstream side); keeps
         each target and each run boundary passed."""
-        far = max(targets, key=lambda i: abs(i - j))
+        far = max(targets) if self._sign > 0 else min(targets)
         lo, hi = sorted((j, far))
         starts = self.seq._run_starts
         passed = starts[bisect_right(starts, lo):bisect_left(starts, hi)]

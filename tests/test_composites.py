@@ -13,6 +13,7 @@ repeat) and on unvalidated chains whose composite images cancel.
 
 from collections import Counter
 from contextlib import contextmanager
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,47 @@ def test_cancelling_chains_match_the_replaced_code(make, data):
         gap = data.draw(st.integers(1, min(16, seq.n_steps - i)),
                         label="gap")
         assert _edge_images(seq, i, gap) == old_edge_images(seq, i, gap)
+
+
+def _carried(carry, seq, *args):
+    """The (count, block) pairs a carry yields, or its refusal."""
+    try:
+        return list(carry(seq, *args))
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(make=_long_runs(), data=st.data())
+def test_carry_refusals_match_the_replaced_code(make, data):
+    """``_carry`` bounds every stretch before its first product; the
+    replaced code bounded each cut stretch just before forming it.  Both
+    refuse the same carries with the same figure, under budgets that stop
+    carries at every point of the chains, with stops as lists and ranges
+    reaching past either end."""
+    seq = make()
+    T = seq.n_steps
+    kind = data.draw(st.sampled_from(("current", "length")), label="kind")
+    start = data.draw(st.integers(0, T), label="start")
+    count = data.draw(st.integers(0, T - start if kind == "current"
+                                  else start), label="count")
+    ends = st.integers(-2, count + 2)
+    if data.draw(st.booleans(), label="range"):
+        stops = range(data.draw(ends, label="first"),
+                      data.draw(ends, label="stop"))
+    else:
+        stops = sorted(set(data.draw(st.lists(ends, max_size=8),
+                                     label="stops")))
+    n = seq.graph_at(seq.levels[0]).n_edges
+    block = [[_seed(data, n)[j] for j in range(n)]
+             for _ in range(data.draw(st.integers(1, 2), label="width"))]
+    if kind == "current":
+        block = [list(col) for col in zip(*block)]
+    budget = data.draw(st.integers(0, 2 * T + 64), label="budget")
+    with patch.object(sequences, "CARRY_BIT_BUDGET", budget):
+        assert _carried(sequences.FoldingSequence._carry, seq, block, kind,
+                        start, count, stops) == \
+            _carried(old_carry, seq, block, kind, start, count, stops)
 
 
 # -- the join --------------------------------------------------------------

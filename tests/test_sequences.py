@@ -480,6 +480,35 @@ def test_track_reads_keep_what_they_pass(alt4_unfold_full):
                                   T - 2, T - 1, T]
 
 
+@pytest.mark.parametrize("direction", ["folding", "unfolding"])
+def test_single_reads_in_order_walk_each_run_once(monkeypatch, direction):
+    """``at`` bounds the levels it keeps from the kept vector it carries
+    from, not from the seed.  On a 3000-step chain of one-step runs,
+    reading every level in carry order meets 3000 stretches (a one-level
+    read is bounded by its carry alone), and every second level 6000 (a
+    bound and a carry of two stretches each); bounding from the seed met
+    about 4.5 * 10^6."""
+    seq = gen_alternating_block([1] * 3000, 3, direction).sequence
+    T = seq.n_steps
+    assert len(seq.step_runs) == T == 3000
+    met = []
+    stretches = FoldingSequence._stretches
+    monkeypatch.setattr(FoldingSequence, "_stretches",
+                        lambda *args: (met.append(s) or s
+                                       for s in stretches(*args)))
+    for make, seed in ((current_track_from_initial, (1, 0, 2)),
+                       (length_track_from_terminal, (1, 1, 1))):
+        for every, want in ((1, T), (2, 2 * T)):
+            track = make(seq, seed)
+            levels = list(seq.levels)
+            if track.kind == "length":
+                levels.reverse()
+            met.clear()
+            for n in levels[::every]:
+                track.at(n)
+            assert len(met) == want
+
+
 # -- run powers against the step loops -------------------------------------
 
 
