@@ -30,7 +30,7 @@ not for every step.
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import chain, count
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
