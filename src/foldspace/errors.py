@@ -39,8 +39,9 @@ class DirectionError(FoldspaceError):
 
 
 class InvalidTrackError(FoldspaceError):
-    """A measure track violates its defining recurrence (detected e.g. by an
-    area mismatch between indices)."""
+    """A measure track cannot be built or does not suit its analysis: an
+    unknown kind, a bad seed entry, the wrong kind or sequence, a track
+    that vanishes, or two that are homothetic."""
 
 
 class DimensionMismatchError(FoldspaceError):

@@ -9,6 +9,7 @@ lengths grow with Fibonacci numbers of the block size.
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import index
 
 from .errors import FormatError
 from .graphs import rose
@@ -51,11 +52,14 @@ _DEFAULT_SCHEDULE = (4, 16, 64, 256, 1024, 4096)
 
 
 def _block_schedule(lengths):
-    """The block lengths as a tuple: one or more, each at least 1."""
+    """The block lengths as a tuple: one or more integers, each at least 1."""
     schedule = tuple(lengths)
-    if not schedule or min(schedule) < 1:
-        raise FormatError(f"bad block schedule {schedule}")
-    return schedule
+    try:
+        if schedule and min(map(index, schedule)) >= 1:
+            return schedule
+    except TypeError:
+        pass
+    raise FormatError(f"bad block schedule {schedule}")
 
 
 def gen_alternating_block(schedule=_DEFAULT_SCHEDULE, rank=4,

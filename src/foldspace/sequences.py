@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
+from operator import index
 
 from .errors import (BudgetExceededError, DirectionError, DimensionMismatchError,
                      InvalidTrackError, SequenceError)
@@ -160,7 +161,8 @@ class FoldingSequence:
     def from_runs(cls, runs, direction="folding", *, validate=True,
                   block_boundaries=None):
         """The sequence of ``(morphism, count)`` runs; adjacent runs of one
-        step object merge, and a run of fewer than one step adds none."""
+        step object merge, a run of fewer than one step adds none, and a
+        count that is not an integer is refused."""
         seq = cls.__new__(cls)
         seq._build(runs, direction, validate, block_boundaries)
         return seq
@@ -169,6 +171,11 @@ class FoldingSequence:
         merged = []             # [start, length, morphism]
         n = 0
         for f, count in runs:
+            try:
+                count = index(count)
+            except TypeError:
+                raise SequenceError(
+                    f"run count {count!r} is not an integer") from None
             if count < 1:
                 continue
             if merged and merged[-1][2] is f:
@@ -477,10 +484,11 @@ class MeasureTrack:
     costs O(log k) products per run of k steps on the way, plus w
     products.  ``at`` keeps every level it passes, bounded first as a
     window's, so single reads in any order cost at most one stepwise
-    pass.  A full read (``validate``, ``area``, the ``fold`` CSV) is one
-    stepwise pass that keeps no vector; ``decay_check`` reads only the
-    two ends, plus the levels around any step that does not cover its
-    codomain.
+    pass.  Every kept vector is the seed carried, so the recurrence holds
+    at every level by construction.  A full read (the ``fold`` CSV) is one
+    stepwise pass that keeps no vector; ``area`` reads the left end, one
+    carry of the length track; ``decay_check`` reads only the two ends,
+    plus the levels around any step that does not cover its codomain.
     """
 
     def __init__(self, seq, kind, seed):
@@ -586,22 +594,6 @@ class MeasureTrack:
             yield (i + self._sign * c,
                    tuple(block[0]) if rows else tuple(r[0] for r in block))
 
-    def validate(self):
-        """Exact recurrence check by sweeps from the seed: a kept vector
-        unlike the one carried to its level breaks the pair ending there,
-        and a length's sweep restarts there.  Raises on the lowest break."""
-        current = self._sign > 0
-        start, broken = self._seed, None
-        while start is not None:
-            sweep, start = self._sweep(start), None
-            for i, v in sweep:
-                if self._known.get(i, v) != v:
-                    broken, start = i, (None if current else i)
-                    break
-        if broken is not None:
-            raise InvalidTrackError(f"{self.kind} recurrence fails at level "
-                                    f"{self.seq.levels[broken - current]}")
-
     def __repr__(self):
         return f"MeasureTrack({self.kind}, {self.seq.n_steps + 1} levels)"
 
@@ -645,9 +637,9 @@ def area(seq, length_track, current_track):
                                 "track, in that order")
     if length_track.seq is not seq or current_track.seq is not seq:
         raise InvalidTrackError("tracks belong to a different sequence")
-    length_track.validate()
-    current_track.validate()
-    # once both recurrences hold, (M mu) . lambda = mu . (M^T lambda) exactly
+    # (M mu) . lambda = mu . (M^T lambda) exactly, so any level gives the
+    # pairing; at the left end the current is its seed, so the read is one
+    # carry of the length track
     level = [seq.levels[0]]
     return dot(*current_track.at_levels(level), *length_track.at_levels(level))
 

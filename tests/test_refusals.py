@@ -483,7 +483,8 @@ def test_gen_bad_schedule_exits_2(tmp_path, schedule):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("schedule", [(), (-3, 2), (0,), (3, 0, 3)])
+@pytest.mark.parametrize("schedule", [(), (-3, 2), (0,), (3, 0, 3),
+                                      (2.5, 3), ("3",), (None, 2)])
 def test_library_refuses_a_bad_schedule_before_building(monkeypatch,
                                                         schedule):
     """The library refuses what the command line refuses, before it builds

@@ -166,14 +166,12 @@ def test_frequency_current_oracle(fib_fold15):
     mu = frequency_current(fib_fold15)
     assert mu.at(0) == (1, 1)
     assert mu.at(4) == (8, 5)
-    mu.validate()
 
 
 def test_simplicial_length_oracle(fib_unfold20):
     lam = simplicial_length_measure(fib_unfold20)
     assert lam.at(0) == (1, 1)
     assert lam.at(-3) == (5, 3)
-    lam.validate()
 
 
 def test_track_direction_gates(fib_fold15, fib_unfold20):
@@ -223,24 +221,6 @@ def test_track_seeds_that_fraction_takes_are_kept_exactly(fib_unfold20,
                                                           seed):
     track = current_track_from_initial(fib_unfold20, seed)
     assert track.at(-20) == tuple(map(Fraction, seed))
-    track.validate()
-
-
-def _corrupt(track, level, entry=0):
-    """Add one to an entry of the kept vector at ``level``."""
-    i = track.seq._internal(level)
-    v = list(track._known[i])
-    v[entry] += 1
-    track._known[i] = tuple(v)
-
-
-def test_track_validate_catches_corruption(fib_fold15):
-    mu = frequency_current(fib_fold15)
-    mu.at_levels(fib_fold15.levels)
-    _corrupt(mu, 7)
-    with pytest.raises(InvalidTrackError,
-                       match="^current recurrence fails at level 6$"):
-        mu.validate()
 
 
 def test_area_invariance_and_value(fib_fold15):
@@ -433,7 +413,6 @@ def test_carry_matches_step_loops(seq, data):
             (current_track_from_initial, _loop_current_track, levels[0])):
         seed = _seed(data, seq.graph_at(end).n_edges)
         track = make(seq, seed)
-        track.validate()
         assert [track.at(n) for n in levels] == loop(seq, seed)
         entries = [x for n in levels for x in track.at(n)]
         if all(type(x) is int for x in seed):
@@ -565,7 +544,6 @@ def test_run_powers_match_step_loops(seq, data):
         # a full sweep, one step at a time, gives the same ints and
         # Fractions, zeros included
         swept = make(seq, seed)
-        swept.validate()
         for n in levels:
             assert swept.at(n) == want[n]
             assert list(map(type, track.at(n))) == \
@@ -581,90 +559,16 @@ def test_run_powers_match_step_loops(seq, data):
     assert (cone.diameter, cone.diameter_ratio) == (diameter, ratio)
 
 
-# -- corrupted tracks -------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(seq=st.one_of(_chains(), _run_chains()), data=st.data())
-def test_validate_names_the_first_corrupted_level(seq, data):
-    """On a validated chain every step covers and every edge image is
-    nonempty, so an entry raised at level k breaks the recurrence first
-    between k and the level before it (after it, for the first level)."""
-    levels = list(seq.levels)
-    for make, end in ((length_track_from_terminal, levels[-1]),
-                      (current_track_from_initial, levels[0])):
-        track = make(seq, _seed(data, seq.graph_at(end).n_edges))
-        track.at_levels(levels)
-        k = data.draw(st.integers(0, len(levels) - 1), label="level")
-        n = seq.graph_at(levels[k]).n_edges
-        _corrupt(track, levels[k], data.draw(st.integers(0, n - 1),
-                                             label="entry"))
-        with pytest.raises(InvalidTrackError, match=(
-                f"^{track.kind} recurrence fails at level "
-                f"{levels[max(k - 1, 0)]}$")):
-            track.validate()
-
-
-def _stepwise_break(track):
-    """The level that names the lowest broken pair of ``track``, or None:
-    in carry order from the seed, a level's vector is the kept one where
-    one is kept and one step from the level before it otherwise, and the
-    pair ending at a kept vector unlike that step is broken."""
-    seq, T = track.seq, track.seq.n_steps
-    current = track.kind == "current"
-    vec, broken = None, []
-    for i in (range(T + 1) if current else range(T, -1, -1)):
-        if vec is not None:
-            M = seq._step(i - 1 if current else i).incidence_matrix()
-            vec = tuple(mat_vec(M, vec) if current
-                        else transpose_vec(M, vec))
-        kept = track._known.get(i)
-        if kept is not None:
-            if vec is not None and kept != vec:
-                broken.append(i - 1 if current else i)
-            vec = kept
-    return seq.levels[min(broken)] if broken else None
-
-
-@settings(max_examples=60, deadline=None)
-@given(seq=st.one_of(_chains(), _run_chains()), data=st.data())
-def test_validate_after_a_window_read_matches_the_stepwise_check(seq, data):
-    """After a window read, one raised entry of one kept vector (the seed
-    included) is named as the stepwise check names it, and ``validate``
-    keeps no vector it did not keep before."""
-    levels = list(seq.levels)
-    for make, end in ((length_track_from_terminal, levels[-1]),
-                      (current_track_from_initial, levels[0])):
-        track = make(seq, _seed(data, seq.graph_at(end).n_edges))
-        a, b = sorted(data.draw(st.lists(st.sampled_from(levels),
-                                         min_size=2, max_size=2),
-                                label="window"))
-        track.at_levels(range(a, b + 1))
-        level = levels[data.draw(st.sampled_from(sorted(track._known)),
-                                 label="kept")]
-        n = seq.graph_at(level).n_edges
-        _corrupt(track, level, data.draw(st.integers(0, n - 1),
-                                         label="entry"))
-        kept = dict(track._known)
-        want = _stepwise_break(track)
-        if want is None:
-            track.validate()
-        else:
-            with pytest.raises(InvalidTrackError, match=(
-                    f"^{track.kind} recurrence fails at level {want}$")):
-                track.validate()
-        assert track._known == kept
-
-
 @pytest.mark.parametrize("direction", ["folding", "unfolding"])
 def test_full_reads_keep_no_vector(direction):
-    """``validate`` and ``area`` on a 20000-step Fibonacci chain peak at
-    about 2.6 MiB (tracemalloc), where keeping every level's exact vector
-    peaked past 100 MiB."""
+    """The ``fold`` CSV read of each track and ``area`` on a 20000-step
+    Fibonacci chain peak at about 2.6 MiB (tracemalloc), where keeping
+    every level's exact vector peaked past 100 MiB."""
     seq = gen_fibonacci(steps=20000, direction=direction).sequence
     tracks = lambda: (length_track_from_terminal(seq, [1, 1]),
                       current_track_from_initial(seq, [1, 1]))
-    for read in (lambda lam, mu: (lam.validate(), mu.validate()),
+    for read in (lambda lam, mu: list(cli._log_maxima(lam, seq.levels)),
+                 lambda lam, mu: list(cli._log_maxima(mu, seq.levels)),
                  lambda lam, mu: area(seq, lam, mu)):
         lam, mu = tracks()
         tracemalloc.start()
@@ -678,22 +582,52 @@ def test_full_reads_keep_no_vector(direction):
 
 @pytest.mark.parametrize("direction", ["folding", "unfolding"])
 def test_full_reads_refuse_as_one_carry(monkeypatch, direction):
-    """Each full read of a fresh track is one carry from its seed, so the
-    carry budget refuses it at the same step, with the same message."""
+    """The ``fold`` CSV read of a fresh track is one carry from its seed
+    with a stop at every level, so the carry budget refuses it at the
+    first level past the limit.  ``area`` is one carry of the length track
+    to the left end, with no stop between, so it is refused with the bound
+    at that end, as any ``at_levels`` read of that level is."""
     monkeypatch.setattr(sequences, "CARRY_BIT_BUDGET", 300)
     seq = gen_fibonacci(steps=1000, direction=direction).sequence
     tracks = lambda: (length_track_from_terminal(seq, [1, 1]),
                       current_track_from_initial(seq, [1, 1]))
-    reads = [lambda lam, mu: area(seq, lam, mu)]
+    message = (r"^carrying 1000 steps could reach {} bits, past the limit "
+               r"of 300 bits \(sequences\.CARRY_BIT_BUDGET\)$")
     for k in (0, 1):
-        reads += [lambda lam, mu, k=k: (lam, mu)[k].validate(),
-                  lambda lam, mu, k=k: list(cli._log_maxima((lam, mu)[k],
-                                                            seq.levels))]
-    for read in reads:
-        with pytest.raises(BudgetExceededError, match=(
-                r"^carrying 1000 steps could reach 301 bits, past the limit "
-                r"of 300 bits \(sequences\.CARRY_BIT_BUDGET\)$")):
-            read(*tracks())
+        with pytest.raises(BudgetExceededError, match=message.format(301)):
+            list(cli._log_maxima(tracks()[k], seq.levels))
+    with pytest.raises(BudgetExceededError, match=message.format(1002)):
+        area(seq, *tracks())
+    with pytest.raises(BudgetExceededError, match=message.format(1002)):
+        tracks()[0].at_levels([seq.levels[0]])
+
+
+@pytest.mark.parametrize("direction", ["folding", "unfolding"])
+@pytest.mark.parametrize("make", [lambda d: gen_fibonacci(30, d),
+                                  lambda d: gen_alternating_block(
+                                      (3, 5, 2, 4), 3, d)])
+def test_area_is_one_carry(monkeypatch, direction, make):
+    """On fresh tracks ``area`` reads the current at its seed and carries
+    the length track once, to the left end; it pairs the same at the
+    right end, where the length is its seed."""
+    seq = make(direction).sequence
+    n0, n1 = (seq.graph_at(n).n_edges for n in (seq.levels[0],
+                                                 seq.levels[-1]))
+    lam_seed = [Fraction(j + 2, 3) for j in range(n1)]
+    mu_seed = list(range(1, n0 + 1))
+    calls = []
+    carry = FoldingSequence._carry
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1:4])
+        return carry(self, *args, **kwargs)
+
+    monkeypatch.setattr(FoldingSequence, "_carry", counted)
+    value = area(seq, length_track_from_terminal(seq, lam_seed),
+                 current_track_from_initial(seq, mu_seed))
+    assert calls == [("length", seq.n_steps, seq.n_steps)]
+    mu = current_track_from_initial(seq, mu_seed).at(seq.levels[-1])
+    assert value == sum(x * y for x, y in zip(mu, lam_seed))
 
 
 # -- step data kept on the morphism against the per-step loops -----------
