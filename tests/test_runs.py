@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspace import (BudgetExceededError, FoldingSequence, FormatError,
-                       SequenceError, frequency_current,
-                       gen_alternating_block, gen_fibonacci,
-                       identity_morphism, rose)
+from foldspace import (BudgetExceededError, FoldingSequence, SequenceError,
+                       frequency_current, gen_alternating_block,
+                       gen_fibonacci, identity_morphism, rose)
 from foldspace import cli, sequences
 from foldspace.cli import main
 from foldspace.examples import fibonacci_step
@@ -363,6 +362,9 @@ def test_from_runs_merges_and_drops_empty_runs(rose2):
     seq = FoldingSequence.from_runs([(f, 3), (f, 2), (g, 0), (f, 1), (g, 4)])
     assert seq.step_runs == ((0, 6, f), (6, 4, g))
     assert seq.n_steps == 10
+    # a bool counts as an int
+    seq = FoldingSequence.from_runs([(f, True), (f, 2), (g, False)])
+    assert seq.step_runs == ((0, 3, f),) and seq.n_steps == 3
     with pytest.raises(SequenceError, match="at least one step"):
         FoldingSequence.from_runs([(f, 0)])
     with pytest.raises(SequenceError, match="^steps 2 and 3 do not chain$"):
@@ -378,22 +380,6 @@ def test_a_run_count_that_is_not_an_integer_is_refused(count):
                        match=f"^run count {re.escape(repr(count))} is not "
                              "an integer$"):
         FoldingSequence.from_runs([(_FIB, 2), (_FIB, count)])
-    with pytest.raises(FormatError,
-                       match=r"^bad block schedule \("):
-        gen_alternating_block(schedule=(count, 3))
-
-
-def test_integer_run_counts_behave_as_before():
-    f = _FIB
-    seq = FoldingSequence.from_runs([(f, True), (f, 2), (f, False),
-                                     (f, -4)])
-    assert seq.step_runs == ((0, 3, f),) and seq.n_steps == 3
-    assert type(seq.step_runs[0][1]) is int
-    block = gen_alternating_block(schedule=(True, 2), rank=3).sequence
-    assert [k for _, k, _ in block.step_runs] == [1, 2]
-    for schedule in ((0, 2), (-3, 2), ()):
-        with pytest.raises(FormatError, match=r"^bad block schedule \("):
-            gen_alternating_block(schedule=schedule)
 
 
 def test_repeated_file_lines_merge_into_one_run(tmp_path):
