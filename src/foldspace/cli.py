@@ -16,7 +16,7 @@ from .decomposition import (recurrence_check, structural_sanity,
                             transverse_decomposition_unfolding)
 from .errors import BudgetExceededError, FoldspaceError, FormatError
 from .examples import _block_schedule, gen_example
-from .io_formats import parse_graph, parse_sequence
+from .io_formats import _fraction, parse_graph, parse_sequence
 from .lamination import _language
 # unused here, but kept as module globals: the traced benchmark run
 # (perfbench/traced.py) wraps each ``cli`` global it names in a span
@@ -27,17 +27,18 @@ from .linalg import frac_log
 from .metric import (ff_progress_diagnostic, linearity_and_speed,
                      lipschitz_bruteforce, lipschitz_distance, thickness)
 from .reports import dumps_csv, dumps_json, write_text
-from .sequences import (current_track_from_initial, decay_check,
-                        frequency_current, is_reduced_window,
+from .sequences import (_level_count, current_track_from_initial,
+                        decay_check, frequency_current, is_reduced_window,
                         length_track_from_terminal, simplicial_length_measure)
 from .walk import ExperimentConfig, run_walk
 
 
 def _fraction_arg(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        return _fraction(text)
+    except FormatError:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") \
+            from None
 
 
 def _tolerance_arg(text):
@@ -99,7 +100,7 @@ def _parse_levels(text, seq):
     seq._internal(levels[0])
     last = seq.levels[-1]
     if levels[-1] > last:
-        seq._internal(levels[len(range(levels[0], last + 1, stride))])
+        seq._internal(last + stride - (last - levels[0]) % stride)
     return levels
 
 
@@ -198,7 +199,7 @@ def _cmd_decompose(args):
         raise FormatError("--pinch-tol applies to unfolding sequences only; "
                           f"{args.sequence} is a folding sequence")
     window = seq._window(*_parse_window(args.window))
-    if len(window) < 4:
+    if _level_count(window) < 4:
         raise FormatError("window covers fewer than 4 levels")
     deep_graph = seq.graph_at(seq.levels[0] if seq.direction == "unfolding"
                               else seq.levels[-1])

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .errors import (GraphStructureError, InvalidTrackError, SequenceError)
 from .cones import hilbert_distance
 from .graphs import OrientedGraph
-from .sequences import (_check_window_bits, frequency_current,
-                        simplicial_length_measure)
+from .sequences import (_check_window_bits, _level_count,
+                        frequency_current, simplicial_length_measure)
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,14 @@ class ModuliWindow:
 
 
 def moduli_window(seq, length_track, indices, pinch_tol=None):
-    indices = list(indices)
-    if len(indices) < 2:
+    """The moduli window of ``length_track`` at ``indices``, a list, tuple
+    or range of levels, whose kept vectors are bounded before the levels
+    are listed."""
+    if _level_count(indices) < 2:
         raise SequenceError("a moduli window needs at least two indices")
-    g = _window_graph(seq, indices)
     _check_window_bits([length_track], indices[0], indices[-1])
+    indices = list(indices)
+    g = _window_graph(seq, indices)
     if pinch_tol is None:
         pinch_tol = Fraction(1, 1000 * g.n_edges)
     pinch_tol = Fraction(pinch_tol)
@@ -182,7 +185,7 @@ def _transverse_decomposition(side, seq, tracks, window, eps_rel):
     tracks) until the report's ``statistics`` makes each one a Fraction.
     """
     folding = side == "folding"
-    if len(window) < 4:
+    if _level_count(window) < 4:
         raise SequenceError("decomposition window too short")
     kind = "length" if folding else "current"
     for track in tracks:

@@ -12,6 +12,7 @@ call, however many steps name it; the tables live for that call only.
 """
 
 import os
+import sys
 from fractions import Fraction
 
 from .errors import BudgetExceededError, FormatError
@@ -49,12 +50,35 @@ def _sectionize(text, headers, required):
     return sections
 
 
-def _fraction(token):
+def _read_text(path):
+    """The text of the file at ``path``; a file that is not UTF-8 is a
+    ``FormatError`` that names it.  The one reader of the three formats."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        q = Fraction(token)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at "
+                          f"byte {exc.start})") from None
+
+
+def _fraction(token):
+    """The rational ``token`` writes (``num/den``, or a decimal with an
+    optional exponent); the one rational parser of files and options.
+    ``Fraction`` forms 10**e for an exponent e, so an exponent past the
+    interpreter's limit on the digits of an int
+    (``sys.get_int_max_str_digits``), which ``Fraction`` applies to the
+    digits written, is refused before any power is formed."""
+    # 0 (no limit), or a Python 3.10 from before the limit: its default
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    # an ``e`` marks the exponent of any token ``Fraction`` takes
+    _, e, exponent = token.lower().rpartition("e")
+    try:
+        if e and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent past {limit}")
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {token!r}") from exc
-    return q
 
 
 def _frac_token(q):
@@ -122,8 +146,7 @@ def _parse_marking(graph, lines):
 
 
 def parse_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    return parse_graph_text(_read_text(path))
 
 
 def serialize_graph(marked):
@@ -236,10 +259,8 @@ def parse_morphism(path):
 
 
 def _parse_morphism(path, graphs):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _parse_morphism_text(text, os.path.dirname(os.path.abspath(path)),
-                                graphs)
+    return _parse_morphism_text(_read_text(path),
+                                os.path.dirname(os.path.abspath(path)), graphs)
 
 
 def serialize_morphism(f, domain_file, codomain_file):
@@ -259,10 +280,8 @@ def parse_sequence(path):
     and repeated references to one graph file (after path normalization)
     share one parsed graph, so each graph file is parsed once per call.
     A line ``file xCOUNT`` is one run of COUNT steps, never expanded."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
-    sections = _sectionize(text, ("DIRECTION", "STEPS", "BLOCKS"),
+    sections = _sectionize(_read_text(path), ("DIRECTION", "STEPS", "BLOCKS"),
                            ("DIRECTION", "STEPS"))
     dirlines = sections["DIRECTION"]
     if len(dirlines) != 1 or len(dirlines[0]) != 1 \

@@ -19,7 +19,7 @@ from .graphs import MarkedGraph
 from .linalg import frac_log
 from . import morphisms
 from .paths import _cyclic_core, _join_reduced, canonical_cycle, reverse_path
-from .sequences import orbit, orbit_at
+from .sequences import _level_count, orbit, orbit_at
 
 # the largest ranks ``candidates`` and ``factor_projection`` enumerate
 MAX_CANDIDATE_RANK = 5
@@ -247,7 +247,9 @@ def lipschitz_bruteforce(T, U, max_len):
         raise BudgetExceededError(
             f"need max_len >= {2 * T.graph.n_edges} to cover candidates")
     rank = T.marking.rank
-    if (2 * rank - 1) ** max_len > 5_000_000:
+    # the base is at least 3 and 3^15 > 5 * 10^6, so capping the exponent
+    # at 15 keeps the verdict without forming a power of max_len digits
+    if (2 * rank - 1) ** min(max_len, 15) > 5_000_000:
         raise BudgetExceededError(
             "brute-force word tree too large at this rank and length")
     letters = _letters(rank)
@@ -450,9 +452,10 @@ def ff_progress_diagnostic(seq, levels=None):
         raise DirectionError("progress diagnostic runs on folding sequences")
     if levels is None:
         levels = range(seq.n_steps)
-    if len(levels) > MAX_LEVELS:
+    n = _level_count(levels)
+    if n > MAX_LEVELS:
         raise BudgetExceededError(
-            f"a progress report of {len(levels)} levels is past the limit "
+            f"a progress report of {n} levels is past the limit "
             f"of {MAX_LEVELS} levels (metric.MAX_LEVELS)")
     rows = [non_filling_witness(seq, n) for n in levels]
     return ProgressReport(levels=tuple(levels),
@@ -516,6 +519,18 @@ def _first_max_ratio(pairs):
     return best
 
 
+def _sample_starts(n, gap):
+    """The internal levels where the samples of ``gap`` steps start on a
+    chain of n steps: ``_PAIRS_PER_GAP`` of them, evenly spaced over
+    0 .. n - gap, each rounded to the nearest int by integer arithmetic,
+    since a float quotient loses the last digits past 2^53 steps.  The
+    divisor d is odd, so no quotient is a half, and the rounding is that
+    of ``round``."""
+    d = _PAIRS_PER_GAP - 1
+    return sorted({(2 * j * (n - gap) + d) // (2 * d)
+                   for j in range(_PAIRS_PER_GAP)})
+
+
 def linearity_and_speed(seq):
     """Bounded step entries + sampled distances between levels.
 
@@ -567,9 +582,7 @@ def linearity_and_speed(seq):
     for gap in _SAMPLE_GAPS:
         if gap > seq.n_steps:
             continue
-        froms = [levels[k] for k in sorted(
-            {round(j * (seq.n_steps - gap) / (_PAIRS_PER_GAP - 1))
-             for j in range(_PAIRS_PER_GAP)})]
+        froms = [levels[k] for k in _sample_starts(seq.n_steps, gap)]
         for lf in froms:
             g_from = seq.graph_at(lf)
             g_to = seq.graph_at(lf + gap)

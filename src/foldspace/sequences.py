@@ -112,6 +112,14 @@ def _check_window_bits(tracks, n0, n1, start=None):
             "(sequences.WINDOW_BIT_BUDGET)")
 
 
+def _level_count(levels):
+    """How many levels a list, tuple or range holds; a range is counted
+    by arithmetic, since len() refuses one past ``sys.maxsize`` items."""
+    if isinstance(levels, range):
+        return (levels[-1] - levels[0]) // levels.step + 1 if levels else 0
+    return len(levels)
+
+
 def orbit(advance, state, length):
     """``(trail, cycle)``: ``trail[j]`` is the (hashable) state after j of
     ``length`` calls of ``advance``, up to the first repeat, which returns
@@ -250,7 +258,7 @@ class FoldingSequence:
         """The levels n0..n1, as a slice of ``levels``; a window of fewer
         than two levels, or not inside the stored ones, is refused."""
         levels = self._levels_between(n0, n1)
-        if len(levels) < 2 or levels[0] != n0 or levels[-1] != n1:
+        if _level_count(levels) < 2 or levels[0] != n0 or levels[-1] != n1:
             raise SequenceError(
                 f"window {(n0, n1)} outside the sequence range")
         return levels
@@ -479,12 +487,14 @@ class MeasureTrack:
     refused).  It sets the seed's internal level and the sign of its
     carries once, keeps the seed, and carries from the nearest kept
     vector on the upstream side when read, always through ``_sweep``.
-    ``at_levels`` jumps to the levels it is given by run powers, keeping
-    them and the run boundaries passed, so reading a window of w levels
-    costs O(log k) products per run of k steps on the way, plus w
-    products.  ``at`` keeps every level it passes, bounded first as a
-    window's, so single reads in any order cost at most one stepwise
-    pass.  Every kept vector is the seed carried, so the recurrence holds
+    ``at_levels`` jumps to the levels it is given by run powers and keeps
+    those levels only, so reading a window of w levels costs O(log k)
+    products per run of k steps on the way, plus w products, and keeps w
+    vectors, all counted by ``WINDOW_BIT_BUDGET``.  ``at`` keeps every
+    level it passes, bounded first as a window's, so single reads in any
+    order cost at most one stepwise pass.  A track thus keeps its seed,
+    the levels ``at_levels`` returned and the levels ``at`` swept, and no
+    other.  Every kept vector is the seed carried, so the recurrence holds
     at every level by construction.  A full read (the ``fold`` CSV) is one
     stepwise pass that keeps no vector; ``area`` reads the left end, one
     carry of the length track; ``decay_check`` reads only the two ends,
@@ -536,7 +546,8 @@ class MeasureTrack:
         """Vectors at ``levels``, in the order given.  Those not kept are
         reached in one carry from the nearest kept vector upstream of them
         all, by run powers, so a window costs O(log k) products per run of
-        k steps on the way to it, then one product per level in it."""
+        k steps on the way to it, then one product per level in it.  Only
+        the levels given are kept, none passed on the way."""
         idx = [self.seq._internal(level) for level in levels]
         missing = [i for i in idx if i not in self._known]
         if missing:
@@ -561,14 +572,10 @@ class MeasureTrack:
 
     def _carry_to(self, j, targets):
         """One carry from the kept vector at internal level ``j`` through
-        the internal levels ``targets`` (all on its downstream side); keeps
-        each target and each run boundary passed."""
+        the internal levels ``targets`` (all on its downstream side), with
+        them as its only stops; keeps each target and nothing else."""
         far = max(targets) if self._sign > 0 else min(targets)
-        lo, hi = sorted((j, far))
-        starts = self.seq._run_starts
-        passed = starts[bisect_right(starts, lo):bisect_left(starts, hi)]
-        stops = sorted({abs(i - j) for i in chain(targets, passed)})
-        self._keep(self._sweep(j, stops, far))
+        self._keep(self._sweep(j, sorted({abs(i - j) for i in targets}), far))
 
     @property
     def levels(self):

@@ -1,9 +1,11 @@
 """Requests the command line refuses before any work: decomposition windows
 outside the stored levels or past ``sequences.WINDOW_BIT_BUDGET``, progress
-levels outside them or past ``metric.MAX_LEVELS``, cone depths outside
-them, malformed window and level bounds, negative pinch tolerances, block
-schedules with no entry or one below 1, ``gen`` in CSV form, seed edges
-the deep graph lacks, walks of fewer than 2 or more than
+levels outside them or past ``metric.MAX_LEVELS`` (also past sys.maxsize
+levels), cone depths outside them, malformed window and level bounds,
+negative pinch tolerances, rationals with an exponent past the int digit
+limit, input files that are not UTF-8, brute-force lengths past the word
+budget, block schedules with no entry or one below 1, ``gen`` in CSV
+form, seed edges the deep graph lacks, walks of fewer than 2 or more than
 ``walk.MAX_STEPS`` steps, and chains of no step or of a rank with no
 alternating blocks.  Each exits with its documented code and message, and
 ``gen`` writes no file."""
@@ -14,6 +16,7 @@ import os
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -25,15 +28,16 @@ from foldspace import (FoldingSequence, examples, gen_fibonacci, metric,
 from foldspace.decomposition import moduli_window, recurrence_check
 from foldspace.cli import main
 from foldspace.errors import BudgetExceededError, FormatError, SequenceError
-from foldspace.io_formats import parse_sequence
+from foldspace.io_formats import _fraction, parse_sequence
 from foldspace.sequences import (CARRY_BIT_BUDGET, _capped_sum,
-                                 _check_window_bits,
+                                 _check_window_bits, _level_count,
                                  current_track_from_initial,
                                  length_track_from_terminal)
 
 from test_runs import _RUN_POOLS
 
 HUGE = 10 ** 13
+DEEP = 10 ** 20         # past sys.maxsize, where len() of a range overflows
 
 
 def _gen(tmp_path, *args):
@@ -42,15 +46,16 @@ def _gen(tmp_path, *args):
                 if p.name.endswith(".sequence"))
 
 
-def _huge(tmp_path, direction="folding"):
-    """A Fibonacci chain of 10^13 steps, as one run."""
+def _huge(tmp_path, direction="folding", steps=HUGE):
+    """A Fibonacci chain of ``steps`` steps (10^13 by default), as one
+    run."""
     path = _gen(tmp_path, "fibonacci", "--steps", "1", "--direction",
                 direction)
     with open(path) as fh:
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(text.replace("fibonacci_step0.morphism\n",
-                              f"fibonacci_step0.morphism x{HUGE}\n"))
+                              f"fibonacci_step0.morphism x{steps}\n"))
     return path
 
 
@@ -379,6 +384,68 @@ def test_malformed_bounds_exit_2(chains, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+# -- levels past sys.maxsize -----------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(-20, 20), stop=st.integers(-20, 20),
+       step=st.integers(-5, 5).filter(bool))
+def test_level_count_is_len(start, stop, step):
+    levels = range(start, stop, step)
+    for sliced in (levels, levels[1::2], levels[::-3]):
+        assert _level_count(sliced) == len(sliced)
+        assert _level_count(list(sliced)) == len(sliced)
+
+
+def test_level_count_past_sys_maxsize():
+    assert _level_count(range(DEEP + 1)) == DEEP + 1
+    assert _level_count(range(-DEEP, 1)[1:]) == DEEP
+    assert _level_count(range(DEEP, -1, -3)) == DEEP // 3 + 1
+
+
+@pytest.mark.parametrize("direction,n0,n1", [("folding", 0, DEEP),
+                                             ("unfolding", -DEEP, 0)])
+def test_decompose_window_past_sys_maxsize_exits_3(tmp_path, direction, n0,
+                                                   n1):
+    """A window of 10^20 + 1 levels is counted by range arithmetic and
+    refused by its bound, where len() of it raised OverflowError (a
+    traceback, exit 1)."""
+    path = _huge(tmp_path, direction, DEEP)
+    start = time.perf_counter()
+    rc, out, err = _run(["decompose", path, f"--window={n0}:{n1}"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    assert err == _window_message(n0, n1, 799999999999992000019999996)
+
+
+def test_progress_levels_past_sys_maxsize(tmp_path):
+    """On a 10^20-step chain, levels inside it past ``metric.MAX_LEVELS``
+    exit 3 and levels past its end exit 2 naming the first one, where
+    len() of the range raised OverflowError."""
+    path = _huge(tmp_path, steps=DEEP)
+    rc, out, err = _run(["progress", path, "--levels", f"0:{DEEP}"])
+    assert (rc, out) == (3, "")
+    assert err == (f"budget: a progress report of {DEEP + 1} levels is past "
+                   f"the limit of {metric.MAX_LEVELS} levels "
+                   "(metric.MAX_LEVELS)\n")
+    for text, level in ((f"0:{2 * DEEP}", DEEP + 1),
+                        (f"0:{2 * DEEP}:7", DEEP + 5)):
+        rc, out, err = _run(["progress", path, "--levels", text])
+        assert (rc, out, err) == (2, "", f"error: level {level} outside the "
+                                         "sequence\n")
+
+
+def test_library_moduli_window_is_bounded_before_it_is_listed():
+    seq = FoldingSequence.from_runs([(examples.fibonacci_step(), DEEP)],
+                                    "unfolding")
+    lam = simplicial_length_measure(seq)
+    with pytest.raises(BudgetExceededError):
+        moduli_window(seq, lam, range(-DEEP, 1))
+    with pytest.raises(SequenceError, match="at least two"):
+        moduli_window(seq, lam, range(0, 1))
+    assert lam._known.keys() == {DEEP}
+
+
 # -- progress levels -------------------------------------------------------
 
 
@@ -667,3 +734,75 @@ def test_option_value_of_two_dashes_exits_2(chains, tmp_path, name, argv):
     rc, out, err = _run(argv)
     assert (rc, out) == (2, "")
     assert err.endswith(f"error: argument {name}: expected one argument\n")
+
+
+# -- undecodable files, oversized exponents and brute-force lengths --------
+
+
+@pytest.mark.parametrize("kind", ["sequence", "morphism", "graph"])
+def test_undecodable_file_exits_2_naming_it(tmp_path, kind):
+    """A file with a byte that is not UTF-8 ended in a UnicodeDecodeError
+    traceback (exit 1); every file kind is read by one reader that names
+    the file.  A graph file is read by ``distance`` and, through its
+    morphism, by ``fold``."""
+    path = _gen(tmp_path, "fibonacci", "--steps", "3")
+    bad = next(str(p) for p in tmp_path.iterdir()
+               if p.name.endswith("." + kind))
+    with open(bad, "rb") as fh:
+        data = fh.read()
+    with open(bad, "wb") as fh:
+        fh.write(data[:7] + b"\xff" + data[7:])
+    message = (f"error: {bad} is not UTF-8 text (invalid start byte at "
+               "byte 7)\n")
+    assert _run(["fold", path]) == (2, "", message)
+    if kind == "graph":
+        assert _run(["distance", bad, bad]) == (2, "", message)
+
+
+@pytest.mark.parametrize("value", ["1e100000000", "1e-100000000", "1e4301",
+                                   "1e" + "9" * 5000])
+@pytest.mark.parametrize("option", ["--eps", "--pinch-tol"])
+def test_oversized_exponent_option_exits_2_at_once(chains, option, value):
+    """``Fraction`` forms 10^e first, so ``--eps 1e100000000`` ran past a
+    15 s timeout; an exponent past ``sys.get_int_max_str_digits()`` is
+    refused with the bad-rational message."""
+    start = time.perf_counter()
+    rc, out, err = _run(["decompose", chains["alt4"], "--window=-9:0",
+                         f"{option}={value}"])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"argument {option}: not a rational: {value!r}\n")
+
+
+def test_oversized_exponent_in_a_graph_file_exits_2_at_once(tmp_path):
+    graph = tmp_path / "big.graph"
+    graph.write_text("VERTICES\n*\nEDGES\na * *\nb * *\nLENGTHS\n"
+                     "a 1e100000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    rc, out, err = _run(["distance", str(graph), str(graph)])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", "error: bad rational '1e100000000'\n")
+
+
+def test_exponents_up_to_the_digit_limit_are_rationals():
+    assert _fraction("1e4300") == 10 ** 4300
+    assert _fraction(" -2.5E-4300 ") == Fraction(-25, 10 ** 4301)
+    assert _fraction("3/4") == Fraction(3, 4)
+    for token in ("1e4301", "1E-4301", "2.5e+100000000", "1/0", "x"):
+        with pytest.raises(FormatError, match="bad rational"):
+            _fraction(token)
+
+
+def test_distance_bruteforce_past_the_word_budget_exits_3_at_once(tmp_path):
+    """``(2 rank - 1) ** max_len`` was formed before the comparison, so
+    ``--bruteforce 1000000000`` was killed after 20 s."""
+    graph = tmp_path / "rose.graph"
+    graph.write_text("VERTICES\n*\nEDGES\na * *\nb * *\n",
+                     encoding="utf-8")
+    for length in ("15", "1000000000", str(10 ** 30)):
+        start = time.perf_counter()
+        rc, out, err = _run(["distance", str(graph), str(graph),
+                             "--bruteforce", length])
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out, err) == (3, "", "budget: brute-force word tree too "
+                                         "large at this rank and length\n")

@@ -441,22 +441,41 @@ def test_integer_seeds_give_int_tracks(alt4_unfold_full):
 
 
 def test_track_reads_keep_what_they_pass(alt4_unfold_full):
-    """A window is reached by run powers and keeps only its levels and the
-    run boundaries passed; a single read keeps every level it passes, so
-    single reads never cost more than one stepwise pass."""
+    """A window is reached by run powers and keeps only its levels, no run
+    boundary passed; a single read keeps every level it passes, so single
+    reads never cost more than one stepwise pass."""
     seq = alt4_unfold_full                  # runs of 4, 16, ..., 4096
     T = seq.n_steps
     mu = current_track_from_initial(seq, (1, 0, 2, 0))
     mu.at_levels([-11, -12])
-    assert sorted(mu._known) == [0, *seq._run_starts[1:], T - 12, T - 11]
+    assert sorted(mu._known) == [0, T - 12, T - 11]
     mu.at(-9)
     assert sorted(mu._known)[-4:] == [T - 12, T - 11, T - 10, T - 9]
     lam = simplicial_length_measure(seq)
     lam.at(-3)
     assert sorted(lam._known) == [T - 3, T - 2, T - 1, T]
     lam.at_levels([-5000])                  # passes one run boundary
-    assert sorted(lam._known) == [T - 5000, seq._run_starts[-1], T - 3,
-                                  T - 2, T - 1, T]
+    assert sorted(lam._known) == [T - 5000, T - 3, T - 2, T - 1, T]
+
+
+def test_read_upstream_of_a_window_is_bounded_as_on_a_fresh_track():
+    """A window read keeps only its levels, so a later ``at`` upstream of
+    it sweeps from the seed, as on a fresh track, and is bounded the same:
+    on the folding rank-4 blocks (30000, 30000), ``at(30005)`` after a
+    read of level 59999 started from the run boundary 30000 that read
+    kept, and kept 8 vectors in all."""
+    seq = gen_alternating_block((30000, 30000), 4, "folding").sequence
+    messages = []
+    for window in ([], [59999]):
+        mu = frequency_current(seq)
+        mu.at_levels(window)
+        with pytest.raises(BudgetExceededError) as info:
+            mu.at(30005)
+        messages.append(str(info.value))
+        assert sorted(mu._known) == [0, *window]
+    assert messages == 2 * [
+        "the levels 1..30005 could keep 1800900100 bits of exact vectors, "
+        "past the limit of 500000000 bits (sequences.WINDOW_BIT_BUDGET)"]
 
 
 @pytest.mark.parametrize("direction", ["folding", "unfolding"])

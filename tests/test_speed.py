@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldspace import gen_fibonacci
 from foldspace.cli import main
 from foldspace.errors import MalformedPathError
 from foldspace.graphs import theta_graph
 from foldspace.linalg import frac_log
-from foldspace.metric import (SpeedReport, _first_max_ratio, candidates,
+from foldspace.metric import (_PAIRS_PER_GAP, _SAMPLE_GAPS, SpeedReport,
+                              _first_max_ratio, _sample_starts, candidates,
                               linearity_and_speed)
 from foldspace.morphisms import GraphMorphism, validate_change_of_marking
 from foldspace.paths import (_cyclic_core, _join_reduced, cyclic_tighten,
@@ -347,3 +349,35 @@ def test_progress_speed_report_bytes(tmp_path, rank):
                  "--speed", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         SPEED_DIGESTS[rank]
+
+
+# -- sample placement ----------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 2 ** 50 - 1), gap=st.sampled_from(_SAMPLE_GAPS))
+def test_sample_starts_match_the_float_placement(n, gap):
+    """Below 2^50 steps every j (n - gap) / 3 is exact as a float, so the
+    integer rounding places the samples where ``round`` of the float
+    quotient did, and every recorded speed digest keeps its bytes."""
+    if gap > n:
+        return
+    assert _sample_starts(n, gap) == sorted(
+        {round(j * (n - gap) / (_PAIRS_PER_GAP - 1))
+         for j in range(_PAIRS_PER_GAP)})
+
+
+@pytest.mark.parametrize("steps", [9007199254740999, 10 ** 16, 10 ** 20])
+def test_speed_samples_on_chains_past_2_53_steps(steps):
+    """Past 2^53 steps the float quotient rounded the last sample start
+    past n - gap, and the report was refused with a level outside the
+    sequence; integer rounding places every start where the exact
+    rational rounds."""
+    step = gen_fibonacci(steps=1, direction="folding").sequence._step(0)
+    seq = FoldingSequence.from_runs([(step, steps)], "folding")
+    report = linearity_and_speed(seq)
+    starts = [lf for lf, _, _ in report.samples]
+    assert starts == [round(Fraction(j * (steps - gap), 3))
+                      for gap in _SAMPLE_GAPS for j in range(4)]
+    assert all(lt - lf in _SAMPLE_GAPS and lt <= steps
+               for lf, lt, _ in report.samples)
